@@ -4,15 +4,15 @@ A standalone script (not a pytest benchmark — profiling wants a steady
 process, not a fixture sandwich) with three modes::
 
     python benchmarks/profile_queues.py
-        Comparison table: every scheduler kind under the hold,
+        Comparison table: both scheduler kinds under the hold,
         cancel-churn, and sawtooth mixes, with speedups vs the
         reference heap.  This is ``python -m repro.sim --bench`` data
         reshaped around the "which backend should I use?" question.
 
-    python benchmarks/profile_queues.py --profile native hold
+    python benchmarks/profile_queues.py --profile heap churn
         cProfile one (kind, mix) cell of the microbenchmark, sorted by
-        cumulative time.  For pure-python kinds this shows the sift and
-        bucket costs; for the compiled native backend the scheduler
+        cumulative time.  For the reference heap this shows the heapq
+        sift costs; for the compiled native backend the scheduler
         vanishes from the profile entirely — which is the point.
 
     python benchmarks/profile_queues.py --suite native
@@ -50,7 +50,7 @@ from repro.sim.sched import SCHEDULER_KINDS, make_scheduler  # noqa: E402
 
 
 def compare(n: int, seed: int) -> int:
-    """Print the all-kinds comparison table with speedups vs heap."""
+    """Print the both-kinds comparison table with speedups vs heap."""
     report = bench_report(n, seed, SCHEDULER_KINDS)
     heap = report["schedulers"]["heap"]["ops_per_sec"]
     header = f"{'kind':>10} {'backend':>18} | " + " | ".join(

@@ -9,8 +9,9 @@ to build the *optional* compiled scheduler backend::
 
 The extension is strictly optional: every build failure (no compiler,
 no Python headers) degrades to a warning and the pure-python fallback
-(``repro.sim.sched`` kind ``"native"`` then routes to the calendar
-composite), so the wheel always builds and all tests pass either way.
+(``repro.sim.sched`` kind ``"native"`` then serves the reference
+``HeapScheduler``), so the wheel always builds and all tests pass
+either way.
 """
 
 import sys

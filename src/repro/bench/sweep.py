@@ -1192,8 +1192,9 @@ def scheduler_kind() -> str:
 def scheduler_backend() -> dict[str, Any]:
     """The backend ``scheduler_kind()`` actually resolves to, probed live.
 
-    Distinguishes the compiled native extension from its pure-python
-    fallback — the perf report must record which one produced the walls.
+    Distinguishes the compiled native extension from the reference heap
+    it falls back to — the perf report must record which one produced
+    the walls.
     """
     from ..sim.sched import make_scheduler
 
@@ -1219,7 +1220,7 @@ def build_report(
             "wall_seconds": round(r.wall_seconds, 4),
             "cached": r.cached,
             # which event-queue backend produced this scenario's wall —
-            # "native" + compiled=False means the pure-python fallback ran
+            # the native kind without the extension reports "heap"
             "scheduler": backend["backend"],
             "compiled": backend["compiled"],
             # fabric topology comes from the spec (not the cached value),

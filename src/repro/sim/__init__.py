@@ -23,22 +23,13 @@ from .bus import BusStats, FCFSBus, FairShareBus
 from .process import Environment, drive
 from .rand import RandomStreams
 from .resources import Container, Request, Resource, Store
-from .sched import (
-    CalendarQueue,
-    CalendarScheduler,
-    HeapScheduler,
-    SCHEDULER_KINDS,
-    TimerWheel,
-    make_scheduler,
-)
+from .sched import HeapScheduler, SCHEDULER_KINDS, make_scheduler
 from .trace import Span, TraceRecorder, merge_intervals
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "BusStats",
-    "CalendarQueue",
-    "CalendarScheduler",
     "Container",
     "Environment",
     "Event",
@@ -55,7 +46,6 @@ __all__ = [
     "Simulator",
     "Span",
     "Store",
-    "TimerWheel",
     "Timeout",
     "TraceRecorder",
     "URGENT",

@@ -4,17 +4,16 @@ Three modes::
 
     python -m repro.sim --bench          # raw scheduler micro-timings
     python -m repro.sim --bench --json   # same, machine-readable
-    python -m repro.sim --ab             # heap-vs-{calendar,native} ordering diff
+    python -m repro.sim --ab             # heap-vs-native ordering diff
     python -m repro.sim --ab-process     # callback-vs-coroutine scenario diff
 
-``--bench`` times the bare scheduler structures (no engine, no models)
-over three operation mixes so a scheduler change can be judged in
-isolation:
+``--bench`` times the bare schedulers (no engine, no models) over three
+operation mixes so a scheduler change can be judged in isolation:
 
 * ``hold``    — classic hold model: push N timed events, pop them all.
 * ``churn``   — the timeout pattern: push N timers, cancel 90% before
-  they fire, pop the survivors (the case the timer wheel exists for —
-  a cancelled timer must never be sorted).
+  they fire, pop the survivors (tombstones are skipped at the root,
+  never re-sorted).
 * ``sawtooth`` — interleaved push/pop with monotone time, the shape the
   run loop actually produces.
 
@@ -27,14 +26,14 @@ authoring style is pure syntax: the process API adds zero events and
 perturbs nothing.
 
 ``--ab`` executes the ci perf suite once on the reference heap
-scheduler and once per challenger kind (default: the calendar composite
-and the native backend) — with the engine's event trace sink installed —
+scheduler and once per challenger kind (default: the native backend)
+— with the engine's event trace sink installed —
 and diffs each challenger's ``(when, prio, seq, type)`` stream against
 the heap baseline.  An empty diff is the proof behind the byte-identical
 ``results/fig*.csv`` guarantee; any divergence prints the first
 mismatching event and exits 1.  The PASS line names the backend that
 actually ran (the native kind reports whether the compiled extension or
-the pure-python fallback served the run).
+the reference-heap fallback served the run).
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ def _mix_hold(sched, n: int, rng: Random) -> int:
 def _mix_churn(sched, n: int, rng: Random) -> int:
     entries = []
     for seq in range(n):
-        entries.append(sched.push_timer(rng.random() * 1e-3, 1, seq, seq))
+        entries.append(sched.push(rng.random() * 1e-3, 1, seq, seq))
     cancelled = 0
     for i, entry in enumerate(entries):
         if i % 10:  # cancel 9 of every 10 before they fire
@@ -95,7 +94,7 @@ def bench_report(n: int, seed: int, kinds: tuple[str, ...]) -> dict:
 
     Each scheduler entry records ``backend`` metadata from its own
     ``stats()`` — for the native kind that distinguishes the compiled
-    extension (``compiled: true``) from the pure-python fallback.
+    extension (``compiled: true``) from the reference-heap fallback.
     """
     report: dict = {"n": n, "seed": seed, "mixes": list(_MIXES), "schedulers": {}}
     for kind in kinds:
@@ -141,7 +140,7 @@ def run_bench(n: int, seed: int, kinds: tuple[str, ...], as_json: bool = False) 
         ]
         print(f"{kind:>10} | " + " | ".join(cells))
         if kind == "native" and not entry["compiled"]:
-            print(f"{'':>10}   (pure-python fallback; extension not built)")
+            print(f"{'':>10}   (reference-heap fallback; extension not built)")
     print("(Mo/s = million scheduler operations per second, higher is better)")
     return 0
 
@@ -170,7 +169,7 @@ def _run_suite(kind: str, scale_name: str):
     return sink, results
 
 
-_AB_DEFAULT_KINDS = ("calendar", "native")
+_AB_DEFAULT_KINDS = ("native",)
 
 
 def _backend_label(kind: str) -> str:
@@ -300,7 +299,7 @@ def main(argv=None) -> int:
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument(
         "--bench", action="store_true",
-        help="microbenchmark the raw scheduler structures",
+        help="microbenchmark the raw schedulers",
     )
     mode.add_argument(
         "--ab", action="store_true",
@@ -320,7 +319,7 @@ def main(argv=None) -> int:
         "--kinds", nargs="+", default=None,
         choices=list(SCHEDULER_KINDS),
         help="(--bench) schedulers to time (default: all); "
-        "(--ab) challengers to diff against heap (default: calendar native)",
+        "(--ab) challengers to diff against heap (default: native)",
     )
     parser.add_argument(
         "--json", action="store_true",

@@ -1,12 +1,12 @@
 /* Compiled scheduler backend for the DES kernel.
  *
  * NativeScheduler is a C binary heap honouring the same unique
- * ``(time, priority, seq)`` total order as every scheduler in
+ * ``(time, priority, seq)`` total order as ``HeapScheduler`` in
  * ``repro.sim.sched``, so its pop stream is identical to the reference
  * heap's (the A/B harness ``python -m repro.sim --ab`` pins this).
  *
- * Entries keep the engine-visible shape — a 5-element Python list
- * ``[when, prio, seq, item, owner]`` — because the run loop mutates
+ * Entries keep the engine-visible shape — a 4-element Python list
+ * ``[when, prio, seq, item]`` — because the run loop mutates
  * ``entry[3]`` in place (detach on dispatch, tombstone on cancel).  The
  * ordering key, however, is *cached in the C node* at push time
  * (``when`` as a double, ``prio`` as a long, ``seq`` as an unsigned
@@ -15,9 +15,8 @@
  *
  * Cancellation is O(1): ``entry[3] = None`` plus a live-count decrement;
  * dead entries are dropped lazily when they surface at the heap root.
- * ``owner`` is left as ``None`` — the engine routes cancels through the
- * scheduler object itself, and not storing a self-reference in every
- * entry keeps entries out of GC cycles with the scheduler.
+ * Cancelling an entry that is already a tombstone is a no-op, so the
+ * live count never goes negative.
  *
  * The engine's seq counter is an unbounded monotone count starting at
  * zero; this backend accepts any seq in [0, 2**64) and raises
@@ -32,7 +31,7 @@ typedef struct {
     double when;
     long prio;
     unsigned long long seq;
-    PyObject *entry; /* owned reference to the [when, prio, seq, item, owner] list */
+    PyObject *entry; /* owned reference to the [when, prio, seq, item] list */
 } node_t;
 
 typedef struct {
@@ -126,7 +125,7 @@ sched_push(NativeScheduler *self, PyObject *const *args, Py_ssize_t nargs)
     if (ensure_capacity(self) < 0)
         return NULL;
 
-    PyObject *entry = PyList_New(5);
+    PyObject *entry = PyList_New(4);
     if (entry == NULL)
         return NULL;
     Py_INCREF(args[0]);
@@ -137,8 +136,6 @@ sched_push(NativeScheduler *self, PyObject *const *args, Py_ssize_t nargs)
     PyList_SET_ITEM(entry, 2, args[2]);
     Py_INCREF(args[3]);
     PyList_SET_ITEM(entry, 3, args[3]);
-    Py_INCREF(Py_None);
-    PyList_SET_ITEM(entry, 4, Py_None);
 
     node_t *node = &self->heap[self->size];
     node->when = when;
@@ -157,11 +154,13 @@ sched_push(NativeScheduler *self, PyObject *const *args, Py_ssize_t nargs)
 static PyObject *
 sched_cancel(NativeScheduler *self, PyObject *entry)
 {
-    if (!PyList_Check(entry) || PyList_GET_SIZE(entry) != 5) {
+    if (!PyList_Check(entry) || PyList_GET_SIZE(entry) != 4) {
         PyErr_SetString(PyExc_TypeError,
-                        "cancel expects a scheduler entry (5-element list)");
+                        "cancel expects a scheduler entry (4-element list)");
         return NULL;
     }
+    if (PyList_GET_ITEM(entry, 3) == Py_None)
+        Py_RETURN_NONE; /* already a tombstone: nothing live to withdraw */
     /* Tombstone in place; the node surfaces and is dropped lazily. */
     Py_INCREF(Py_None);
     PyList_SetItem(entry, 3, Py_None);
@@ -227,7 +226,7 @@ sched_stats(NativeScheduler *self, PyObject *Py_UNUSED(ignored))
 static Py_ssize_t
 sched_len(NativeScheduler *self)
 {
-    return self->live >= 0 ? self->live : 0;
+    return self->live;
 }
 
 /* -- type plumbing -------------------------------------------------------- */
@@ -278,13 +277,9 @@ sched_dealloc(NativeScheduler *self)
 
 static PyMethodDef sched_methods[] = {
     {"push", (PyCFunction)(void (*)(void))sched_push, METH_FASTCALL,
-     "push(when, prio, seq, item) -> entry list [when, prio, seq, item, None]"},
-    {"push_timer", (PyCFunction)(void (*)(void))sched_push, METH_FASTCALL,
-     "Alias of push (one structure serves every population)."},
-    {"push_now", (PyCFunction)(void (*)(void))sched_push, METH_FASTCALL,
-     "Alias of push (one structure serves every population)."},
+     "push(when, prio, seq, item) -> entry list [when, prio, seq, item]"},
     {"cancel", (PyCFunction)sched_cancel, METH_O,
-     "cancel(entry): O(1) tombstone (entry[3] = None)."},
+     "cancel(entry): O(1) tombstone (entry[3] = None); no-op if already dead."},
     {"pop", (PyCFunction)sched_pop, METH_NOARGS,
      "pop() -> the minimum live entry, or None when empty."},
     {"peek_time", (PyCFunction)sched_peek_time, METH_NOARGS,
@@ -325,7 +320,7 @@ PyInit__csched(void)
 {
     if (PyType_Ready(&NativeSchedulerType) < 0)
         return NULL;
-    /* Class-level constants mirroring the pure-python schedulers. */
+    /* Class-level constants mirroring HeapScheduler's. */
     if (PyDict_SetItemString(NativeSchedulerType.tp_dict, "kind",
                              PyUnicode_FromString("native")) < 0)
         return NULL;

@@ -311,8 +311,8 @@ class FairShareBus:
         """Complete finished flows and schedule the next completion.
 
         A pending completion tick made stale by a membership change is
-        *cancelled* in O(1) via its ``call_after`` handle — the timer
-        wheel drops it without ever sorting it.
+        *cancelled* in O(1) via its ``call_after`` handle — the
+        scheduler tombstones it and drops it when it reaches the heap root.
         """
         tick = self._tick
         if tick is not None:

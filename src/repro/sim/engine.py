@@ -91,14 +91,14 @@ _POOL_MAX = 1024
 
 #: default scheduler kind; overridable per-instance or via environment.
 #: "native" is the compiled C heap when the optional extension is built,
-#: and the pure-python calendar composite otherwise — identical pop
-#: order either way (sched_stats()["compiled"] reports which ran).
+#: and the pure-python reference heap otherwise — identical pop order
+#: either way (sched_stats()["compiled"] reports which ran).
 _DEFAULT_SCHEDULER = "native"
 
 #: module-level event-trace sink (A/B ordering harness).  When set, every
 #: Simulator constructed afterwards appends ``(when, prio, seq, type)``
 #: per dispatched event.  ``python -m repro.sim --ab`` uses this to diff
-#: the heap scheduler against the calendar scheduler.
+#: the reference heap scheduler against the compiled native one.
 _TRACE_SINK: Optional[list] = None
 
 
@@ -173,7 +173,7 @@ class Event:
             raise RuntimeError(f"{self!r} is already scheduled")
         self._scheduled = True
         sim = self.sim
-        self._entry = sim._push_now(sim._now, priority, next(sim._seq), self)
+        self._entry = sim._push(sim._now, priority, next(sim._seq), self)
         return self
 
     def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
@@ -247,7 +247,7 @@ class Timeout(Event):
         self._entry = None
         self.delay = delay
         self._pooled = False
-        sim._schedule_timer(self, delay)
+        sim._schedule(self, NORMAL, delay)
 
     @property
     def name(self) -> str:
@@ -462,11 +462,10 @@ class Simulator:
 
     ``scheduler`` picks the priority-queue implementation (see
     :mod:`repro.sim.sched`): ``"native"`` (default) is the compiled C
-    heap (pure-python composite when the extension isn't built),
-    ``"calendar"`` the calendar ring + timer wheel + now-queue
-    composite, ``"heap"`` the reference binary heap.  Every scheduler
-    honours the same unique ``(time, priority, seq)`` total order, so
-    the choice never changes a schedule — only how fast it executes.
+    heap (the reference heap when the extension isn't built), ``"heap"``
+    the reference binary heap.  Both honour the same unique
+    ``(time, priority, seq)`` total order, so the choice never changes
+    a schedule — only how fast it executes.
     The environment variable ``REPRO_SIM_SCHEDULER`` overrides the
     default for A/B runs; an explicit ``scheduler=`` argument beats the
     environment.
@@ -490,11 +489,9 @@ class Simulator:
         except ValueError as exc:
             raise ValueError(f"{exc}; the kind came from {source}") from None
         self._sched_kind = kind
-        # Bound-method aliases: the push paths run once per scheduled
+        # Bound-method alias: the push path runs once per scheduled
         # event, so the extra attribute hop through ``_sched`` matters.
         self._push = self._sched.push
-        self._push_timer = self._sched.push_timer
-        self._push_now = self._sched.push_now
         self._seq = itertools.count()
         self._active_process: Optional[Process] = None
         #: free lists for the two hot-path entry shapes (see module docs)
@@ -522,7 +519,7 @@ class Simulator:
         return self._sched_kind
 
     def sched_stats(self) -> dict:
-        """Scheduler-internal counters (live entries, cancels, resizes...)."""
+        """Scheduler-internal counters (kind, compiled, live entries, cancels)."""
         return self._sched.stats()
 
     # -- event factories ----------------------------------------------------------
@@ -553,10 +550,10 @@ class Simulator:
             t.callbacks = []
             t._value = None
             t._ok = True
-            # Inlined ``_schedule_timer`` (delay already validated and a
-            # pool entry is by definition not scheduled).
+            # Inlined ``_schedule`` (delay already validated and a pool
+            # entry is by definition not scheduled).
             t._scheduled = True
-            t._entry = self._push_timer(self._now + delay, NORMAL, next(self._seq), t)
+            t._entry = self._push(self._now + delay, NORMAL, next(self._seq), t)
             return t
         t = Timeout(self, delay)
         t._pooled = True
@@ -579,24 +576,7 @@ class Simulator:
         if event._scheduled:
             raise RuntimeError(f"{event!r} is already scheduled")
         event._scheduled = True
-        if delay == 0.0:
-            # Delay-0 events fire at the current time: the composite
-            # scheduler keeps them in plain FIFO deques (already in
-            # (time, prio, seq) order) — no priority-queue work at all.
-            event._entry = self._push_now(self._now, priority, next(self._seq), event)
-        else:
-            event._entry = self._push(
-                self._now + delay, priority, next(self._seq), event
-            )
-
-    def _schedule_timer(self, event: Event, delay: float) -> None:
-        """Schedule the high-churn ``Timeout`` population (timer wheel)."""
-        if delay < 0:
-            raise SimTimeError(f"cannot schedule event in the past (delay={delay!r})")
-        if event._scheduled:
-            raise RuntimeError(f"{event!r} is already scheduled")
-        event._scheduled = True
-        event._entry = self._push_timer(self._now + delay, NORMAL, next(self._seq), event)
+        event._entry = self._push(self._now + delay, priority, next(self._seq), event)
 
     def succeed_later(
         self, event: Event, delay: float, value: Any = None, priority: int = NORMAL
@@ -630,7 +610,7 @@ class Simulator:
         cb = pool.pop() if pool else _Callback()
         cb.fn = fn
         cb.args = args
-        return self._push_timer(self._now + delay, NORMAL, next(self._seq), cb)
+        return self._push(self._now + delay, NORMAL, next(self._seq), cb)
 
     def call_group(self, delay: float, calls: list) -> list:
         """Run a list of ``(fn, args)`` pairs after ``delay`` seconds.
@@ -667,8 +647,8 @@ class Simulator:
         Returns True if the event was queued and is now back to the
         *pending* state (it may be succeeded/failed again later); False
         if there was nothing to cancel (never scheduled, already fired,
-        or already cancelled).  O(1) on every scheduler — the timer
-        wheel in particular never sorts a cancelled timer.
+        or already cancelled).  O(1) on both schedulers: the entry is
+        tombstoned in place and dropped when it surfaces at the heap root.
         """
         entry = event._entry
         if entry is None or event.callbacks is None or not event._scheduled:
@@ -864,12 +844,9 @@ class Simulator:
         """Register kernel instruments (pull-based; zero cost until read)."""
         registry.counter(f"{prefix}.events", lambda: float(self.event_count))
         registry.gauge(f"{prefix}.queued", lambda: float(len(self._sched)))
-        for key in ("cancels", "resizes", "cascades", "far_rebuilds", "reseeds"):
-            if key in self._sched.stats():
-                registry.counter(
-                    f"{prefix}.sched.{key}",
-                    lambda k=key: float(self._sched.stats().get(k, 0)),
-                )
+        registry.counter(
+            f"{prefix}.sched.cancels", lambda: float(self._sched.stats()["cancels"])
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -1,65 +1,43 @@
-"""Pluggable event schedulers for the DES kernel.
+"""Event schedulers for the DES kernel.
 
 The simulator orders events by the unique key ``(time, priority, seq)``
 — ``seq`` is a monotone counter, so the order is a *total* order and any
 correct priority queue yields the exact same pop sequence.  That is the
-contract every scheduler here honours, which is what keeps
+contract both schedulers here honour, which is what keeps
 ``results/fig*.csv`` byte-identical regardless of the scheduler chosen
 (pinned by the A/B harness in ``python -m repro.sim --ab``).
 
-Entries are 5-element mutable lists::
+The contract is four methods — ``push``/``cancel``/``pop``/``peek_time``
+— over 4-element mutable list entries::
 
-    [when, prio, seq, item, owner]
+    [when, prio, seq, item]
 
 ``item`` is the payload (an ``Event`` or ``_Callback``); cancellation
-tombstones an entry in place (``item = None``) and the structures drop
-dead entries lazily — a cancelled timer is never sorted.  ``owner``
-tags which sub-structure of a composite holds the entry so ``cancel``
-can fix the right live-count.  List comparison never reaches index 3
-because ``seq`` is unique.
+tombstones an entry in place (``item = None``) and the heap drops dead
+entries lazily when they surface at the root.  Cancelling an entry that
+is already a tombstone (cancelled twice, or detached by the run loop at
+dispatch) is a no-op.  List comparison never reaches index 3 because
+``seq`` is unique.
 
-A property all cursor movement here leans on: simulation time is
-monotone, so an entry pushed *after* the cursor advanced past its
-bucket carries a time >= the last popped time.  The calendar ring
-handles such pushes by pulling its cursor back to the entry's natural
-bucket; the timer wheel routes them into the slot under its cursor
-(safe there because the wheel cursor never moves backward while slot
-entries exist).  Either way ordering stays exact with no re-scanning.
+Two kinds:
 
-Three structures:
+* ``"native"`` (the default) — ``repro.sim._csched.NativeScheduler``, a
+  C binary heap that caches each entry's ``(when, prio, seq)`` key in a
+  C struct so every comparison is three scalar compares with no
+  interpreter involvement.  The extension is optional — built via
+  ``python setup.py build_ext --inplace`` — and when it is absent the
+  ``"native"`` kind serves a plain :class:`HeapScheduler`, which reports
+  ``compiled: False`` in its stats.
+* ``"heap"`` — :class:`HeapScheduler`, the reference ``heapq``
+  implementation the A/B harness diffs every run against.
 
-* :class:`HeapScheduler` — the reference ``heapq`` implementation
-  (previous kernel behaviour, used by the A/B harness).
-* :class:`CalendarQueue` — R. Brown's calendar queue: a power-of-two
-  ring of buckets, each a small heap, scanned with a cursor; resized
-  lazily as the population grows or shrinks.
-* :class:`TimerWheel` — a 4-level hierarchical timer wheel (256 slots
-  per level) for the high-churn ``Timeout``/``call_after`` population:
-  O(1) insert and cancel, slots sorted only when the cursor reaches
-  them, cancelled entries dropped *unsorted* during cascades.
-
-:class:`CalendarScheduler` (kind ``"calendar"``) composes all three
-populations — a calendar ring for general events, a timer wheel for
-timers, and plain FIFO deques for delay-0 ("now") events, which need no
-ordering work at all beyond priority.
-
-On top of the pure-python structures sits the **compiled backend**
-(kind ``"native"``, the default): ``repro.sim._csched.NativeScheduler``,
-a C binary heap that caches each entry's ``(when, prio, seq)`` key in a
-C struct so every comparison is three scalar compares with no
-interpreter involvement.  The extension is optional — built via
-``python setup.py build_ext --inplace`` — and when it is absent (or
-disabled via ``REPRO_SIM_DISABLE_NATIVE=1``) the ``"native"`` kind
-falls back to :class:`PurePythonNativeScheduler`, a calendar-composite
-stand-in that reports ``compiled: False`` in its stats.  Either way the
-pop stream is identical, so the choice never changes a schedule.
+Either way the pop stream is identical, so the choice never changes a
+schedule.
 """
 
 from __future__ import annotations
 
-import os
-from collections import deque
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 try:  # optional compiled backend (python setup.py build_ext --inplace)
     from . import _csched
@@ -68,10 +46,6 @@ except ImportError:  # no compiler / wheel built without the extension
 
 __all__ = [
     "HeapScheduler",
-    "CalendarQueue",
-    "TimerWheel",
-    "CalendarScheduler",
-    "PurePythonNativeScheduler",
     "make_scheduler",
     "native_available",
     "SCHEDULER_KINDS",
@@ -82,6 +56,7 @@ class HeapScheduler:
     """Reference scheduler: one binary heap, lazy deletion."""
 
     kind = "heap"
+    compiled = False
     __slots__ = ("_heap", "_live", "cancels")
 
     def __init__(self) -> None:
@@ -93,16 +68,14 @@ class HeapScheduler:
         return self._live
 
     def push(self, when: float, prio: int, seq: int, item) -> list:
-        entry = [when, prio, seq, item, self]
+        entry = [when, prio, seq, item]
         heappush(self._heap, entry)
         self._live += 1
         return entry
 
-    # Same structure for every population.
-    push_timer = push
-    push_now = push
-
     def cancel(self, entry: list) -> None:
+        if entry[3] is None:
+            return  # already a tombstone: nothing live to withdraw
         entry[3] = None
         self._live -= 1
         self.cancels += 1
@@ -125,803 +98,34 @@ class HeapScheduler:
         return None
 
     def stats(self) -> dict:
-        return {"kind": self.kind, "live": self._live, "cancels": self.cancels}
-
-
-class CalendarQueue:
-    """Calendar queue: a power-of-two ring of bucket heaps.
-
-    The bucket ("day") for time ``t`` is ``int(t / width) & mask``; a
-    cursor walks the ring one day at a time, and the head is the top of
-    the cursor's bucket whenever that top falls inside the current day
-    (``top_time < (cursor + 1) * width``).  When a scan visits more
-    buckets than there are physical entries the queue is badly tuned
-    for the current distribution and the cursor jumps straight to the
-    day of the global minimum instead of crawling.
-
-    A push whose day the cursor has already passed (possible when
-    ``peek`` ran the cursor ahead of the clock) pulls the cursor *back*
-    to that day — entries always live in their natural bucket, so the
-    invariant "no live entry has a day before the cursor" holds and a
-    forward scan from the cursor always finds the global minimum.
-
-    Resizes are lazy: the ring doubles when the live population exceeds
-    twice the bucket count and halves when it drops below a quarter,
-    re-deriving the bucket width from the live span.
-
-    ``_live`` (live entries) is maintained by ``push``/``cancel``/
-    ``take`` only; ``insert`` and re-bucketing never touch it, which
-    lets a composite own the accounting.  ``_count`` tracks physical
-    entries including tombstones so scans can terminate.
-    """
-
-    kind = "calendar-ring"
-    MIN_BUCKETS = 16
-    MAX_BUCKETS = 1 << 15
-    __slots__ = (
-        "_buckets",
-        "_mask",
-        "_width",
-        "_cur",
-        "_live",
-        "_count",
-        "_hint",
-        "cancels",
-        "resizes",
-    )
-
-    def __init__(self) -> None:
-        n = self.MIN_BUCKETS
-        self._buckets: list[list[list]] = [[] for _ in range(n)]
-        self._mask = n - 1
-        self._width: float | None = None  # derived from the first timed push
-        self._cur = 0  # absolute day index (not masked)
-        self._live = 0
-        self._count = 0
-        #: known lower bound on every held entry time.  Simulation time
-        #: is monotone, so any historical head time or insert time stays
-        #: a valid bound — composites use it to skip ``head()`` when a
-        #: cheaper source already beats it.
-        self._hint = -1.0
-        self.cancels = 0
-        self.resizes = 0
-
-    def __len__(self) -> int:
-        return self._live
-
-    # -- insertion ---------------------------------------------------------
-
-    def push(self, when: float, prio: int, seq: int, item) -> list:
-        entry = [when, prio, seq, item, self]
-        self._live += 1
-        self.insert(entry)
-        return entry
-
-    def insert(self, entry: list) -> None:
-        """Place an externally-counted entry (does not touch ``_live``)."""
-        when = entry[0]
-        if when < self._hint:
-            self._hint = when
-        width = self._width
-        if width is None:
-            if when <= 0.0:
-                heappush(self._buckets[0], entry)
-                self._count += 1
-                return
-            # First timed entry seeds the width: an eighth of its
-            # horizon so near-term schedules spread over several days.
-            width = self._width = when / 8.0
-        day = int(when / width)
-        if day < self._cur:
-            self._cur = day  # cursor ran ahead (peek): pull it back
-        heappush(self._buckets[day & self._mask], entry)
-        self._count += 1
-        if self._live > 2 * (self._mask + 1) and self._mask + 1 < self.MAX_BUCKETS:
-            self._resize((self._mask + 1) << 1)
-
-    # -- removal -----------------------------------------------------------
-
-    def cancel(self, entry: list) -> None:
-        entry[3] = None
-        self._live -= 1
-        self.cancels += 1
-
-    def head(self) -> list | None:
-        """The minimum live entry (pure peek; ``take`` removes it)."""
-        if self._live == 0:
-            return None
-        nbuckets = self._mask + 1
-        if nbuckets > self.MIN_BUCKETS and self._live < (nbuckets >> 2):
-            self._resize(nbuckets >> 1)
-        width = self._width
-        if width is None:
-            # Only pre-width (t == 0) entries exist: all in bucket 0.
-            bucket = self._buckets[0]
-            while bucket[0][3] is None:
-                heappop(bucket)
-                self._count -= 1
-            return bucket[0]
-        buckets = self._buckets
-        mask = self._mask
-        cur = self._cur
-        scanned = 0
-        limit = self._count
-        while True:
-            bucket = buckets[cur & mask]
-            while bucket and bucket[0][3] is None:
-                heappop(bucket)
-                self._count -= 1
-            if bucket and bucket[0][0] < (cur + 1) * width:
-                self._cur = cur
-                self._hint = bucket[0][0]
-                return bucket[0]
-            cur += 1
-            scanned += 1
-            if scanned > limit:
-                # Sparse year: jump straight to the day of the global
-                # minimum.  Dead heads are flushed first so every
-                # surviving bucket head is live, and same-day entries
-                # share a bucket, so min-over-heads is the true min.
-                best: list | None = None
-                for bucket in buckets:
-                    while bucket and bucket[0][3] is None:
-                        heappop(bucket)
-                        self._count -= 1
-                    if bucket and (best is None or bucket[0] < best):
-                        best = bucket[0]
-                self._cur = int(best[0] / width)
-                self._hint = best[0]
-                return best
-
-    def take(self, entry: list) -> None:
-        """Remove the head just returned by :meth:`head`."""
-        heappop(self._buckets[self._cur & self._mask])
-        self._count -= 1
-        self._live -= 1
-
-    def peek_time(self):
-        head = self.head()
-        return head[0] if head is not None else None
-
-    def pop(self):
-        head = self.head()
-        if head is not None:
-            self.take(head)
-        return head
-
-    # -- resizing ----------------------------------------------------------
-
-    def _resize(self, new_n: int) -> None:
-        entries = []
-        for bucket in self._buckets:
-            for entry in bucket:
-                if entry[3] is not None:
-                    entries.append(entry)
-        self._buckets = [[] for _ in range(new_n)]
-        self._mask = new_n - 1
-        self._count = len(entries)
-        self.resizes += 1
-        if not entries:
-            self._cur = 0
-            return
-        tmin = entries[0][0]
-        tmax = tmin
-        for e in entries:
-            t = e[0]
-            if t < tmin:
-                tmin = t
-            elif t > tmax:
-                tmax = t
-        span = tmax - tmin
-        if span > 0.0:
-            # Spread the live population over ~a quarter of the ring so
-            # a year scan touches few buckets but each day stays small.
-            self._width = max(span * 4.0 / len(entries), 1e-12)
-        elif self._width is None and tmax > 0.0:
-            self._width = tmax / 8.0
-        width = self._width
-        if width is None:
-            bucket0 = self._buckets[0]
-            bucket0.extend(entries)
-            heapify(bucket0)
-            self._cur = 0
-            return
-        mask = self._mask
-        buckets = self._buckets
-        self._cur = int(tmin / width)
-        for entry in entries:
-            buckets[int(entry[0] / width) & mask].append(entry)
-        for bucket in buckets:
-            if len(bucket) > 1:
-                heapify(bucket)
-
-    def stats(self) -> dict:
         return {
             "kind": self.kind,
-            "live": self._live,
-            "buckets": self._mask + 1,
-            "cancels": self.cancels,
-            "resizes": self.resizes,
-        }
-
-
-class TimerWheel:
-    """Hierarchical timer wheel: 256 slots x 4 levels, lazy sorting.
-
-    Insert hashes the absolute tick ``int(t / w0)`` to a slot: level 0
-    covers the next 256 ticks, level k the next ``256^(k+1)``.  Only
-    the slot under the cursor is ever heapified — future slots are
-    plain appends — so a timer cancelled before its slot comes up is
-    dropped during the cascade *without ever being compared*.  That is
-    the structural win over a heap for the high-churn
-    ``Timeout``/``call_after`` population.
-
-    A push whose tick the cursor has already passed lands in the
-    current slot (time monotonicity makes that exact; see module docs).
-    Entries beyond level 3's horizon go to an unordered far list that
-    is re-bucketed (dropping tombstones) only when the wheel otherwise
-    empties.  Like :class:`CalendarQueue`, ``_live`` is owned by
-    ``push``/``cancel``/``take``; ``_counts`` are physical per-level
-    entry counts (tombstones included) so the cursor can fast-forward
-    across empty regions in O(1).
-    """
-
-    kind = "timer-wheel"
-    SLOTS = 256
-    __slots__ = (
-        "_level0",
-        "_levels",
-        "_counts",
-        "_cursor",
-        "_far",
-        "_w0",
-        "_inv",
-        "_live",
-        "_cur_heap",
-        "_hint",
-        "_clamped",
-        "cancels",
-        "cascades",
-        "far_rebuilds",
-        "reseeds",
-    )
-
-    def __init__(self) -> None:
-        self._level0: list[list[list]] = [[] for _ in range(self.SLOTS)]
-        #: levels 1..3, allocated lazily (index 0 unused)
-        self._levels: list[list[list[list]] | None] = [None, None, None, None]
-        self._counts = [0, 0, 0, 0]
-        self._cursor = 0  # absolute level-0 slot index
-        self._far: list[list] = []
-        self._w0: float | None = None
-        self._inv = 0.0
-        self._live = 0
-        self._cur_heap = False  # current slot heapified?
-        #: known lower bound on every held entry time (see CalendarQueue)
-        self._hint = -1.0
-        #: consecutive pushes that clamped into a heapified current slot
-        #: — the signal that ``_w0`` no longer matches the timer
-        #: population and the wheel has degenerated into a one-slot heap
-        self._clamped = 0
-        self.cancels = 0
-        self.cascades = 0
-        self.far_rebuilds = 0
-        self.reseeds = 0
-
-    def __len__(self) -> int:
-        return self._live
-
-    # -- insertion ---------------------------------------------------------
-
-    def push(self, when: float, prio: int, seq: int, item) -> list:
-        entry = [when, prio, seq, item, self]
-        self._live += 1
-        if when < self._hint:
-            self._hint = when
-        # Inline fast path: level-0 placement — a plain append for a
-        # strictly-future slot, a heap push into the slot under the
-        # cursor.  This is the single hottest insert in every sweep
-        # (``call_after`` and ``Timeout`` both land here).
-        inv = self._inv
-        if inv:
-            idx = int(when * inv)
-            cur = self._cursor
-            d = idx - cur
-            if d < 256:
-                if d <= 0:
-                    slot = self._level0[cur & 255]
-                    if self._cur_heap:
-                        heappush(slot, entry)
-                        self._counts[0] += 1
-                        self._clamped += 1
-                        if self._clamped >= 64 and len(slot) >= 16:
-                            self._reseed()
-                        return entry
-                    slot.append(entry)
-                else:
-                    self._clamped = 0
-                    self._level0[idx & 255].append(entry)
-                self._counts[0] += 1
-                return entry
-        self._clamped = 0
-        self.insert(entry)
-        return entry
-
-    push_timer = push
-
-    def insert(self, entry: list) -> None:
-        when = entry[0]
-        if when < self._hint:
-            self._hint = when
-        w0 = self._w0
-        if w0 is None:
-            if when <= 0.0:
-                slot = self._level0[self._cursor & 255]
-                if self._cur_heap:
-                    heappush(slot, entry)
-                else:
-                    slot.append(entry)
-                self._counts[0] += 1
-                return
-            # First timed entry seeds the tick width: 1/64th of its
-            # delay so typical timers land mid-level-0.
-            self._w0 = w0 = when / 64.0
-            self._inv = 1.0 / w0
-        idx = int(entry[0] * self._inv)
-        cur = self._cursor
-        d = idx - cur
-        if d < 256:
-            if d <= 0:
-                idx = cur  # cursor already passed: current-slot window
-                slot = self._level0[cur & 255]
-                if self._cur_heap:
-                    heappush(slot, entry)
-                    self._counts[0] += 1
-                    return
-            else:
-                slot = self._level0[idx & 255]
-            slot.append(entry)
-            self._counts[0] += 1
-            return
-        for k in (1, 2, 3):
-            if (idx >> (8 * k)) - (cur >> (8 * k)) < 256:
-                level = self._levels[k]
-                if level is None:
-                    level = self._levels[k] = [[] for _ in range(self.SLOTS)]
-                level[(idx >> (8 * k)) & 255].append(entry)
-                self._counts[k] += 1
-                return
-        self._far.append(entry)
-
-    # -- removal -----------------------------------------------------------
-
-    def cancel(self, entry: list) -> None:
-        entry[3] = None
-        self._live -= 1
-        self.cancels += 1
-
-    def head(self) -> list | None:
-        """The minimum live entry (pure peek; ``take`` removes it)."""
-        if self._live == 0:
-            return None
-        counts = self._counts
-        level0 = self._level0
-        while True:
-            if counts[0]:
-                cur = self._cursor
-                slot = level0[cur & 255]
-                if slot:
-                    if not self._cur_heap:
-                        # First arrival at this slot: drop tombstones
-                        # *unsorted*, then heapify the survivors.
-                        live = [e for e in slot if e[3] is not None]
-                        counts[0] -= len(slot) - len(live)
-                        if len(live) > 1:
-                            heapify(live)
-                        level0[cur & 255] = slot = live
-                        self._cur_heap = True
-                    while slot and slot[0][3] is None:
-                        heappop(slot)
-                        counts[0] -= 1
-                    if slot:
-                        self._hint = slot[0][0]
-                        return slot[0]
-                self._cursor = cur + 1
-                self._cur_heap = False
-                if (cur + 1) & 255 == 0:
-                    self._cascade(cur + 1)
-                continue
-            # Level 0 drained: fast-forward the cursor to the next
-            # level boundary that can hold work, then cascade it in.
-            if counts[1]:
-                nxt = ((self._cursor >> 8) + 1) << 8
-            elif counts[2]:
-                nxt = ((self._cursor >> 16) + 1) << 16
-            elif counts[3]:
-                nxt = ((self._cursor >> 24) + 1) << 24
-            elif self._far:
-                if not self._rebuild_far():
-                    return None
-                continue
-            else:
-                return None
-            self._cur_heap = False
-            self._cascade(nxt)
-
-    def take(self, entry: list) -> None:
-        heappop(self._level0[self._cursor & 255])
-        self._counts[0] -= 1
-        self._live -= 1
-
-    def peek_time(self):
-        head = self.head()
-        return head[0] if head is not None else None
-
-    def pop(self):
-        # Fused head + take: the composite's steady-state path when the
-        # ring and now-queues are empty, so the common case (live top of
-        # an already-heapified current slot) runs with shared locals.
-        if self._live == 0:
-            return None
-        if self._cur_heap and self._counts[0]:
-            slot = self._level0[self._cursor & 255]
-            if slot:
-                head = slot[0]
-                if head[3] is not None:
-                    heappop(slot)
-                    self._counts[0] -= 1
-                    self._live -= 1
-                    self._hint = head[0]
-                    return head
-        head = self.head()
-        if head is not None:
-            self.take(head)
-        return head
-
-    # -- internals ---------------------------------------------------------
-
-    def _cascade(self, cur: int) -> None:
-        """Advance to absolute slot ``cur`` and pull down higher levels.
-
-        Highest level first: a level-3 drain places entries into level
-        2/1/0 slots *ahead* of the cursor, which the subsequent lower-
-        level drains then redistribute — never the reverse.
-        """
-        self._cursor = cur
-        counts = self._counts
-        for k in (3, 2, 1):
-            if not counts[k]:
-                continue
-            if cur & ((1 << (8 * k)) - 1):
-                continue  # not at a level-k boundary
-            level = self._levels[k]
-            if level is None:
-                continue
-            slot_i = (cur >> (8 * k)) & 255
-            slot = level[slot_i]
-            if not slot:
-                continue
-            level[slot_i] = []
-            counts[k] -= len(slot)
-            self.cascades += 1
-            for entry in slot:
-                # Tombstones are dropped here, unsorted — a cancelled
-                # timer is never compared against anything.
-                if entry[3] is not None:
-                    self.insert(entry)
-
-    def _reseed(self) -> None:
-        """Re-derive the tick width from the *pending* timer population.
-
-        ``_w0`` is seeded from the first timer ever pushed; when that
-        timer is unrepresentative (a long compute sleep before µs-scale
-        wire timers), every later push clamps into the current slot and
-        the wheel degenerates into a one-slot heap.  On that signal,
-        rebuild with a width matched to the live population's spread so
-        typical pushes become plain appends again.
-
-        Ordering safety: the new cursor is ``int(tmin / w0')`` — at or
-        before every entry's natural slot — and re-insertion goes
-        through :meth:`insert`, so the head scan still visits entries in
-        slot order and heapifies each slot on arrival.  ``_hint`` is
-        untouched (``tmin`` can only be >= the old bound).
-        """
-        entries = [e for slot in self._level0 for e in slot if e[3] is not None]
-        for level in self._levels:
-            if level is not None:
-                for slot in level:
-                    for e in slot:
-                        if e[3] is not None:
-                            entries.append(e)
-        for e in self._far:
-            if e[3] is not None:
-                entries.append(e)
-        self._clamped = 0
-        if not entries:
-            return
-        times = sorted(e[0] for e in entries)
-        tmin = times[0]
-        # A robust spread: one far-off watchdog must not re-inflate the
-        # width, so size level 0 to hold the densest three quarters of
-        # the population with room ahead for newcomers.
-        span = times[(3 * len(times)) // 4] - tmin
-        if span <= 0.0:
-            span = times[-1] - tmin
-        w0 = span / 192.0
-        if w0 <= 0.0 or w0 >= self._w0 * 0.5:
-            # Population genuinely is near-simultaneous (or already
-            # matched): nothing to gain, back off before retrying.
-            self._clamped = -4096
-            return
-        self._level0 = [[] for _ in range(self.SLOTS)]
-        self._levels = [None, None, None, None]
-        self._counts = [0, 0, 0, 0]
-        self._far = []
-        self._w0 = w0
-        self._inv = 1.0 / w0
-        self._cursor = int(tmin * self._inv)
-        self._cur_heap = False
-        self.reseeds += 1
-        for entry in entries:
-            self.insert(entry)
-
-    def _rebuild_far(self) -> bool:
-        far = [e for e in self._far if e[3] is not None]
-        self._far = []
-        self.far_rebuilds += 1
-        if not far:
-            return False
-        tmin = far[0][0]
-        for e in far:
-            if e[0] < tmin:
-                tmin = e[0]
-        self._cursor = int(tmin * self._inv)
-        self._cur_heap = False
-        for entry in far:
-            self.insert(entry)
-        return True
-
-    def stats(self) -> dict:
-        return {
-            "kind": self.kind,
+            "compiled": False,
             "live": self._live,
             "cancels": self.cancels,
-            "cascades": self.cascades,
-            "far_rebuilds": self.far_rebuilds,
-            "reseeds": self.reseeds,
         }
 
 
-class CalendarScheduler:
-    """The default composite: ring + wheel + now-queues, exact order.
-
-    Population routing (the engine picks the method):
-
-    * ``push`` — general timed events → calendar ring.
-    * ``push_timer`` — ``Timeout``/``call_after`` → timer wheel.
-    * ``push_now`` — delay-0 events → plain FIFO deques (one per
-      priority).  Delay-0 pushes always carry ``when == sim.now`` and
-      monotone ``seq``, so each deque is already sorted; no ordering
-      work at all.
-
-    ``pop`` merges the four sources by list comparison of their heads.
-    Heads are pure peeks, so nothing needs unwinding after the merge —
-    and each structure maintains a monotone *time hint* (a known lower
-    bound on everything it holds), so a now-event burst never even
-    computes the ring/wheel heads: the hint comparison alone proves the
-    deque head wins.
-
-    ``push`` and ``push_timer`` are bound straight to the ring/wheel
-    implementations at construction — the sub-structures own their live
-    counts, so the composite adds zero overhead on the push paths.
-    """
-
-    kind = "calendar"
-    __slots__ = (
-        "_ring",
-        "_wheel",
-        "_now_urgent",
-        "_now_normal",
-        "_now_dead",
-        "_now_cancels",
-        "push",
-        "push_timer",
-    )
-
-    def __init__(self) -> None:
-        self._ring = CalendarQueue()
-        self._wheel = TimerWheel()
-        self._now_urgent: deque[list] = deque()
-        self._now_normal: deque[list] = deque()
-        self._now_dead = 0  # tombstones currently sitting in the deques
-        self._now_cancels = 0
-        self.push = self._ring.push
-        self.push_timer = self._wheel.push
-
-    def __len__(self) -> int:
-        return (
-            self._ring._live
-            + self._wheel._live
-            + len(self._now_urgent)
-            + len(self._now_normal)
-            - self._now_dead
-        )
-
-    def push_now(self, when: float, prio: int, seq: int, item) -> list:
-        entry = [when, prio, seq, item, None]
-        if prio:
-            self._now_normal.append(entry)
-        else:
-            self._now_urgent.append(entry)
-        return entry
-
-    def cancel(self, entry: list) -> None:
-        owner = entry[4]
-        if owner is None:
-            entry[3] = None  # now-deques flush tombstones on pop
-            self._now_dead += 1
-            self._now_cancels += 1
-        else:
-            owner.cancel(entry)
-
-    def pop(self):
-        nu = self._now_urgent
-        while nu and nu[0][3] is None:
-            nu.popleft()
-            self._now_dead -= 1
-        nn = self._now_normal
-        while nn and nn[0][3] is None:
-            nn.popleft()
-            self._now_dead -= 1
-        if not nu and not nn and not self._ring._live:
-            # Steady state between now-bursts: timers only.
-            return self._wheel.pop()
-        if nu:
-            best = nu[0]
-            src = 0
-            if nn and nn[0] < best:
-                best = nn[0]
-                src = 1
-        elif nn:
-            best = nn[0]
-            src = 1
-        else:
-            best = None
-            src = -1
-        ring = self._ring
-        if ring._live and (best is None or ring._hint <= best[0]):
-            head = ring.head()
-            if best is None or head < best:
-                best = head
-                src = 2
-        wheel = self._wheel
-        if wheel._live and (best is None or wheel._hint <= best[0]):
-            head = wheel.head()
-            if best is None or head < best:
-                best = head
-                src = 3
-        if src == 0:
-            nu.popleft()
-        elif src == 1:
-            nn.popleft()
-        elif src == 2:
-            ring.take(best)
-        elif src == 3:
-            wheel.take(best)
-        return best
-
-    def peek_time(self):
-        nu = self._now_urgent
-        while nu and nu[0][3] is None:
-            nu.popleft()
-            self._now_dead -= 1
-        nn = self._now_normal
-        while nn and nn[0][3] is None:
-            nn.popleft()
-            self._now_dead -= 1
-        best = nu[0] if nu else None
-        if nn and (best is None or nn[0] < best):
-            best = nn[0]
-        if self._ring._live and (best is None or self._ring._hint <= best[0]):
-            head = self._ring.head()
-            if best is None or head < best:
-                best = head
-        if self._wheel._live and (best is None or self._wheel._hint <= best[0]):
-            head = self._wheel.head()
-            if best is None or head < best:
-                best = head
-        return best[0] if best is not None else None
-
-    def stats(self) -> dict:
-        ring, wheel = self._ring.stats(), self._wheel.stats()
-        return {
-            "kind": self.kind,
-            "live": len(self),
-            "ring_live": ring["live"],
-            "wheel_live": wheel["live"],
-            "buckets": ring["buckets"],
-            "cancels": ring["cancels"] + wheel["cancels"] + self._now_cancels,
-            "resizes": ring["resizes"],
-            "cascades": wheel["cascades"],
-            "far_rebuilds": wheel["far_rebuilds"],
-            "reseeds": wheel["reseeds"],
-        }
-
-
-SCHEDULER_KINDS = ("native", "calendar", "heap", "ring", "wheel")
+SCHEDULER_KINDS = ("native", "heap")
 
 
 def native_available() -> bool:
-    """True when the compiled scheduler will actually be used.
-
-    Requires the ``repro.sim._csched`` extension to be importable *and*
-    ``REPRO_SIM_DISABLE_NATIVE`` to be unset/empty — the latter is the
-    knob CI uses to prove the pure-python fallback is complete on a
-    machine that does have the extension built.
-    """
-    return _csched is not None and not os.environ.get("REPRO_SIM_DISABLE_NATIVE")
-
-
-class PurePythonNativeScheduler(CalendarScheduler):
-    """Pure-python stand-in for the compiled backend.
-
-    Selected by ``make_scheduler("native")`` when the C extension is
-    unavailable (not built, or disabled via ``REPRO_SIM_DISABLE_NATIVE``).
-    It *is* the calendar composite — the fastest pure-python structure —
-    but reports kind ``"native"`` with ``compiled: False`` so callers
-    (``sched_stats()``, ``BENCH_perf.json``) can always tell which
-    implementation actually ran.
-    """
-
-    kind = "native"
-    compiled = False
-    __slots__ = ()
-
-    def stats(self) -> dict:
-        d = super().stats()
-        d["compiled"] = False
-        d["fallback"] = "calendar"
-        return d
-
-
-class _BareRing(CalendarQueue):
-    """A calendar ring serving every population (bench/diagnostic use)."""
-
-    __slots__ = ()
-    push_timer = CalendarQueue.push
-    push_now = CalendarQueue.push
-
-
-class _BareWheel(TimerWheel):
-    """A timer wheel serving every population (bench/diagnostic use)."""
-
-    __slots__ = ()
-    push_now = TimerWheel.push
+    """True when the ``repro.sim._csched`` extension is importable."""
+    return _csched is not None
 
 
 def make_scheduler(kind: str):
     """Build a scheduler by kind name.
 
     ``"native"`` (the default) is the compiled C heap, falling back to
-    the pure-python composite when the extension is unavailable;
-    ``"calendar"`` is the pure-python composite; ``"heap"`` the
-    reference binary heap; ``"ring"``/``"wheel"`` expose the bare
-    calendar ring and timer wheel (mainly for
-    ``python -m repro.sim --bench``).  Unknown kinds raise
+    :class:`HeapScheduler` when the extension is unavailable; ``"heap"``
+    is always the reference binary heap.  Unknown kinds raise
     :class:`ValueError` naming every valid choice.
     """
-    if kind == "native":
-        if native_available():
-            return _csched.NativeScheduler()
-        return PurePythonNativeScheduler()
-    if kind == "calendar":
-        return CalendarScheduler()
-    if kind == "heap":
+    if kind == "native" and native_available():
+        return _csched.NativeScheduler()
+    if kind in SCHEDULER_KINDS:
         return HeapScheduler()
-    if kind == "ring":
-        return _BareRing()
-    if kind == "wheel":
-        return _BareWheel()
     raise ValueError(
         f"unknown scheduler kind {kind!r} (choose from {', '.join(SCHEDULER_KINDS)})"
     )

@@ -1,46 +1,131 @@
 """Scheduler-layer tests: exact-order equivalence and edge cases.
 
-Every scheduler honours the unique ``(time, priority, seq)`` total
-order; the randomized stress here drives each one through the same
-engine-shaped op script and demands the pop sequence match the
-reference heap exactly — that equivalence is what keeps the figure
-CSVs byte-identical under ``REPRO_SIM_SCHEDULER``.
+Both schedulers honour the unique ``(time, priority, seq)`` total order.
+A hypothesis-driven differential test drives the reference heap through
+engine-shaped push/cancel/pop scripts against a model of the live set,
+and (when the extension is built) demands the compiled backend pop the
+exact same sequence — that equivalence is what keeps the figure CSVs
+byte-identical under ``REPRO_SIM_SCHEDULER``.
 """
 
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.engine import Simulator
 from repro.sim.sched import (
-    CalendarQueue,
-    CalendarScheduler,
     HeapScheduler,
-    PurePythonNativeScheduler,
     SCHEDULER_KINDS,
-    TimerWheel,
     make_scheduler,
     native_available,
 )
 
-ALT_KINDS = [k for k in SCHEDULER_KINDS if k != "heap"]
+
+# -- differential property test ---------------------------------------------
+
+#: a few coarse delays so equal-time ties (and delay-0 pushes) abound
+_DELAYS = (0.0, 0.0, 1e-6, 1e-6, 1e-3, 1.0)
+
+_op = st.one_of(
+    st.tuples(st.just("push"), st.sampled_from(_DELAYS), st.integers(0, 1)),
+    st.tuples(st.just("cancel"), st.integers(0, 1 << 16)),
+    st.tuples(st.just("cancel-head")),
+    st.tuples(st.just("pop")),
+)
+
+_script = st.tuples(
+    # seq base: from zero, and straddling 2**63 (the signed 64-bit edge)
+    st.sampled_from((0, (1 << 63) - 8, (1 << 63) - 1)),
+    st.lists(_op, max_size=120),
+)
 
 
-# -- randomized equivalence -------------------------------------------------
+def _drive(sched, base: int, ops) -> list[tuple]:
+    """Run one script; returns the ``(when, prio, seq)`` pop sequence.
+
+    Mirrors the engine's use of the contract: popped entries are
+    detached (``entry[3] = None``) so a later cancel of them is a stale
+    no-op.  A model of the live keys checks ``len()`` after every op
+    and that each pop is the minimum live key.
+    """
+    handles: list[list] = []
+    live: set[tuple] = set()
+    popped: list[tuple] = []
+    now = 0.0
+
+    def pop_one():
+        nonlocal now
+        entry = sched.pop()
+        if entry is None:
+            assert not live
+            return None
+        key = (entry[0], entry[1], entry[2])
+        assert key == min(live)
+        live.discard(key)
+        entry[3] = None  # detach, as the run loop does
+        now = entry[0]
+        popped.append(key)
+        return entry
+
+    for op in ops:
+        if op[0] == "push":
+            seq = base + len(handles)
+            key = (now + op[1], op[2], seq)
+            handles.append(sched.push(*key, object()))
+            live.add(key)
+        elif op[0] == "cancel":
+            if handles:
+                # already popped or cancelled targets exercise the
+                # repeated-cancel no-op
+                entry = handles[op[1] % len(handles)]
+                sched.cancel(entry)
+                live.discard((entry[0], entry[1], entry[2]))
+        elif op[0] == "cancel-head":
+            if live:
+                head = min(live)
+                sched.cancel(handles[head[2] - base])
+                live.discard(head)
+        else:
+            pop_one()
+        assert len(sched) == len(live)
+    while pop_one() is not None:
+        pass
+    assert len(sched) == 0
+    return popped
 
 
-def _script(rng: Random, n: int) -> list[tuple]:
-    """An engine-shaped op mix: timed pushes across magnitudes, timer
-    churn, now-bursts, cancels, interleaved pops."""
+@settings(max_examples=150, deadline=None)
+@given(_script)
+def test_native_fallback_pop_parity(script):
+    """The heap fallback pops the exact minimum after every op (so pops
+    are monotone in ``(when, prio, seq)`` between pushes, and in time
+    throughout), keeps ``len()`` equal to the live count, and is
+    pop-for-pop identical to the compiled backend — so losing the
+    compiler changes speed, never results."""
+    base, ops = script
+    reference = _drive(HeapScheduler(), base, ops)
+    assert all(a[0] <= b[0] for a, b in zip(reference, reference[1:]))
+    if native_available():
+        from repro.sim._csched import NativeScheduler
+
+        assert _drive(NativeScheduler(), base, ops) == reference
+
+
+def _seeded_script(rng: Random, n: int) -> list[tuple]:
+    """A long engine-shaped op mix in ``_drive``'s op format: timed
+    pushes across magnitudes, timer churn out to long sleeps, delay-0
+    bursts, cancels and interleaved pops."""
     ops = []
     for _ in range(n):
         r = rng.random()
         if r < 0.30:
             ops.append(("push", rng.choice((1e-6, 1e-4, 1e-2)) * rng.random(), rng.randint(0, 1)))
         elif r < 0.60:
-            ops.append(("timer", rng.choice((1e-6, 1e-3, 1.0, 300.0)) * rng.random()))
+            ops.append(("push", rng.choice((1e-6, 1e-3, 1.0, 300.0)) * rng.random(), 1))
         elif r < 0.72:
-            ops.append(("now", rng.randint(0, 1)))
+            ops.append(("push", 0.0, rng.randint(0, 1)))
         elif r < 0.84:
             ops.append(("cancel", rng.randrange(1 << 30)))
         else:
@@ -48,58 +133,15 @@ def _script(rng: Random, n: int) -> list[tuple]:
     return ops
 
 
-def _drive(sched, script) -> list[tuple]:
-    """Run the script; returns the (when, prio, seq) pop sequence.
-
-    Cancel targets are resolved modulo the push count and skipped when
-    already popped/cancelled — deterministic across schedulers because
-    (by induction) the pop sequences agree up to any divergence.
-    """
-    popped = []
-    handles = {}
-    gone = set()
-    now = 0.0
-    seq = 0
-
-    def pop_one():
-        nonlocal now
-        entry = sched.pop()
-        if entry is not None:
-            now = entry[0]
-            popped.append((entry[0], entry[1], entry[2]))
-            gone.add(entry[2])
-        return entry
-
-    for op in script:
-        if op[0] == "push":
-            handles[seq] = sched.push(now + op[1], op[2], seq, seq)
-            seq += 1
-        elif op[0] == "timer":
-            handles[seq] = sched.push_timer(now + op[1], 1, seq, seq)
-            seq += 1
-        elif op[0] == "now":
-            handles[seq] = sched.push_now(now, op[1], seq, seq)
-            seq += 1
-        elif op[0] == "cancel":
-            if seq:
-                target = op[1] % seq
-                if target not in gone:
-                    sched.cancel(handles[target])
-                    gone.add(target)
-        else:
-            pop_one()
-    while pop_one() is not None:
-        pass
-    assert len(sched) == 0
-    return popped
-
-
-@pytest.mark.parametrize("kind", ALT_KINDS)
+@pytest.mark.parametrize("kind", [k for k in SCHEDULER_KINDS if k != "heap"])
 @pytest.mark.parametrize("seed", [1, 7, 42])
 def test_randomized_stress_matches_heap(kind, seed):
-    script = _script(Random(seed), 3000)
-    reference = _drive(HeapScheduler(), script)
-    assert _drive(make_scheduler(kind), script) == reference
+    """Fixed-seed long scripts (thousands of ops, deep queues) that the
+    short hypothesis scripts never reach: every non-reference kind pops
+    exactly what the reference heap pops."""
+    ops = _seeded_script(Random(seed), 3000)
+    reference = _drive(HeapScheduler(), 0, ops)
+    assert _drive(make_scheduler(kind), 0, ops) == reference
     # Pop times never go backwards (the run-loop invariant).
     assert all(a[0] <= b[0] for a, b in zip(reference, reference[1:]))
 
@@ -107,28 +149,24 @@ def test_randomized_stress_matches_heap(kind, seed):
 # -- targeted edge cases ----------------------------------------------------
 
 
-def test_simultaneous_events_across_bucket_boundaries():
-    """Equal times sitting exactly on bucket boundaries break ties by
-    (prio, seq), never by bucket index."""
-    ring = CalendarQueue()
-    seq = 0
-    entries = []
-    ring.push(8.0, 1, seq, seq)  # seeds width = 1.0
-    entries.append((8.0, 1, 0))
-    seq = 1
-    for day in range(0, 40, 4):  # spans several ring wraps (16 buckets)
-        t = float(day)  # exactly on a boundary: int(t/width) == day
-        for prio in (1, 0):
-            ring.push(t, prio, seq, seq)
-            entries.append((t, prio, seq))
-            seq += 1
-    got = []
-    while True:
-        e = ring.pop()
-        if e is None:
-            break
-        got.append((e[0], e[1], e[2]))
-    assert got == sorted(entries)
+@pytest.mark.parametrize("kind", list(SCHEDULER_KINDS))
+def test_repeated_cancel_is_a_no_op(kind):
+    """Cancelling a tombstone (twice-cancelled, or detached at dispatch)
+    must not touch the live count or the cancel counter."""
+    sched = make_scheduler(kind)
+    entry = sched.push(1.0, 1, 0, "a")
+    sched.cancel(entry)
+    sched.cancel(entry)
+    sched.push(2.0, 1, 1, "b")
+    assert len(sched) == 1
+    assert sched.stats()["cancels"] == 1
+    popped = sched.pop()
+    assert popped[3] == "b"
+    popped[3] = None  # the run loop's detach
+    sched.cancel(popped)
+    assert len(sched) == 0
+    assert sched.stats()["cancels"] == 1
+    assert sched.pop() is None
 
 
 @pytest.mark.parametrize("kind", list(SCHEDULER_KINDS))
@@ -146,28 +184,6 @@ def test_timeout_cancelled_at_its_own_fire_time(kind):
     assert outcome == [True]
     assert fired == []
     assert sim.now == 1.0
-
-
-def test_calendar_resize_mid_run_preserves_order():
-    ring = CalendarQueue()
-    rng = Random(3)
-    entries = []
-    for seq in range(200):  # > 2 * MIN_BUCKETS forces doubling
-        t = rng.random()
-        ring.push(t, 1, seq, seq)
-        entries.append((t, 1, seq))
-    assert ring.resizes > 0
-    got = []
-    for _ in range(190):  # drain below a quarter: forces halving
-        e = ring.pop()
-        got.append((e[0], e[1], e[2]))
-    assert ring.resizes >= 2
-    while True:
-        e = ring.pop()
-        if e is None:
-            break
-        got.append((e[0], e[1], e[2]))
-    assert got == sorted(entries)
 
 
 @pytest.mark.parametrize("kind", list(SCHEDULER_KINDS))
@@ -195,52 +211,6 @@ def test_seq_counter_never_wraps_discipline(kind):
     assert next(sim._seq) == 0  # fresh count per simulator, never reset
 
 
-def test_wheel_cascade_and_far_rebuild():
-    wheel = TimerWheel()
-    rng = Random(9)
-    entries = []
-    seq = 0
-    wheel.push(1.0, 1, seq, seq)  # seeds w0 = 1/64
-    entries.append((1.0, 1, 0))
-    seq = 1
-    # Level-1/2 population (beyond the 256-tick level-0 horizon) plus a
-    # couple beyond level 3 entirely (the far list).
-    for t in [rng.random() * 1e4 for _ in range(300)] + [1e9, 2e9]:
-        wheel.push(t, 1, seq, seq)
-        entries.append((t, 1, seq))
-        seq += 1
-    got = []
-    while True:
-        e = wheel.pop()
-        if e is None:
-            break
-        got.append((e[0], e[1], e[2]))
-    assert got == sorted(entries)
-    assert wheel.cascades > 0
-    assert wheel.far_rebuilds >= 1
-
-
-def test_wheel_reseeds_when_width_degenerates():
-    """A width seeded by one long sleep must not leave every later
-    microsecond timer in a single heapified slot forever."""
-    wheel = TimerWheel()
-    wheel.push(64.0, 1, 0, 0)  # seeds w0 = 1.0 — far too coarse
-    assert wheel.pop()[2] == 0  # cursor now parked on slot 64, heapified
-    entries = []
-    for seq in range(1, 200):  # all clamp into the current slot
-        t = 64.0 + seq * 1e-4
-        wheel.push(t, 1, seq, seq)
-        entries.append((t, 1, seq))
-    assert wheel.reseeds >= 1  # degenerate width detected and rebuilt
-    got = []
-    while True:
-        e = wheel.pop()
-        if e is None:
-            break
-        got.append((e[0], e[1], e[2]))
-    assert got == sorted(entries)
-
-
 def test_cancel_callback_is_exact_and_stale_safe():
     sim = Simulator()
     calls = []
@@ -265,10 +235,10 @@ def test_env_override_selects_scheduler(monkeypatch):
 
 def test_scheduler_argument_beats_env_var(monkeypatch):
     """Explicit ``Simulator(scheduler=...)`` wins over the environment."""
-    monkeypatch.setenv("REPRO_SIM_SCHEDULER", "wheel")
-    assert Simulator(scheduler="heap").scheduler_kind == "heap"
+    monkeypatch.setenv("REPRO_SIM_SCHEDULER", "heap")
+    assert Simulator(scheduler="native").scheduler_kind == "native"
     # ...and the env var still governs unconfigured simulators.
-    assert Simulator().scheduler_kind == "wheel"
+    assert Simulator().scheduler_kind == "heap"
 
 
 def test_unknown_scheduler_errors_name_source_and_kinds(monkeypatch):
@@ -293,29 +263,13 @@ def test_unknown_scheduler_errors_name_source_and_kinds(monkeypatch):
 def test_native_kind_always_constructible(monkeypatch):
     """``native`` is a valid kind with or without the compiled extension;
     stats() says which implementation is live."""
-    sched = make_scheduler("native")
-    stats = sched.stats()
-    assert stats["kind"] == "native"
-    assert stats["compiled"] is native_available()
+    assert make_scheduler("native").stats()["compiled"] is native_available()
 
-    monkeypatch.setenv("REPRO_SIM_DISABLE_NATIVE", "1")
+    monkeypatch.setattr("repro.sim.sched._csched", None)
     forced = make_scheduler("native")
-    assert isinstance(forced, PurePythonNativeScheduler)
+    assert type(forced) is HeapScheduler
+    assert forced.compiled is False
     assert forced.stats()["compiled"] is False
-    assert forced.stats()["fallback"] == "calendar"
-
-
-def test_native_fallback_pop_parity():
-    """The pure-python fallback is pop-for-pop identical to the compiled
-    backend (and to the reference heap) over the randomized stress mix —
-    so losing the compiler changes speed, never results."""
-    script = _script(Random(99), 3000)
-    reference = _drive(HeapScheduler(), script)
-    assert _drive(PurePythonNativeScheduler(), script) == reference
-    if native_available():
-        from repro.sim._csched import NativeScheduler
-
-        assert _drive(NativeScheduler(), script) == reference
 
 
 def test_small_cluster_identical_under_all_schedulers(monkeypatch):

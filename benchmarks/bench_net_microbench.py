@@ -89,7 +89,7 @@ def exchange_once(n: int, train_len: int, bulk: bool) -> dict:
     ``train_len``-frame train (round-robin destinations, 1400 B
     payloads at wire pacing).  Returns DES events and host wall."""
     from repro.net import Frame, MacAddress
-    from repro.net.fabric import build_aggregate_star
+    from repro.net.topology import build_aggregate_star
     from repro.sim import Simulator
 
     class Probe:

@@ -384,9 +384,9 @@ def _point_value(session, res, **extra) -> dict:
         "makespan": res.makespan,
         "events": session.sim.event_count,
     }
-    # hierarchical fabrics also report their routing cost (hop counts);
-    # single-star fabrics have no hop_stats, so legacy payloads (and
-    # cache entries) are unchanged
+    # float-clock fabrics (aggregate star, fat-tree, torus) also report
+    # their routing cost (hop counts); the wire switch has no hop_stats,
+    # so its payloads (and cache entries) carry no "hops"
     hop_stats = getattr(session.cluster.switch, "hop_stats", None)
     if hop_stats is not None:
         out["hops"] = hop_stats()
@@ -850,8 +850,8 @@ def scale_points(
     """The scale-out suite: FFT and integer sort at ``Scale.large``'s
     32-128 nodes, TCP/GigE baseline vs prototype INIC, both on the
     aggregated fabric (``fabric: "aggregate"`` — per-port busy-until
-    contention instead of per-wire objects; see
-    :class:`repro.net.fabric.AggregateFabric`) — then the hierarchical
+    contention instead of per-wire objects; a one-switch
+    :class:`repro.net.topology.StarTopology`) — then the hierarchical
     topology axis: the same workloads on a fat-tree up to 1024 nodes
     and on a 3D torus up to :data:`TORUS_MAX_P`
     (:mod:`repro.net.topology`).
@@ -1235,7 +1235,7 @@ def build_report(
             # style gates never read wall-derived fields off this row
             # (see repro.bench.perf.WALL_DERIVED).
             entry["wall_cached"] = True
-        if "hops" in r.value:  # hierarchical fabrics: routing cost
+        if "hops" in r.value:  # float-clock fabrics: routing cost
             entry["hops"] = r.value["hops"]
         if "trains_fast" in r.value:
             entry["trains_fast"] = r.value["trains_fast"]

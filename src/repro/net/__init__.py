@@ -11,15 +11,15 @@ from .batching import (
 from .fabric import (
     FAST_ETHERNET,
     GIGABIT_ETHERNET,
-    AggregateFabric,
     NetworkTechnology,
-    build_aggregate_star,
     build_star,
 )
 from .topology import (
     FatTreeTopology,
     HierarchicalFabric,
+    StarTopology,
     TorusTopology,
+    build_aggregate_star,
     build_fattree,
     build_torus,
     torus_dims,
@@ -37,13 +37,13 @@ from .packet import (
 from .switch import PortStats, Switch
 
 __all__ = [
-    "AggregateFabric",
     "BROADCAST",
     "BatchPolicy",
     "DEFAULT_BATCH",
     "FatTreeTopology",
     "HierarchicalFabric",
     "PER_FRAME",
+    "StarTopology",
     "TorusTopology",
     "WIRE_BATCH",
     "adaptive_quantum",

@@ -1,8 +1,8 @@
 """Bulk flow-clock admission: the exchange-phase fast path.
 
-Every fabric since the aggregate star reduces contention to
-``busy_until`` float clocks — an uplink clock per station, an output
-(or per-hop link) clock per destination.  That makes the arrival time
+Every float-clock fabric (:mod:`repro.net.topology`) reduces
+contention to ``busy_until`` float clocks — an uplink clock per
+station, an output (or per-hop link) clock per destination.  That makes the arrival time
 of every frame in a bulk exchange a *closed-form function* of the send
 times: no event needs to fire per frame, the clock recurrences just
 have to be replayed in admission order.  This module does exactly that
@@ -383,8 +383,7 @@ def _ab_main(argv=None) -> int:
     if not args.ab:
         ap.error("nothing to do (pass --ab)")
     from ..faults import FaultSpec
-    from .fabric import build_aggregate_star
-    from .topology import build_fattree, build_torus
+    from .topology import build_aggregate_star, build_fattree, build_torus
 
     n = args.n
     fault = FaultSpec(seed=7, loss_rate=0.25, corrupt_rate=0.1)

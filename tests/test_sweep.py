@@ -285,6 +285,7 @@ def test_fabric_param_threads_to_cluster_spec():
     exp = Experiment().nodes(4).fabric("aggregate")
     assert exp.spec.fabric == "aggregate"
     session = exp.build()
-    assert type(session.cluster.switch).__name__ == "AggregateFabric"
+    assert type(session.cluster.switch).__name__ == "HierarchicalFabric"
+    assert session.cluster.switch.topology.kind == "star"
     with pytest.raises(ValueError, match="unknown fabric"):
         Experiment().fabric("quantum").spec

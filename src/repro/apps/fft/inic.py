@@ -26,7 +26,7 @@ from ...models.params import DEFAULT_PARAMS, MachineParams
 from ...net.addresses import MacAddress
 from ...protocols.inicproto import TransferPlan
 from .parallel import fft_row_pass
-from .transpose import extract_block, split_rows
+from .transpose import split_rows
 
 __all__ = ["inic_fft2d", "inic_ifft2d", "inic_transpose"]
 
@@ -53,12 +53,9 @@ def inic_transpose(
     # Send blocks in rotated order (self last): the card streams them
     # host->card->wire, transposing inline via the transpose core.
     order = [(ctx.rank + shift) % p for shift in range(1, p)] + [ctx.rank]
+    transposed = tcore.apply_panel(panel, p)
     blocks = [
-        SendBlock(
-            dst=MacAddress(dst),
-            nbytes=block_bytes,
-            data=tcore.apply(extract_block(panel, dst, p)),
-        )
+        SendBlock(dst=MacAddress(dst), nbytes=block_bytes, data=transposed[dst])
         for dst in order
     ]
 

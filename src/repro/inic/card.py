@@ -149,7 +149,6 @@ class ScatterOp:
         #: for the flow-clock fast path (when the card enables it)
         self.train = train
         self.sent: Event = sim.event(name=f"scatter#{tag}.sent")
-        self.bytes_total = sum(b.nbytes for b in blocks)
 
 
 class GatherOp:
@@ -635,12 +634,13 @@ class INICCard:
         if wire.fault is not None or not wire.fabric.fastpath_ok():
             return False
         window = op.window_bytes or self.spec.flow_window
-        addr = self.address
+        addr = self.address.value
         outstanding = self._outstanding
         for block in op.blocks:
-            if block.dst.is_broadcast or block.nbytes > window:
+            dst = block.dst.value
+            if dst == -1 or block.nbytes > window:
                 return False
-            if block.dst != addr and outstanding.get(block.dst.value, 0.0) > 0.0:
+            if dst != addr and outstanding.get(dst, 0.0) > 0.0:
                 return False
         return True
 
@@ -662,8 +662,11 @@ class INICCard:
         now = sim.now
         bus = self.host_tx
         proto = self.spec.proto
+        packet_size = proto.packet_size
+        headers = proto.headers
         stats = self.stats
         window = op.window_bytes or self.spec.flow_window
+        chunk_cache = self._chunk_cache
         bw = bus.bandwidth
         ingest_rate = self.datapath_rate(bw)
         arb = bus.arbitration_latency
@@ -673,64 +676,84 @@ class INICCard:
         n_xfers = 0
         bus_bytes = 0.0
         busy_add = 0.0
+        # The card's counters and memory gauge ride in locals; ``mem``
+        # and ``peak`` take exactly :meth:`_track_mem`'s adds and
+        # compares, in order (a release can never raise the peak).
+        mem = self._mem_in_use
+        peak = stats.peak_memory_bytes
+        bytes_ingested = stats.bytes_ingested
+        bytes_egressed = stats.bytes_egressed
+        frames_sent = stats.frames_sent
         frames: list[Frame] = []
         times: list[float] = []
         local: list[tuple[float, SendBlock, int, bool]] = []
         last_t = now
         addr = self.address
+        own = addr.value
+        tag = op.tag
         for block in op.blocks:
-            sizes = self._chunks_of(block.nbytes, window)
-            is_local = block.dst == addr
+            nbytes = block.nbytes
+            sizes = chunk_cache.get((nbytes, window))
+            if sizes is None:
+                sizes = self._chunks_of(nbytes, window)
+            dst = block.dst
+            is_local = dst.value == own
             n_sizes = len(sizes)
             for i, size in enumerate(sizes):
-                d_in = arb + size / bw
-                fin_i = busy + d_in
+                d_xfer = arb + size / bw
+                fin_i = busy + d_xfer
                 busy = fin_i
                 n_xfers += 1
                 bus_bytes += size
-                busy_add += d_in
+                busy_add += d_xfer
                 extra = size / ingest_rate - size / bw
                 ready = fin_i + extra if extra > 1e-12 else fin_i
-                stats.bytes_ingested += size
-                self._track_mem(size)
+                bytes_ingested += size
+                mem += size
+                if mem > peak:
+                    peak = mem
                 last_chunk = i == n_sizes - 1
                 if is_local:
-                    self._track_mem(-size)
+                    mem -= size
                     local.append((ready, block, size, last_chunk))
                     if ready > last_t:
                         last_t = ready
                     continue
-                d_out = arb + size / bw
                 start_e = busy if busy > ready else ready
-                fin_e = start_e + d_out
+                fin_e = start_e + d_xfer
                 busy = fin_e
                 n_xfers += 1
                 bus_bytes += size
-                busy_add += d_out
-                self._track_mem(-size)
-                n_packets = -(-size // proto.packet_size)
+                busy_add += d_xfer
+                mem -= size
+                n_packets = -(-size // packet_size)
                 frames.append(
                     Frame(
                         src=addr,
-                        dst=block.dst,
+                        dst=dst,
                         payload_bytes=size,
-                        headers=proto.headers,
+                        headers=headers,
                         frame_count=n_packets,
                         kind="inic",
                         payload=block.data if last_chunk else None,
                         meta={
-                            "op": op.tag,
+                            "op": tag,
                             "last": last_chunk,
-                            "total": block.nbytes,
+                            "total": nbytes,
                             "nocredit": True,
                         },
                     )
                 )
                 times.append(fin_e)
-                stats.frames_sent += n_packets
-                stats.bytes_egressed += size
+                frames_sent += n_packets
+                bytes_egressed += size
                 if fin_e > last_t:
                     last_t = fin_e
+        self._mem_in_use = mem
+        stats.peak_memory_bytes = peak
+        stats.bytes_ingested = bytes_ingested
+        stats.bytes_egressed = bytes_egressed
+        stats.frames_sent = frames_sent
         bus._busy_until = busy
         bus_stats = bus.stats
         bus_stats.bytes_transferred += bus_bytes
@@ -774,9 +797,11 @@ class INICCard:
         NACKs) fall through to :meth:`receive_frame` unchanged.
         """
         inic: list[Frame] = []
+        total = 0
         for frame in frames:
             if frame.kind == "inic":
                 inic.append(frame)
+                total += frame.payload_bytes
             else:
                 self.receive_frame(frame)
         if not inic:
@@ -787,21 +812,35 @@ class INICCard:
             for frame in inic:
                 self._rx_q.put(frame)
             return
-        total = sum(f.payload_bytes for f in inic)
         _start, finish = reserve(total, len(inic))
         self.sim.call_after(finish - self.sim.now, self._finish_rx_train, inic)
 
     def _finish_rx_train(self, frames: list[Frame]) -> None:
-        """The group's bus crossing completed: account every frame."""
+        """The group's bus crossing completed: account every frame.
+
+        The fused form of :meth:`_rx_loop`'s accounting: counters and
+        the memory gauge ride in locals (same adds and compares as
+        :meth:`_track_mem`, in order) and each frame is accounted
+        against its gather's plan inline (:meth:`_account_rx`).
+        """
         stats = self.stats
         wire = self._wire_out
+        gathers = self._gathers
+        mem = self._mem_in_use
+        peak = stats.peak_memory_bytes
+        frames_received = stats.frames_received
+        bytes_received = stats.bytes_received
         for frame in frames:
-            stats.frames_received += frame.frame_count
-            stats.bytes_received += frame.payload_bytes
-            self._track_mem(frame.payload_bytes)
+            nbytes = frame.payload_bytes
+            frames_received += frame.frame_count
+            bytes_received += nbytes
+            mem += nbytes
+            if mem > peak:
+                peak = mem
+            meta = frame.meta
             if (
-                not frame.meta.get("nocredit")
-                and not frame.dst.is_broadcast
+                not meta.get("nocredit")
+                and frame.dst.value != -1
                 and wire is not None
             ):
                 wire.send(
@@ -811,15 +850,22 @@ class INICCard:
                         payload_bytes=0,
                         headers=self.spec.proto.headers,
                         kind="inic-credit",
-                        meta={"credit": frame.payload_bytes},
+                        meta={"credit": nbytes},
                     )
                 )
-            tag = frame.meta["op"]
-            gather = self._gathers.get(tag)
+            tag = meta["op"]
+            gather = gathers.get(tag)
             if gather is None:
                 self._pending_rx.setdefault(tag, deque()).append(frame)
-            else:
-                self._account_rx(gather, frame)
+                continue
+            gather.plan.account(frame.src, nbytes)
+            gather.pending_delivery += nbytes
+            if meta.get("last"):
+                gather.store_payload(frame.src, frame.payload)
+        self._mem_in_use = mem
+        stats.peak_memory_bytes = peak
+        stats.frames_received = frames_received
+        stats.bytes_received = bytes_received
 
     # -- receive datapath ---------------------------------------------------------------
     def _rx_loop(self):

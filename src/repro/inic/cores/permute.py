@@ -47,15 +47,17 @@ class FinalPermutationCore(StreamCore):
         if first.ndim != 2 or first.shape[0] != first.shape[1]:
             raise OffloadError(f"blocks must be square, got {first.shape}")
         m = first.shape[0]
-        for r in ranks:
-            if blocks_by_source[r].shape != (m, m):
+        blocks = [blocks_by_source[r] for r in ranks]
+        for r, block in zip(ranks, blocks):
+            if block.shape != (m, m):
                 raise OffloadError(
-                    f"block {r} has shape {blocks_by_source[r].shape}, expected {(m, m)}"
+                    f"block {r} has shape {block.shape}, expected {(m, m)}"
                 )
-        out = np.empty((m, m * len(ranks)), dtype=first.dtype)
-        for r in ranks:
-            out[:, r * m : (r + 1) * m] = blocks_by_source[r]
-            self.bytes_processed += blocks_by_source[r].nbytes
+        # One copy places every band (cast to the first block's dtype,
+        # as band-by-band assignment into a preallocated panel would).
+        out = np.concatenate(blocks, axis=1, dtype=first.dtype, casting="unsafe")
+        for block in blocks:
+            self.bytes_processed += block.nbytes
         return out
 
     def apply(self, data: np.ndarray, **context) -> np.ndarray:

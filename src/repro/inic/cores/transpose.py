@@ -26,6 +26,9 @@ def local_transpose_blocks(panel: np.ndarray, n_parts: int) -> list[np.ndarray]:
     transpose each — the per-destination payloads of the FFT transpose.
 
     ``panel`` has M = N / n_parts rows on each of ``n_parts`` processors.
+    All blocks come out of one strided copy: block ``d`` is a
+    C-contiguous view equal to ``panel[:, d*w:(d+1)*w].T`` (w = N /
+    n_parts).
     """
     if panel.ndim != 2:
         raise OffloadError(f"panel must be 2-D, got shape {panel.shape}")
@@ -33,10 +36,10 @@ def local_transpose_blocks(panel: np.ndarray, n_parts: int) -> list[np.ndarray]:
     if n % n_parts != 0:
         raise OffloadError(f"{n} columns do not split into {n_parts} blocks")
     width = n // n_parts
-    return [
-        np.ascontiguousarray(panel[:, p * width : (p + 1) * width].T)
-        for p in range(n_parts)
-    ]
+    stacked = np.ascontiguousarray(
+        panel.reshape(m, n_parts, width).transpose(1, 2, 0)
+    )
+    return list(stacked)
 
 
 class LocalTransposeCore(StreamCore):
@@ -62,3 +65,15 @@ class LocalTransposeCore(StreamCore):
             )
         self.bytes_processed += data.nbytes
         return np.ascontiguousarray(data.T)
+
+    def apply_panel(self, panel: np.ndarray, n_parts: int) -> list[np.ndarray]:
+        """Transpose all ``n_parts`` square blocks of a local panel at once
+        (:func:`local_transpose_blocks`), charging the bytes that
+        ``n_parts`` calls of :meth:`apply` would."""
+        blocks = local_transpose_blocks(panel, n_parts)
+        if blocks[0].shape[0] != blocks[0].shape[1]:
+            raise OffloadError(
+                f"local transpose expects square blocks, got {blocks[0].shape[::-1]}"
+            )
+        self.bytes_processed += panel.nbytes
+        return blocks

@@ -9,19 +9,25 @@ have to be replayed in admission order.  This module does exactly that
 for a frame **train** — the unit a sender's exchange phase produces:
 
 ``admit_train(fabric, uplink, frames, times)``
-    Computes per-frame serialization times in one vectorized numpy
-    pass (elementwise division is IEEE-identical to the scalar
-    division the frame-level path performs), then replays the fabric's
-    own ``_admit`` recurrence per frame at its logical send time with
-    delivery *collected* instead of scheduled.  Port clocks, per-hop
-    telemetry, and the tail-drop ledger advance exactly as if each
-    frame had been sent individually — the sequential recurrence is
-    kept sequential on purpose, because prefix-scan reassociation is
-    **not** float-identical.  Collected deliveries are then dispatched
-    in bulk: stations that implement ``receive_train`` get whole
-    delivery groups (one pooled event per group, via
-    :class:`DeliveryBatcher`); everything else gets the frame-level
-    ``call_after`` per frame, byte-identically.
+    Replays the fabric's own admission recurrence per frame at its
+    logical send time with delivery *collected* instead of scheduled.
+    Each slice is one call of the fabric's fused slice loop,
+    ``HierarchicalFabric._admit_slice``: the frame-level ``_admit``
+    with the uplink clock and routing counters in locals, each frame's
+    serialization time the frame path's own ``wire_size / bandwidth``,
+    routes read from the memo, and the hops walked by ``_walk_hops`` —
+    the one helper the frame-level ``_route_deliver`` uses too, so the
+    hop recurrence has a single home.  Broadcast frames inside a train
+    go through ``_admit`` itself.  Port clocks, per-hop telemetry, and
+    the tail-drop ledger advance exactly as if each frame had been
+    sent individually — the sequential recurrence is kept sequential
+    on purpose, because prefix-scan reassociation is **not**
+    float-identical.  Collected deliveries are then handed, in
+    admission order, to the fabric's :class:`DeliveryBatcher`
+    (``add_many``): stations that implement ``receive_train`` get
+    whole delivery groups (one pooled event per group); everything
+    else gets the frame-level ``call_after`` per frame,
+    byte-identically.
 
 Fault composition
 -----------------
@@ -62,9 +68,8 @@ floats and conservation ledgers exactly (a CI step).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Sequence
-
-import numpy as np
 
 from ..sim.engine import Simulator
 from .packet import Frame
@@ -82,9 +87,10 @@ TRAIN_CAP = 256
 class _TrainGroup:
     """One pending delivery group for a destination port."""
 
-    __slots__ = ("t0", "t_last", "frames", "times")
+    __slots__ = ("port", "t0", "t_last", "frames", "times")
 
-    def __init__(self, t0: float):
+    def __init__(self, port: int, t0: float):
+        self.port = port
         self.t0 = t0
         self.t_last = t0
         self.frames: list[Frame] = []
@@ -92,10 +98,10 @@ class _TrainGroup:
 
 
 class DeliveryBatcher:
-    """Coalesces per-frame deliveries to one station into train events.
+    """Coalesces a fabric's per-frame deliveries into train events.
 
-    Arrivals for a port are non-decreasing in time (its egress clock is
-    FIFO), so grouping is a single open group: an arrival within
+    Arrivals at a port are non-decreasing in time (its egress clock is
+    FIFO), so each port has a single open group: an arrival within
     ``TRAIN_TOLERANCE`` of the group's opener joins it, anything later
     (or past ``TRAIN_CAP``) opens a new group.  Each group fires exactly
     one pooled callback at its *last* member's arrival — never earlier
@@ -104,32 +110,44 @@ class DeliveryBatcher:
     account arrival-time semantics losslessly.  The flush is scheduled
     at the opener's arrival and lazily chases the tail if the group
     grew meanwhile (one extra pooled event, no cancellation), so
-    dispatch stays deterministic given the admission sequence.
+    dispatch stays deterministic given the admission sequence.  Devices
+    without ``receive_train`` get the frame-level ``call_after`` per
+    frame instead.
     """
 
-    __slots__ = ("sim", "device", "_group")
+    __slots__ = ("sim", "devices", "_groups")
 
-    def __init__(self, sim: Simulator, device):
+    def __init__(self, sim: Simulator, devices: Sequence):
         self.sim = sim
-        self.device = device
-        self._group: _TrainGroup | None = None
+        #: the fabric's port -> station list (read at dispatch time)
+        self.devices = devices
+        self._groups: list[_TrainGroup | None] = [None] * len(devices)
 
-    def add(self, frame: Frame, at: float) -> None:
-        g = self._group
-        if (
-            g is not None
-            and at - g.t0 <= TRAIN_TOLERANCE
-            and len(g.frames) < TRAIN_CAP
-        ):
+    def add_many(self, deliveries: Sequence[tuple[int, Frame, float]]) -> None:
+        """Dispatch ``(port, frame, at)`` deliveries in the given order."""
+        sim = self.sim
+        now = sim.now
+        devices = self.devices
+        groups = self._groups
+        for port, frame, at in deliveries:
+            device = devices[port]
+            if not hasattr(device, "receive_train"):
+                sim.call_after(at - now, device.receive_frame, frame)
+                continue
+            g = groups[port]
+            if (
+                g is not None
+                and at - g.t0 <= TRAIN_TOLERANCE
+                and len(g.frames) < TRAIN_CAP
+            ):
+                g.frames.append(frame)
+                g.times.append(at)
+                g.t_last = at
+                continue
+            g = groups[port] = _TrainGroup(port, at)
             g.frames.append(frame)
             g.times.append(at)
-            g.t_last = at
-            return
-        g = _TrainGroup(at)
-        g.frames.append(frame)
-        g.times.append(at)
-        self._group = g
-        self.sim.call_after(at - self.sim.now, self._flush, g)
+            sim.call_after(at - now, self._flush, g)
 
     def _flush(self, group: _TrainGroup) -> None:
         now = self.sim.now
@@ -138,9 +156,10 @@ class DeliveryBatcher:
             # tail arrival instead of delivering early.
             self.sim.call_after(group.t_last - now, self._flush, group)
             return
-        if self._group is group:
-            self._group = None
-        self.device.receive_train(group.frames, group.times)
+        port = group.port
+        if self._groups[port] is group:
+            self._groups[port] = None
+        self.devices[port].receive_train(group.frames, group.times)
 
 
 #: logical seconds of a train admitted per DES event.  Bulk admission
@@ -178,16 +197,8 @@ def admit_train(
     if uplink.fault is not None or not fabric.fastpath_ok():
         _frame_fallback(fabric, uplink, frames, times, 0)
         return times[-1]
-    # Vectorized serialization times: elementwise float64 division is
-    # IEEE-identical to the scalar division in the frame-level path.
-    tx_times = (
-        np.fromiter(
-            (f.wire_size for f in frames), dtype=np.float64, count=len(frames)
-        )
-        / fabric.bandwidth
-    )
     fabric.trains_fast += 1
-    _admit_segment(fabric, uplink, list(frames), list(times), tx_times, 0)
+    _admit_segment(fabric, uplink, list(frames), list(times), 0)
     return times[-1]
 
 
@@ -205,7 +216,7 @@ def _frame_fallback(fabric, uplink, frames, times, start: int) -> None:
             sim.call_after(t - now, fabric._send, uplink, frames[i])
 
 
-def _admit_segment(fabric, uplink, frames, times, tx_times, start: int) -> None:
+def _admit_segment(fabric, uplink, frames, times, start: int) -> None:
     """Admit the slice of the train due within :data:`ADMIT_SLICE`."""
     sim = fabric.sim
     now = sim.now
@@ -214,47 +225,19 @@ def _admit_segment(fabric, uplink, frames, times, tx_times, start: int) -> None:
         # the exact per-frame send times.
         _frame_fallback(fabric, uplink, frames, times, start)
         return
-    horizon = now + ADMIT_SLICE
-    n = len(frames)
-    end = start
-    while end < n and times[end] <= horizon:
-        end += 1
+    # ``times`` is non-decreasing: the slice ends at the first frame
+    # due after the horizon.
+    end = bisect_right(times, now + ADMIT_SLICE, start)
     sink: list = []
-    fabric._collect = sink
-    mark = 0
-    try:
-        admit = fabric._admit
-        for i in range(start, end):
-            t = times[i]
-            admit(uplink, frames[i], t, float(tx_times[i]))
-            grown = len(sink)
-            if grown != mark:
-                # Frame-level delivery fires at ``t + (deliver_at - t)``
-                # — the scheduler's reconstruction of the absolute time,
-                # one rounding away from ``deliver_at`` itself.  Replay
-                # that exact arithmetic so receivers observe bit-equal
-                # arrival clocks on either path.
-                while mark < grown:
-                    port, fr, at = sink[mark]
-                    sink[mark] = (port, fr, t + (at - t))
-                    mark += 1
-    finally:
-        fabric._collect = None
-    devices = fabric._devices
-    batchers = fabric._train_batchers
-    for port, frame, at in sink:
-        device = devices[port]
-        if hasattr(device, "receive_train"):
-            batcher = batchers.get(port)
-            if batcher is None:
-                batcher = batchers[port] = DeliveryBatcher(sim, device)
-            batcher.add(frame, at)
-        else:
-            sim.call_after(at - now, device.receive_frame, frame)
-    if end < n:
+    fabric._admit_slice(uplink, frames, times, start, end, sink)
+    batcher = fabric._batcher
+    if batcher is None:
+        batcher = fabric._batcher = DeliveryBatcher(sim, fabric._devices)
+    batcher.add_many(sink)
+    if end < len(frames):
         sim.call_after(
             times[end] - now,
-            _admit_segment, fabric, uplink, frames, times, tx_times, end,
+            _admit_segment, fabric, uplink, frames, times, end,
         )
 
 

@@ -94,13 +94,20 @@ class Frame:
     wire_size: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.payload_bytes < 0:
-            raise PacketError(f"negative payload {self.payload_bytes}")
-        if self.frame_count < 1:
-            raise PacketError(f"frame_count must be >= 1, got {self.frame_count}")
-        if self.headers < 0:
-            raise PacketError(f"negative header size {self.headers}")
-        self.wire_size = wire_bytes(self.payload_bytes, self.headers, self.frame_count)
+        payload = self.payload_bytes
+        count = self.frame_count
+        headers = self.headers
+        if payload < 0:
+            raise PacketError(f"negative payload {payload}")
+        if count < 1:
+            raise PacketError(f"frame_count must be >= 1, got {count}")
+        if headers < 0:
+            raise PacketError(f"negative header size {headers}")
+        # ``wire_bytes`` inlined: the geometry is already validated, and
+        # every simulated transfer constructs a frame.
+        self.wire_size = max(payload, MIN_FRAME_PAYLOAD * count) + count * (
+            ETHERNET_OVERHEAD + headers
+        )
 
     def can_coalesce(self, other: "Frame") -> bool:
         """True if ``other`` is the back-to-back continuation of this frame.

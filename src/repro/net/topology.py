@@ -676,13 +676,13 @@ class HierarchicalFabric:
         #: when non-None, ``_route_deliver`` appends ``(port, frame,
         #: deliver_at)`` here instead of scheduling delivery
         self._collect: Optional[list] = None
-        #: per-destination-port delivery batchers, lazily created
-        self._train_batchers: dict = {}
+        #: the train-delivery batcher, created with the first bulk train
+        self._batcher = None
         #: True once a component-fault schedule is staged; bulk
         #: admission then falls back to frame-level so seeded fault
         #: schedules stay bit-identical
         self._faults_armed = False
-        #: trains admitted via the vectorized fast path
+        #: trains admitted via the bulk fast path
         self.trains_fast = 0
 
     # -- wiring -----------------------------------------------------------------
@@ -872,10 +872,9 @@ class HierarchicalFabric:
     ) -> float:
         """Fault-free admission at logical time ``now``.
 
-        The tail of :meth:`_send` with the clock reading parameterized:
-        the flow-clock fast path replays it per frame of a train at the
-        frame's send time, so bulk admission runs the exact float
-        recurrences of the frame-level path.
+        The tail of :meth:`_send` with the clock reading parameterized.
+        :meth:`_admit_slice` is its fused per-train twin; broadcast
+        frames inside a train still come through here.
         """
         start = now if now > uplink._busy_until else uplink._busy_until
         uplink._busy_until = start + tx_time
@@ -898,6 +897,128 @@ class HierarchicalFabric:
             raise NetworkError(f"no forwarding entry for {dst}")
         return self._route_deliver(uplink.port, port, frame, arrival, tx_time)
 
+    def _admit_slice(
+        self,
+        uplink: _AggregateUplink,
+        frames: Sequence[Frame],
+        times: Sequence[float],
+        start: int,
+        end: int,
+        sink: list,
+    ) -> None:
+        """Admit ``frames[start:end]`` at their send ``times``, collecting
+        each delivery in ``sink`` as ``(port, frame, at)``.
+
+        The flow-clock fast path's fused form of per-frame :meth:`_admit`
+        with delivery collected: unicast runs go through the one loop of
+        :meth:`_admit_unicast`; a broadcast frame takes :meth:`_admit`'s
+        fan-out.  Every float operation is the frame-level one, in the
+        same order, so clocks, ledgers and arrivals are bit-equal.  Each
+        ``at`` is ``t + (deliver_at - t)``: frame-level delivery fires at
+        the scheduler's reconstruction of the absolute time from the
+        delay, one rounding away from ``deliver_at`` itself.
+
+        Only valid while :meth:`fastpath_ok` holds: no component window
+        was ever staged, so no clock is failed, no switch is dead and no
+        route detours.
+        """
+        while start < end:
+            start = self._admit_unicast(uplink, frames, times, start, end, sink)
+            if start == end:
+                return
+            frame = frames[start]
+            t = times[start]
+            mark = len(sink)
+            self._collect = sink
+            try:
+                self._admit(uplink, frame, t, frame.wire_size / self.bandwidth)
+            finally:
+                self._collect = None
+            for j in range(mark, len(sink)):
+                port, copy, at = sink[j]
+                sink[j] = (port, copy, t + (at - t))
+            start += 1
+
+    def _admit_unicast(
+        self,
+        uplink: _AggregateUplink,
+        frames: Sequence[Frame],
+        times: Sequence[float],
+        start: int,
+        end: int,
+        sink: list,
+    ) -> int:
+        """The slice loop proper: admit unicast frames from ``start`` on;
+        return the index of the first broadcast frame, or ``end``.
+
+        The uplink clock and the routing counters live in locals, each
+        frame's serialization time is the frame path's own ``wire_size /
+        bandwidth``, routes come straight from the memo, and each frame
+        costs one :meth:`_walk_hops` call.
+        """
+        bandwidth = self.bandwidth
+        prop = self.propagation_delay
+        fwd = self.forwarding_latency
+        table = self._table
+        routes = self._routes
+        devices = self._devices
+        walk = self._walk_hops
+        src_port = uplink.port
+        key_base = self._key_base[src_port]
+        busy_until = uplink._busy_until
+        frames_sent = uplink.frames_sent
+        bytes_sent = uplink.bytes_sent
+        busy_time = uplink.busy_time
+        frames_in = self._frames_in
+        frames_routed = self._frames_routed
+        hops_total = self._hops_total
+        max_hops = self._max_hops
+        try:
+            for i in range(start, end):
+                frame = frames[i]
+                dst = frame.dst.value
+                if dst == -1:
+                    return i
+                t = times[i]
+                wire_size = frame.wire_size
+                tx_time = wire_size / bandwidth
+                begin = t if t > busy_until else busy_until
+                busy_until = begin + tx_time
+                frame_count = frame.frame_count
+                frames_sent += frame_count
+                bytes_sent += wire_size
+                busy_time += tx_time
+                arrival = begin + tx_time + prop + fwd
+                port = table.get(dst)
+                if port is None:
+                    raise NetworkError(f"no forwarding entry for {frame.dst}")
+                key = key_base + port
+                frames_in += frame_count
+                hops = routes.get(key)
+                if hops is None:
+                    hops = self._route_miss(key, src_port, port)
+                n_hops = len(hops)
+                frames_routed += 1
+                hops_total += n_hops
+                if n_hops > max_hops:
+                    max_hops = n_hops
+                deliver_at = walk(hops, arrival, wire_size, frame_count, tx_time)
+                if deliver_at is None:
+                    continue
+                if devices[port] is None:
+                    raise NetworkError(f"fabric port {port} has no station attached")
+                sink.append((port, frame, t + (deliver_at - t)))
+        finally:
+            uplink._busy_until = busy_until
+            uplink.frames_sent = frames_sent
+            uplink.bytes_sent = bytes_sent
+            uplink.busy_time = busy_time
+            self._frames_in = frames_in
+            self._frames_routed = frames_routed
+            self._hops_total = hops_total
+            self._max_hops = max_hops
+        return end
+
     def fastpath_ok(self) -> bool:
         """True when bulk admission preserves identity fabric-wide
         (component windows — switch or uplink — force frame-level)."""
@@ -910,6 +1031,21 @@ class HierarchicalFabric:
 
         return admit_train(self, uplink, frames, times)
 
+    def _route_miss(self, key: int, src_port: int, dst_port: int) -> tuple[int, ...]:
+        """Fill the route memo for ``key`` (``()`` marks a partition)."""
+        if self._dead_switches:
+            hops, detoured = self.topology.route_avoiding(
+                src_port, dst_port, self._dead_switches, self._ft_cache
+            )
+            if hops is None:
+                hops = ()  # cached partition sentinel
+            elif detoured:
+                self._detour_keys.add(key)
+        else:
+            hops = self._route(src_port, dst_port)
+        self._routes[key] = hops
+        return hops
+
     def _route_deliver(
         self, src_port: int, dst_port: int, frame: Frame, arrival: float,
         tx_time: float,
@@ -918,17 +1054,7 @@ class HierarchicalFabric:
         self._frames_in += frame.frame_count
         hops = self._routes.get(key)
         if hops is None:
-            if self._dead_switches:
-                hops, detoured = self.topology.route_avoiding(
-                    src_port, dst_port, self._dead_switches, self._ft_cache
-                )
-                if hops is None:
-                    hops = ()  # cached partition sentinel
-                elif detoured:
-                    self._detour_keys.add(key)
-            else:
-                hops = self._route(src_port, dst_port)
-            self._routes[key] = hops
+            hops = self._route_miss(key, src_port, dst_port)
         if not hops:
             # Destination unreachable on the surviving topology: the
             # frame is dropped at routing time; end-to-end recovery
@@ -943,60 +1069,18 @@ class HierarchicalFabric:
         self._hops_total += n_hops
         if n_hops > self._max_hops:
             self._max_hops = n_hops
+        dead = -1
         if self._failed_clocks:
             failed = self._failed_clocks
             for i in range(n_hops):
                 if hops[i] in failed:
-                    return self._drop_at_failure(
-                        hops, i, frame, arrival, tx_time
-                    )
-        busy = self._clock_busy
-        all_stats = self._stats
-        wire_size = frame.wire_size
-        frame_count = frame.frame_count
-        bandwidth = self.bandwidth
-        buffer_bytes = self.buffer_bytes_per_port
-        # Intermediate hops: FIFO contention on each inter-switch link
-        # clock; an idle link is crossed for free.  Inter-switch links
-        # are *lossless* — credit-based link-level flow control, as in
-        # APEnet+'s torus links and InfiniBand-style Clos fabrics —
-        # so congestion shows up as queueing delay (watch
-        # ``max_queue_bytes``), never as silent loss the end-to-end
-        # protocols cannot attribute.  Only the final egress port keeps
-        # the star's Ethernet tail-drop semantics.
-        for i in range(n_hops - 1):
-            k = hops[i]
-            b = busy[k]
-            stats = all_stats[k]
-            backlog = (b - arrival) * bandwidth if b > arrival else 0.0
-            queued = backlog + wire_size
-            if queued > stats.max_queue_bytes:
-                stats.max_queue_bytes = queued
-            begin = b if b > arrival else arrival
-            busy[k] = begin + tx_time
-            stats.frames_forwarded += frame_count
-            stats.bytes_forwarded += wire_size
-            arrival = begin
-        # Final hop: the destination's egress port, exactly the star
-        # model — except on lossless topologies (the torus), where the
-        # ejection port is credit-backpressured like every other link
-        # and overflow becomes delay instead of loss.
-        k = hops[n_hops - 1]
-        b = busy[k]
-        stats = all_stats[k]
-        backlog = (b - arrival) * bandwidth if b > arrival else 0.0
-        queued = backlog + wire_size
-        if queued > buffer_bytes and not self._lossless:
-            stats.frames_dropped += frame_count
-            stats.bytes_dropped += wire_size
+                    dead = i
+                    break
+        deliver_at = self._walk_hops(
+            hops, arrival, frame.wire_size, frame.frame_count, tx_time, dead
+        )
+        if deliver_at is None:
             return self.sim.now
-        if queued > stats.max_queue_bytes:
-            stats.max_queue_bytes = queued
-        done = (b if b > arrival else arrival) + tx_time
-        busy[k] = done
-        stats.frames_forwarded += frame_count
-        stats.bytes_forwarded += wire_size
-        deliver_at = done + self.propagation_delay
         device = self._devices[dst_port]
         if device is None:
             raise NetworkError(f"fabric port {dst_port} has no station attached")
@@ -1008,25 +1092,41 @@ class HierarchicalFabric:
         sim.call_after(deliver_at - sim.now, device.receive_frame, frame)
         return deliver_at
 
-    def _drop_at_failure(
+    def _walk_hops(
         self,
         hops: tuple[int, ...],
-        dead_index: int,
-        frame: Frame,
         arrival: float,
+        wire_size: int,
+        frame_count: int,
         tx_time: float,
-    ) -> float:
-        """The frame's route crosses a failed clock (detection window,
-        or a partially-detected multi-hop path): charge the live hops it
-        actually traversed, then blackhole it at the dead component —
-        the drop lands in that clock's :class:`PortStats`, so switch
-        drop totals and the conservation ledger both see it."""
+        dead: int = -1,
+    ) -> Optional[float]:
+        """Carry one frame along ``hops`` from the first switch, which it
+        reaches at ``arrival``; returns its delivery time, or ``None``
+        when it is dropped.
+
+        The per-hop clock recurrence, shared by the frame-level and the
+        slice path.  Intermediate hops: FIFO contention on each
+        inter-switch link clock; an idle link is crossed for free.
+        Inter-switch links are *lossless* — credit-based link-level flow
+        control, as in APEnet+'s torus links and InfiniBand-style Clos
+        fabrics — so congestion shows up as queueing delay (watch
+        ``max_queue_bytes``), never as silent loss the end-to-end
+        protocols cannot attribute.  Only the final egress port keeps the
+        star's Ethernet tail-drop semantics.
+
+        ``dead >= 0`` names the first failed clock on the route
+        (detection window, or a partially-detected multi-hop path): the
+        frame charges the live hops it actually traverses, then is
+        blackholed at the dead component — the drop lands in that
+        clock's :class:`PortStats`, so switch drop totals and the
+        conservation ledger both see it.
+        """
         busy = self._clock_busy
         all_stats = self._stats
-        wire_size = frame.wire_size
-        frame_count = frame.frame_count
         bandwidth = self.bandwidth
-        for i in range(dead_index):
+        n_links = len(hops) - 1 if dead < 0 else dead
+        for i in range(n_links):
             k = hops[i]
             b = busy[k]
             stats = all_stats[k]
@@ -1039,12 +1139,33 @@ class HierarchicalFabric:
             stats.frames_forwarded += frame_count
             stats.bytes_forwarded += wire_size
             arrival = begin
-        stats = all_stats[hops[dead_index]]
-        stats.frames_dropped += frame_count
-        stats.bytes_dropped += wire_size
-        self._failover_drops += frame_count
-        self._failover_drop_bytes += wire_size
-        return self.sim.now
+        if dead >= 0:
+            stats = all_stats[hops[dead]]
+            stats.frames_dropped += frame_count
+            stats.bytes_dropped += wire_size
+            self._failover_drops += frame_count
+            self._failover_drop_bytes += wire_size
+            return None
+        # Final hop: the destination's egress port, exactly the star
+        # model — except on lossless topologies (the torus), where the
+        # ejection port is credit-backpressured like every other link
+        # and overflow becomes delay instead of loss.
+        k = hops[n_links]
+        b = busy[k]
+        stats = all_stats[k]
+        backlog = (b - arrival) * bandwidth if b > arrival else 0.0
+        queued = backlog + wire_size
+        if queued > self.buffer_bytes_per_port and not self._lossless:
+            stats.frames_dropped += frame_count
+            stats.bytes_dropped += wire_size
+            return None
+        if queued > stats.max_queue_bytes:
+            stats.max_queue_bytes = queued
+        done = (b if b > arrival else arrival) + tx_time
+        busy[k] = done
+        stats.frames_forwarded += frame_count
+        stats.bytes_forwarded += wire_size
+        return done + self.propagation_delay
 
     # -- statistics ---------------------------------------------------------------
     def port_stats(self, port: int) -> PortStats:

@@ -270,3 +270,100 @@ def test_compute_mode_runs_kernel():
     sim.run()
     assert np.array_equal(results["out"], data * 2)
     assert cards[0].stats.completion_interrupts == 1
+
+
+# --- card-train fast path: stat identity ----------------------------------------------
+def _fastpath_card_ledger(app):
+    """Run a p=16 fat-tree fast-path FFT or sort; return (makespan,
+    events, trains_fast, per-card rows).  A row is every ``CardStats``
+    field in name order, then the host bus's bytes, transfer count, busy
+    time and busy-until clock."""
+    import hashlib
+
+    from repro.api import Experiment
+    from repro.apps.fft import inic_fft2d
+    from repro.apps.sort import inic_sort
+
+    session = (
+        Experiment()
+        .nodes(16)
+        .card(ACEII_PROTOTYPE)
+        .fabric("fattree")
+        .fastpath(True)
+        .build()
+    )
+    g = np.random.default_rng(5)
+    if app == "fft":
+        matrix = g.standard_normal((256, 256)) + 1j * g.standard_normal((256, 256))
+        _, result = inic_fft2d(session.cluster, session.manager, matrix)
+    else:
+        keys = g.integers(0, 2**32, size=1 << 18, dtype=np.uint32)
+        _, result = inic_sort(session.cluster, session.manager, keys)
+    rows = []
+    for rank in range(16):
+        card = session.manager.driver(rank).card
+        stats = vars(card.stats)
+        bus = card.host_tx
+        rows.append(
+            tuple(stats[name] for name in sorted(stats))
+            + (
+                bus.stats.bytes_transferred,
+                bus.stats.transfer_count,
+                bus.stats.busy_time,
+                bus._busy_until,
+            )
+        )
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    return (
+        result.makespan,
+        session.cluster.sim.event_count,
+        session.cluster.switch.trains_fast,
+        rows,
+        digest,
+    )
+
+
+#: card 0's row and the sha256 of all 16 rows' ``repr``, recorded with
+#: the per-call ``_track_mem``/``_account_rx`` card datapath.  Field order:
+#: bytes_delivered, bytes_egressed, bytes_ingested, bytes_received,
+#: completion_interrupts, frames_received, frames_sent, nacks_received,
+#: nacks_sent, peak_memory_bytes, retransmits, retransmitted_bytes,
+#: transfer_aborts, then bus bytes, transfers, busy time, busy-until.
+FASTPATH_LEDGERS = {
+    "fft": (
+        0.005194755436720322,
+        1440,
+        32,
+        (
+            131072.0, 122880.0, 131072.0, 122880.0, 2, 120, 120, 0, 0,
+            61440.0, 0, 0.0, 0,
+            507904.0, 94, 0.004554973618538324, 0.1251947554367203,
+        ),
+        "70acd01c98518ef3ee5c8fc3657812158bc41d9fa0e15d18127babbc85e85674",
+    ),
+    "sort": (
+        0.003155607967914309,
+        1090,
+        32,
+        (
+            66972.0, 62324.0, 66560.0, 62736.0, 2, 83, 81, 0, 0,
+            61712.0, 0, 0.0, 0,
+            258592.0, 95, 0.0023332415329768274, 0.12239645112299452,
+        ),
+        "5db6cfcde764e10d68c4196e8a9199ce6719a90f9e8d52f0dadf029d87b29b26",
+    ),
+}
+
+
+@pytest.mark.parametrize("app", ["fft", "sort"])
+def test_fastpath_card_stats_are_pinned(app):
+    """The card-train fast path keeps every card counter, the memory
+    peak and the host bus clock float-identical to the per-call
+    datapath it fused (locals instead of ``_track_mem`` and
+    ``_account_rx`` calls)."""
+    makespan, events, trains, rows, digest = _fastpath_card_ledger(app)
+    want = FASTPATH_LEDGERS[app]
+    assert (makespan, events, trains) == want[:3]
+    assert trains > 0
+    assert rows[0] == want[3]
+    assert digest == want[4]

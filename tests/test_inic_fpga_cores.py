@@ -112,6 +112,26 @@ def test_local_transpose_blocks_round_trip():
     assert len(blocks) == 4
     for p, blk in enumerate(blocks):
         assert np.array_equal(blk, panel[:, 2 * p : 2 * p + 2].T)
+    # The one-copy extraction is bit-equal to transposing each block on
+    # its own, and the core charges the bytes per-block ``apply`` would.
+    rng = np.random.default_rng(3)
+    for p in (1, 2, 4, 16):
+        m = 32 // p
+        panel = rng.standard_normal((m, 32)) + 1j * rng.standard_normal((m, 32))
+        blocks = local_transpose_blocks(panel, p)
+        assert len(blocks) == p
+        for d, blk in enumerate(blocks):
+            want = np.ascontiguousarray(panel[:, d * m : (d + 1) * m].T)
+            assert blk.flags["C_CONTIGUOUS"]
+            assert blk.dtype == want.dtype and blk.shape == want.shape
+            assert blk.tobytes() == want.tobytes()
+        fused, single = LocalTransposeCore(), LocalTransposeCore()
+        fused.apply_panel(panel, p)
+        for d in range(p):
+            single.apply(panel[:, d * m : (d + 1) * m])
+        assert fused.bytes_processed == single.bytes_processed == panel.nbytes
+    with pytest.raises(OffloadError):
+        LocalTransposeCore().apply_panel(np.zeros((2, 8)), 2)
 
 
 # --- FinalPermutationCore ------------------------------------------------------------------

@@ -57,6 +57,34 @@ def test_frame_validation():
         Frame(A, B, payload_bytes=10, headers=-1)
 
 
+def test_frame_validation_messages():
+    """Each invalid geometry keeps its message; checks run payload,
+    then frame count, then headers."""
+    cases = [
+        ({"payload_bytes": -1}, "negative payload -1"),
+        ({"payload_bytes": 10, "frame_count": 0}, "frame_count must be >= 1, got 0"),
+        ({"payload_bytes": 10, "headers": -1}, "negative header size -1"),
+        ({"payload_bytes": -5, "frame_count": 0, "headers": -1}, "negative payload -5"),
+        ({"payload_bytes": 10, "frame_count": -2, "headers": -1},
+         "frame_count must be >= 1, got -2"),
+    ]
+    for kwargs, message in cases:
+        with pytest.raises(PacketError) as err:
+            Frame(A, B, **kwargs)
+        assert str(err.value) == message
+
+
+def test_frame_wire_size_matches_wire_bytes():
+    for payload in (0, 1, 45, 46, 47, 1500, 1501, 9000, 46.0, 100.5):
+        for headers in (0, 8, 40):
+            for count in (1, 2, 7):
+                f = Frame(A, B, payload_bytes=payload, headers=headers,
+                          frame_count=count)
+                want = wire_bytes(payload, headers, count)
+                assert f.wire_size == want
+                assert type(f.wire_size) is type(want)
+
+
 def test_frame_clone_for():
     f = Frame(A, B, payload_bytes=100, kind="tcp", seq=7, meta={"x": 1})
     g = f.clone_for(MacAddress(5))

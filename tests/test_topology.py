@@ -16,6 +16,8 @@ Pins the contracts ``repro.net.topology`` makes:
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import NetworkError
 from repro.faults import FaultSpec, FaultPlan, WireFault
@@ -606,3 +608,128 @@ def test_train_length_mismatch_rejected():
     frame = Frame(addrs[0], addrs[1], payload_bytes=64)
     with pytest.raises(ValueError, match="train mismatch"):
         fabric.uplink(0).send_train([frame], [0.0, 1.0])
+
+
+# -- slice loop vs frame-level admission (differential) ---------------------
+#: dyadic fabric constants: every clock sum and backlog product is exact,
+#: so generated buffers land *on* the tail-drop comparison, not near it
+_DIFF_BANDWIDTH = 2.0 ** 27
+_DIFF_TOPOLOGIES = {
+    "star": lambda n: StarTopology(n),
+    "fattree": lambda n: FatTreeTopology(n, leaf_ports=4),
+    "fattree-oversub2": lambda n: FatTreeTopology(n, oversub=2, leaf_ports=4),
+    "torus": lambda n: TorusTopology(n),
+}
+
+
+def _diff_fabric(kind, n, buffer_bytes):
+    sim = Simulator()
+    fabric = HierarchicalFabric(
+        sim,
+        _DIFF_TOPOLOGIES[kind](n),
+        bandwidth=_DIFF_BANDWIDTH,
+        propagation_delay=2.0 ** -20,
+        forwarding_latency=2.0 ** -18,
+        buffer_bytes_per_port=buffer_bytes,
+    )
+    for port in range(n):
+        station = Station(sim)
+        station.attach_wire(fabric.uplink(port))
+        fabric.attach_station(port, station)
+        fabric.learn(MacAddress(port), port)
+    return fabric
+
+
+def _diff_frames(src, entries):
+    # ``seq`` numbers the frame inside its train; broadcast copies keep it.
+    return [
+        Frame(
+            MacAddress(src),
+            BROADCAST if dst is None else MacAddress(dst),
+            payload_bytes=size,
+            headers=8,
+            frame_count=count,
+            seq=i,
+        )
+        for i, (dst, size, count) in enumerate(entries)
+    ]
+
+
+def _diff_state(fabric, sink):
+    arrivals = [
+        (port, frame.src.value, frame.dst.value, frame.seq, at)
+        for port, frame, at in sink
+    ]
+    ports = [
+        (s.frames_forwarded, s.frames_dropped, s.bytes_forwarded,
+         s.bytes_dropped, s.max_queue_bytes)
+        for s in fabric._stats
+    ]
+    uplinks = [
+        (u._busy_until, u.frames_sent, u.bytes_sent, u.busy_time)
+        for u in fabric._uplinks
+    ]
+    counters = (
+        fabric._frames_in, fabric._hops_total, fabric._max_hops,
+        fabric._frames_routed, list(fabric._clock_busy),
+        fabric.conservation_counters(),
+    )
+    return arrivals, ports, uplinks, counters
+
+
+@st.composite
+def _diff_scenarios(draw):
+    kind = draw(st.sampled_from(sorted(_DIFF_TOPOLOGIES)))
+    n = draw(st.integers(3, 12))
+    # Most frames share one size, so backlogs are whole multiples of its
+    # wire size and a buffer of k * wire (+-1 byte) sits on the boundary.
+    common = draw(st.integers(0, 1500))
+    wire = Frame(MacAddress(0), MacAddress(1), payload_bytes=common,
+                 headers=8).wire_size
+    buffer_bytes = draw(st.integers(1, 6)) * wire + draw(st.sampled_from((-1, 0, 1)))
+    frame = st.tuples(
+        st.one_of(st.integers(0, n - 1), st.just(None)),  # None: broadcast
+        st.one_of(st.just(common), st.integers(0, 3000)),
+        st.integers(1, 3),
+    )
+    trains = draw(st.lists(
+        st.tuples(
+            st.integers(0, n - 1),               # sender
+            st.integers(0, 64),                  # start, 2^-16 s units
+            st.integers(0, 8),                   # send gap, 2^-20 s units
+            st.lists(frame, min_size=1, max_size=24),
+        ),
+        min_size=1,
+        max_size=8,
+    ))
+    return kind, n, max(buffer_bytes, 1), trains
+
+
+@settings(max_examples=60, deadline=None)
+@given(_diff_scenarios())
+def test_slice_admission_matches_frame_level(scenario):
+    """``_admit_slice`` is the fused form of per-frame ``_admit`` with
+    delivery collected: on every topology, for random trains (broadcast
+    frames inside them, buffers at the tail-drop boundary), arrivals,
+    every clock's ``PortStats``, the uplink clocks and counters, the
+    routing counters and the conservation ledger are bit-equal."""
+    kind, n, buffer_bytes, trains = scenario
+    fused = _diff_fabric(kind, n, buffer_bytes)
+    framewise = _diff_fabric(kind, n, buffer_bytes)
+    fused_sink, framewise_sink = [], []
+    for src, start, gap, entries in trains:
+        times = [start * 2.0 ** -16 + i * gap * 2.0 ** -20 for i in range(len(entries))]
+        frames = _diff_frames(src, entries)
+        fused._admit_slice(
+            fused.uplink(src), frames, times, 0, len(frames), fused_sink
+        )
+        uplink = framewise.uplink(src)
+        for frame, t in zip(_diff_frames(src, entries), times):
+            mark = len(framewise_sink)
+            framewise._collect = framewise_sink
+            framewise._admit(uplink, frame, t, frame.wire_size / framewise.bandwidth)
+            framewise._collect = None
+            for j in range(mark, len(framewise_sink)):
+                port, fr, at = framewise_sink[j]
+                framewise_sink[j] = (port, fr, t + (at - t))
+    assert _diff_state(fused, fused_sink) == _diff_state(framewise, framewise_sink)

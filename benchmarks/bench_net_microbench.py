@@ -88,7 +88,7 @@ def exchange_once(n: int, train_len: int, bulk: bool) -> dict:
     """One all-to-all round: ``n`` overlapping senders each admit a
     ``train_len``-frame train (round-robin destinations, 1400 B
     payloads at wire pacing).  Returns DES events and host wall."""
-    from repro.net import Frame, MacAddress
+    from repro.net import Frame, MacAddress, Train
     from repro.net.topology import build_aggregate_star
     from repro.sim import Simulator
 
@@ -103,7 +103,7 @@ def exchange_once(n: int, train_len: int, bulk: bool) -> dict:
         def receive_frame(self, frame):
             pass
 
-        def receive_train(self, frames, times):
+        def receive_train(self, trains, idx, times):
             pass
 
     sim = Simulator()
@@ -112,20 +112,16 @@ def exchange_once(n: int, train_len: int, bulk: bool) -> dict:
     fabric = build_aggregate_star(sim, list(zip(addrs, stations)))
     gap = 12e-6  # ~1400 B at gigabit: keeps every uplink chain busy
     for src in range(n):
-        frames = [
-            Frame(
-                addrs[src],
-                addrs[(src + 1 + i % (n - 1)) % n],
-                payload_bytes=1400,
-                headers=8,
-            )
-            for i in range(train_len)
-        ]
+        dsts = [addrs[(src + 1 + i % (n - 1)) % n] for i in range(train_len)]
         times = [i * gap for i in range(train_len)]
         if bulk:
-            fabric.uplink(src).send_train(frames, times)
+            train = Train(addrs[src], headers=8)
+            for dst, t in zip(dsts, times):
+                train.append(dst, 1400, t)
+            fabric.uplink(src).send_train(train)
         else:
-            for frame, t in zip(frames, times):
+            for dst, t in zip(dsts, times):
+                frame = Frame(addrs[src], dst, payload_bytes=1400, headers=8)
                 sim.call_after(t, fabric._send, fabric.uplink(src), frame)
     t0 = time.perf_counter()
     sim.run()

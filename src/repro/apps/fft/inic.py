@@ -23,7 +23,6 @@ from ...core.manager import INICManager
 from ...errors import ApplicationError
 from ...inic.card import SendBlock
 from ...models.params import DEFAULT_PARAMS, MachineParams
-from ...net.addresses import MacAddress
 from ...protocols.inicproto import TransferPlan
 from .parallel import fft_row_pass
 from .transpose import split_rows
@@ -54,8 +53,9 @@ def inic_transpose(
     # host->card->wire, transposing inline via the transpose core.
     order = [(ctx.rank + shift) % p for shift in range(1, p)] + [ctx.rank]
     transposed = tcore.apply_panel(panel, p)
+    addrs = manager.cluster.addresses
     blocks = [
-        SendBlock(dst=MacAddress(dst), nbytes=block_bytes, data=transposed[dst])
+        SendBlock(dst=addrs[dst], nbytes=block_bytes, data=transposed[dst])
         for dst in order
     ]
 

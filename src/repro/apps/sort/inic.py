@@ -26,7 +26,6 @@ from ...core.manager import INICManager
 from ...errors import ApplicationError
 from ...inic.card import SendBlock
 from ...models.params import DEFAULT_PARAMS, MachineParams
-from ...net.addresses import MacAddress
 from ...protocols.inicproto import TransferPlan
 from .bucketsort import phase1_destination_buckets
 from .keygen import split_keys
@@ -38,13 +37,14 @@ __all__ = ["inic_sort"]
 def _counts_exchange(ctx: RankContext, manager: INICManager, counts: list[int], tag: int):
     """Generator: one-packet-per-peer metadata all-to-all via the cards."""
     p = ctx.size
+    addrs = manager.cluster.addresses
     driver = manager.driver(ctx.rank)
     plan = TransferPlan(ctx.sim, {src: 4 * p for src in range(p)}, name=f"counts.{ctx.rank}")
     payload = np.asarray(counts, dtype=np.uint32)
     blocks = [
-        SendBlock(MacAddress((ctx.rank + s) % p), 4 * p, payload)
+        SendBlock(addrs[(ctx.rank + s) % p], 4 * p, payload)
         for s in range(1, p)
-    ] + [SendBlock(MacAddress(ctx.rank), 4 * p, payload)]
+    ] + [SendBlock(addrs[ctx.rank], 4 * p, payload)]
     received = yield from driver.exchange(tag, blocks, plan)
     return {src: items[0] for src, items in received.items()}
 
@@ -68,6 +68,7 @@ def inic_sort(
         manager.configure_all(lambda: integer_sort_design(card_spec))
     card_buckets = manager.driver(0).card.design.cores[-1].n_buckets
     shards = split_keys(a, p)
+    addrs = cluster.addresses
 
     def program(ctx: RankContext):
         mine = shards[ctx.rank]
@@ -86,7 +87,7 @@ def inic_sort(
         order = [(ctx.rank + s) % p for s in range(1, p)] + [ctx.rank]
         blocks = [
             SendBlock(
-                MacAddress(dst),
+                addrs[dst],
                 max(int(buckets[dst].nbytes), 4),
                 buckets[dst],
             )

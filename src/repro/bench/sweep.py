@@ -35,6 +35,7 @@ import json
 import os
 import statistics
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -395,6 +396,15 @@ def _point_value(session, res, **extra) -> dict:
     trains = getattr(session.cluster.switch, "trains_fast", 0)
     if trains:
         out["trains_fast"] = trains
+    # fast-path INIC points: train scatters that fell back to the slow
+    # path, by the card's reason (see ``INICCard._fast_eligible``);
+    # absent elsewhere, like ``trains_fast``
+    cluster = session.cluster
+    if cluster.spec.fastpath and cluster.spec.inic is not None:
+        fallbacks: Counter[str] = Counter()
+        for node in cluster.nodes:
+            fallbacks.update(node.inic.fastpath_fallbacks)
+        out["fastpath_fallbacks"] = dict(sorted(fallbacks.items()))
     out.update(extra)
     if session.telemetry_enabled:
         out["metrics"] = session.metrics()
@@ -1237,8 +1247,9 @@ def build_report(
             entry["wall_cached"] = True
         if "hops" in r.value:  # float-clock fabrics: routing cost
             entry["hops"] = r.value["hops"]
-        if "trains_fast" in r.value:
-            entry["trains_fast"] = r.value["trains_fast"]
+        for key in ("trains_fast", "fastpath_fallbacks"):
+            if key in r.value:
+                entry[key] = r.value[key]
         if r.wall_seconds > 0 and r.events:
             #: host throughput — the human-facing perf headline; event
             #: counts remain the machine-independent gate

@@ -19,6 +19,7 @@ from ..hw.interrupts import CoalescePolicy
 from ..hw.memory import CacheLevel, MemoryHierarchy
 from ..hw.pci import pci_32_33
 from ..inic.card import CardSpec, IDEAL_INIC, INICCard
+from ..net.addresses import MacAddress
 from ..net.fabric import GIGABIT_ETHERNET, NetworkTechnology, build_star
 from ..net.topology import (
     HierarchicalFabric,
@@ -191,6 +192,11 @@ class Cluster:
         self.spec = spec
         self.sim = sim
         self.nodes = nodes
+        #: every station's address, by rank — one shared object per
+        #: station, for applications that address all peers each phase
+        self.addresses: tuple[MacAddress, ...] = tuple(
+            node.address for node in nodes
+        )
         self.switch = switch
         self.trace = trace
         self.streams = streams

@@ -26,7 +26,7 @@ plus reduce/broadcast extensions and a compute-accelerator mode.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -36,7 +36,13 @@ from ..hw.pci import DEFAULT_ARBITRATION
 from ..net.addresses import BROADCAST, MacAddress
 from ..net.batching import adaptive_quantum
 from ..net.link import Wire
-from ..net.packet import Frame, wire_bytes
+from ..net.packet import (
+    ETHERNET_OVERHEAD,
+    MIN_FRAME_PAYLOAD,
+    Frame,
+    Train,
+    wire_bytes,
+)
 from ..protocols.base import choose_quantum
 from ..protocols.inicproto import INICProtoConfig, TransferPlan
 from ..sim.bus import FCFSBus, FairShareBus
@@ -292,6 +298,9 @@ class INICCard:
         #: cluster builder from ``ClusterSpec.fastpath``); eligibility
         #: is still checked per operation (:meth:`_fast_eligible`)
         self.fastpath = False
+        #: train scatters that took the slow path, by the reason
+        #: :meth:`_fast_eligible` gave (kept apart from :class:`CardStats`)
+        self.fastpath_fallbacks: Counter[str] = Counter()
 
         self._scatter_q: Store = Store(sim, name=f"{name}.scatters")
         self._egress_q: Store = Store(sim, capacity=8, name=f"{name}.egress")
@@ -528,9 +537,12 @@ class INICCard:
         ingest_rate_fn = lambda: self.datapath_rate(self.host_tx.bandwidth)
         while True:
             op: ScatterOp = yield self._scatter_q.get()
-            if op.train and self._fast_eligible(op):
-                self._run_scatter_fast(op)
-                continue
+            if op.train:
+                refusal = self._fast_eligible(op)
+                if refusal is None:
+                    self._run_scatter_fast(op)
+                    continue
+                self.fastpath_fallbacks[refusal] += 1
             window = op.window_bytes or self.spec.flow_window
             for block in op.blocks:
                 sizes = self._chunks_of(block.nbytes, window)
@@ -613,36 +625,45 @@ class INICCard:
             op.sent.succeed(None)
 
     # -- exchange-phase fast path (repro.net.flowclock) ---------------------------------
-    def _fast_eligible(self, op: ScatterOp) -> bool:
-        """Can this train scatter take the bulk path exactly?
+    def _fast_eligible(self, op: ScatterOp) -> Optional[str]:
+        """Can this train scatter take the bulk path exactly?  ``None``
+        if so, else the reason it cannot.
 
-        Requires the shared-bus geometry (one FCFS clock carries the
-        whole cascade, so it reduces to closed form), no loss recovery
-        (retention/NACK state must see every frame individually), a
-        train-capable fault-free fabric, and a quiescent flow window —
-        each block within it and nothing outstanding toward its
-        destination, so credit elision cannot overrun a receiver.
+        Requires the fast path switched on (``fastpath_off``), no loss
+        recovery (``retries``: retention/NACK state must see every frame
+        individually), the shared-bus geometry (``bus_geometry``: one
+        FCFS clock carries the whole cascade, so it reduces to closed
+        form), a train-capable (``no_train_wire``) fault-free
+        (``fault_armed``) fabric, and a quiescent flow window — no
+        ``broadcast`` block, each block within the window (``window``)
+        and nothing outstanding toward its destination
+        (``outstanding_credit``), so credit elision cannot overrun a
+        receiver.
         """
-        if not self.fastpath or self.spec.proto.max_retries > 0:
-            return False
+        if not self.fastpath:
+            return "fastpath_off"
+        if self.spec.proto.max_retries > 0:
+            return "retries"
         bus = self.host_tx
         if bus is not self.net_tx or not isinstance(bus, FCFSBus):
-            return False
+            return "bus_geometry"
         wire = self._wire_out
         if wire is None or not hasattr(wire, "send_train"):
-            return False
+            return "no_train_wire"
         if wire.fault is not None or not wire.fabric.fastpath_ok():
-            return False
+            return "fault_armed"
         window = op.window_bytes or self.spec.flow_window
         addr = self.address.value
         outstanding = self._outstanding
         for block in op.blocks:
             dst = block.dst.value
-            if dst == -1 or block.nbytes > window:
-                return False
+            if dst == -1:
+                return "broadcast"
+            if block.nbytes > window:
+                return "window"
             if dst != addr and outstanding.get(dst, 0.0) > 0.0:
-                return False
-        return True
+                return "outstanding_credit"
+        return None
 
     def _run_scatter_fast(self, op: ScatterOp) -> None:
         """Whole-scatter datapath in closed form: zero events per chunk.
@@ -652,11 +673,13 @@ class INICCard:
         transfer) collapses onto the shared bus clock: chunks alternate
         ingest/egress strictly, each egress starting no earlier than its
         chunk's datapath-ready time.  The bus clock and statistics are
-        committed in bulk, the frame train is handed to the fabric's
-        flow clock in one call, and the operation completes with two
-        scheduled callbacks total (delivery of self-addressed blocks
-        adds one each).  Credits are elided (``nocredit``): eligibility
-        already guaranteed the window cannot overrun.
+        committed in bulk, the wire chunks become one column
+        :class:`~repro.net.packet.Train` handed to the fabric's flow
+        clock in one call, and the operation completes with two
+        scheduled callbacks total (delivery of self-addressed chunks,
+        a second train that never touches the wire, adds one each).
+        Credits are elided (``nocredit``): eligibility already
+        guaranteed the window cannot overrun.
         """
         sim = self.sim
         now = sim.now
@@ -664,6 +687,7 @@ class INICCard:
         proto = self.spec.proto
         packet_size = proto.packet_size
         headers = proto.headers
+        overhead = ETHERNET_OVERHEAD + headers
         stats = self.stats
         window = op.window_bytes or self.spec.flow_window
         chunk_cache = self._chunk_cache
@@ -684,13 +708,23 @@ class INICCard:
         bytes_ingested = stats.bytes_ingested
         bytes_egressed = stats.bytes_egressed
         frames_sent = stats.frames_sent
-        frames: list[Frame] = []
-        times: list[float] = []
-        local: list[tuple[float, SendBlock, int, bool]] = []
         last_t = now
         addr = self.address
         own = addr.value
         tag = op.tag
+        train = Train(addr, headers, kind="inic", op=tag, nocredit=True)
+        local = Train(addr, 0, kind="inic-local", op=tag)
+        # The train's columns are filled here directly (``Train.append``
+        # would validate each chunk and cost a call per chunk);
+        # ``wire_size`` is :func:`wire_bytes` inlined.
+        add_dst = train.dst.append
+        add_bytes = train.payload_bytes.append
+        add_wire = train.wire_size.append
+        add_count = train.frame_count.append
+        add_payload = train.payload.append
+        add_last = train.last.append
+        add_total = train.total.append
+        add_time = train.times.append
         for block in op.blocks:
             nbytes = block.nbytes
             sizes = chunk_cache.get((nbytes, window))
@@ -715,7 +749,12 @@ class INICCard:
                 last_chunk = i == n_sizes - 1
                 if is_local:
                     mem -= size
-                    local.append((ready, block, size, last_chunk))
+                    local.append(
+                        addr, size, ready,
+                        payload=block.data if last_chunk else None,
+                        last=last_chunk,
+                        total=nbytes,
+                    )
                     if ready > last_t:
                         last_t = ready
                     continue
@@ -727,24 +766,15 @@ class INICCard:
                 busy_add += d_xfer
                 mem -= size
                 n_packets = -(-size // packet_size)
-                frames.append(
-                    Frame(
-                        src=addr,
-                        dst=dst,
-                        payload_bytes=size,
-                        headers=headers,
-                        frame_count=n_packets,
-                        kind="inic",
-                        payload=block.data if last_chunk else None,
-                        meta={
-                            "op": tag,
-                            "last": last_chunk,
-                            "total": nbytes,
-                            "nocredit": True,
-                        },
-                    )
-                )
-                times.append(fin_e)
+                padded = MIN_FRAME_PAYLOAD * n_packets
+                add_dst(dst)
+                add_bytes(size)
+                add_wire((size if size > padded else padded) + n_packets * overhead)
+                add_count(n_packets)
+                add_payload(block.data if last_chunk else None)
+                add_last(last_chunk)
+                add_total(nbytes)
+                add_time(fin_e)
                 frames_sent += n_packets
                 bytes_egressed += size
                 if fin_e > last_t:
@@ -759,69 +789,71 @@ class INICCard:
         bus_stats.bytes_transferred += bus_bytes
         bus_stats.transfer_count += n_xfers
         bus_stats.busy_time += busy_add
-        if frames:
-            self._wire_out.send_train(frames, times)
-        for ready, block, size, last_chunk in local:
-            sim.call_after(
-                ready - now, self._fast_local_deliver, op, block, size, last_chunk
-            )
+        if train.times:
+            self._wire_out.send_train(train)
+        for i, ready in enumerate(local.times):
+            sim.call_after(ready - now, self._fast_local_deliver, local, i)
         sim.call_after(last_t - now, op.sent.succeed, None)
 
-    def _fast_local_deliver(
-        self, op: ScatterOp, block: SendBlock, size: int, last: bool
-    ) -> None:
-        """Self-addressed chunk landing (the fast-path twin of
-        :meth:`_local_deliver`; completion is signalled separately)."""
-        gather = self._gathers.get(op.tag)
-        frame = Frame(
-            src=self.address,
-            dst=self.address,
-            payload_bytes=size,
-            headers=0,
-            kind="inic-local",
-            payload=block.data if last else None,
-            meta={"op": op.tag, "last": last, "total": block.nbytes},
-        )
+    def _fast_local_deliver(self, local: Train, i: int) -> None:
+        """Self-addressed chunk ``i`` of ``local`` lands (the fast-path
+        twin of :meth:`_local_deliver`; completion is signalled
+        separately)."""
+        gather = self._gathers.get(local.op)
         if gather is None:
-            self._pending_rx.setdefault(op.tag, deque()).append(frame)
-        else:
-            self._account_rx(gather, frame)
+            self._pending_rx.setdefault(local.op, deque()).append(local.frame(i))
+            return
+        nbytes = local.payload_bytes[i]
+        gather.plan.account(local.src, nbytes)
+        gather.pending_delivery += nbytes
+        if local.last[i]:
+            gather.store_payload(local.src, local.payload[i])
 
-    def receive_train(self, frames: list[Frame], times: list[float]) -> None:
-        """Bulk receive from the fabric's delivery batcher.
+    def receive_train(
+        self, trains: list[Train], idx: list[int], times: list[float]
+    ) -> None:
+        """Bulk receive from the fabric's delivery batcher: frame
+        ``idx[k]`` of ``trains[k]`` arrived at ``times[k]``.
 
         One card-bus reservation covers the whole group's payload
-        crossing (``len(frames)`` back-to-back transfers, exactly the
-        slow path's per-frame bus occupancy), and one callback at its
-        completion accounts every frame.  Non-datapath frames (credits,
-        NACKs) fall through to :meth:`receive_frame` unchanged.
+        crossing (one back-to-back transfer per frame, exactly the slow
+        path's per-frame bus occupancy), and one callback at its
+        completion accounts every frame.  Frames of other kinds than
+        ``inic`` (credits, NACKs) fall through to :meth:`receive_frame`
+        unchanged.
         """
-        inic: list[Frame] = []
+        inic_trains: list[Train] = []
+        inic_idx: list[int] = []
         total = 0
-        for frame in frames:
-            if frame.kind == "inic":
-                inic.append(frame)
-                total += frame.payload_bytes
+        for train, i in zip(trains, idx):
+            if train.kind == "inic":
+                inic_trains.append(train)
+                inic_idx.append(i)
+                total += train.payload_bytes[i]
             else:
-                self.receive_frame(frame)
-        if not inic:
+                self.receive_frame(train.frame(i))
+        if not inic_idx:
             return
         bus = self.net_rx
         reserve = getattr(bus, "reserve", None)
         if reserve is None:
-            for frame in inic:
-                self._rx_q.put(frame)
+            for train, i in zip(inic_trains, inic_idx):
+                self._rx_q.put(train.frame(i))
             return
-        _start, finish = reserve(total, len(inic))
-        self.sim.call_after(finish - self.sim.now, self._finish_rx_train, inic)
+        _start, finish = reserve(total, len(inic_idx))
+        self.sim.call_after(
+            finish - self.sim.now, self._finish_rx_train, inic_trains, inic_idx
+        )
 
-    def _finish_rx_train(self, frames: list[Frame]) -> None:
+    def _finish_rx_train(self, trains: list[Train], idx: list[int]) -> None:
         """The group's bus crossing completed: account every frame.
 
-        The fused form of :meth:`_rx_loop`'s accounting: counters and
-        the memory gauge ride in locals (same adds and compares as
-        :meth:`_track_mem`, in order) and each frame is accounted
-        against its gather's plan inline (:meth:`_account_rx`).
+        The fused form of :meth:`_rx_loop`'s accounting, straight off
+        the train columns: counters and the memory gauge ride in locals
+        (same adds and compares as :meth:`_track_mem`, in order) and
+        each frame is accounted against its gather's plan inline
+        (:meth:`_account_rx`).  A frame whose gather is not posted yet
+        is built and parked in the backlog :meth:`post_gather` replays.
         """
         stats = self.stats
         wire = self._wire_out
@@ -830,38 +862,38 @@ class INICCard:
         peak = stats.peak_memory_bytes
         frames_received = stats.frames_received
         bytes_received = stats.bytes_received
-        for frame in frames:
-            nbytes = frame.payload_bytes
-            frames_received += frame.frame_count
+        for train, i in zip(trains, idx):
+            nbytes = train.payload_bytes[i]
+            frames_received += train.frame_count[i]
             bytes_received += nbytes
             mem += nbytes
             if mem > peak:
                 peak = mem
-            meta = frame.meta
+            src = train.src
             if (
-                not meta.get("nocredit")
-                and frame.dst.value != -1
+                not train.nocredit
+                and train.dst[i].value != -1
                 and wire is not None
             ):
                 wire.send(
                     Frame(
                         src=self.address,
-                        dst=frame.src,
+                        dst=src,
                         payload_bytes=0,
                         headers=self.spec.proto.headers,
                         kind="inic-credit",
                         meta={"credit": nbytes},
                     )
                 )
-            tag = meta["op"]
+            tag = train.op
             gather = gathers.get(tag)
             if gather is None:
-                self._pending_rx.setdefault(tag, deque()).append(frame)
+                self._pending_rx.setdefault(tag, deque()).append(train.frame(i))
                 continue
-            gather.plan.account(frame.src, nbytes)
+            gather.plan.account(src, nbytes)
             gather.pending_delivery += nbytes
-            if meta.get("last"):
-                gather.store_payload(frame.src, frame.payload)
+            if train.last[i]:
+                gather.store_payload(src, train.payload[i])
         self._mem_in_use = mem
         stats.peak_memory_bytes = peak
         stats.frames_received = frames_received

@@ -32,6 +32,7 @@ from .packet import (
     IP_TCP_HEADERS,
     MIN_FRAME_PAYLOAD,
     Frame,
+    Train,
     wire_bytes,
 )
 from .switch import PortStats, Switch
@@ -61,6 +62,7 @@ __all__ = [
     "PortStats",
     "StandardNIC",
     "Switch",
+    "Train",
     "Wire",
     "build_aggregate_star",
     "build_fattree",

@@ -6,28 +6,37 @@ station, an output (or per-hop link) clock per destination.  That makes the arri
 of every frame in a bulk exchange a *closed-form function* of the send
 times: no event needs to fire per frame, the clock recurrences just
 have to be replayed in admission order.  This module does exactly that
-for a frame **train** — the unit a sender's exchange phase produces:
+for a frame **train** — the unit a sender's exchange phase produces,
+held in columns (:class:`~repro.net.packet.Train`: the fields every
+frame shares set once, the per-frame ones in parallel lists), built
+once by the sending card and read unchanged by every step below:
 
-``admit_train(fabric, uplink, frames, times)``
+``admit_train(fabric, uplink, train)``
     Replays the fabric's own admission recurrence per frame at its
     logical send time with delivery *collected* instead of scheduled.
     Each slice is one call of the fabric's fused slice loop,
     ``HierarchicalFabric._admit_slice``: the frame-level ``_admit``
-    with the uplink clock and routing counters in locals, each frame's
-    serialization time the frame path's own ``wire_size / bandwidth``,
-    routes read from the memo, and the hops walked by ``_walk_hops`` —
-    the one helper the frame-level ``_route_deliver`` uses too, so the
-    hop recurrence has a single home.  Broadcast frames inside a train
-    go through ``_admit`` itself.  Port clocks, per-hop telemetry, and
-    the tail-drop ledger advance exactly as if each frame had been
-    sent individually — the sequential recurrence is kept sequential
-    on purpose, because prefix-scan reassociation is **not**
-    float-identical.  Collected deliveries are then handed, in
-    admission order, to the fabric's :class:`DeliveryBatcher`
-    (``add_many``): stations that implement ``receive_train`` get
-    whole delivery groups (one pooled event per group); everything
-    else gets the frame-level ``call_after`` per frame,
-    byte-identically.
+    reading the train's columns, with the uplink clock and routing
+    counters in locals, each frame's serialization time the frame
+    path's own ``wire_size / bandwidth``, routes read from the memo,
+    and the hops walked by ``_walk_hops`` — the one helper the
+    frame-level ``_route_deliver`` uses too, so the hop recurrence has
+    a single home.  Broadcast frames inside a train are built
+    (``Train.frame``) and go through ``_admit`` itself.  Port clocks,
+    per-hop telemetry, and the tail-drop ledger advance exactly as if
+    each frame had been sent individually — the sequential recurrence
+    is kept sequential on purpose, because prefix-scan reassociation
+    is **not** float-identical.  Collected ``(port, index, at)``
+    deliveries are then handed, in admission order, to the fabric's
+    :class:`DeliveryBatcher` (``add_many``): stations that implement
+    ``receive_train`` get whole delivery groups as ``(train, index,
+    arrival)`` columns (one pooled event per group); everything else
+    gets the frame-level ``call_after`` per frame, byte-identically.
+
+No :class:`~repro.net.packet.Frame` is built on this path except where
+a frame-level consumer needs one: the fault-fallback remainder below,
+a broadcast frame's fan-out, a station without ``receive_train``, and
+a receiving card's backlog for a gather not yet posted.
 
 Fault composition
 -----------------
@@ -38,10 +47,10 @@ The fast path disables itself per component, never approximately:
 * a per-uplink :class:`~repro.faults.WireFault` injector marks that
   uplink only.
 
-In either case the train falls back to per-frame ``_send`` calls at
-the exact per-frame send times, so seeded fault schedules (RNG draw
-sequences, outage windows, component transitions) stay bit-identical
-to the frame-level path.
+In either case the train's (remaining) frames are built and fall back
+to per-frame ``_send`` calls at the exact per-frame send times, so
+seeded fault schedules (RNG draw sequences, outage windows, component
+transitions) stay bit-identical to the frame-level path.
 
 Identity argument (see docs/architecture.md §3)
 -----------------------------------------------
@@ -72,7 +81,7 @@ from bisect import bisect_right
 from typing import Sequence
 
 from ..sim.engine import Simulator
-from .packet import Frame
+from .packet import Frame, Train
 
 __all__ = ["admit_train", "DeliveryBatcher", "TRAIN_TOLERANCE", "TRAIN_CAP"]
 
@@ -85,67 +94,83 @@ TRAIN_CAP = 256
 
 
 class _TrainGroup:
-    """One pending delivery group for a destination port."""
+    """One pending delivery group for a destination port: parallel
+    ``(train, index, arrival)`` columns."""
 
-    __slots__ = ("port", "t0", "t_last", "frames", "times")
+    __slots__ = ("port", "t0", "t_last", "trains", "idx", "times")
 
     def __init__(self, port: int, t0: float):
         self.port = port
         self.t0 = t0
         self.t_last = t0
-        self.frames: list[Frame] = []
+        self.trains: list[Train] = []
+        self.idx: list[int] = []
         self.times: list[float] = []
 
 
 class DeliveryBatcher:
-    """Coalesces a fabric's per-frame deliveries into train events.
+    """Coalesces a fabric's train deliveries into pooled events.
 
     Arrivals at a port are non-decreasing in time (its egress clock is
     FIFO), so each port has a single open group: an arrival within
     ``TRAIN_TOLERANCE`` of the group's opener joins it, anything later
     (or past ``TRAIN_CAP``) opens a new group.  Each group fires exactly
     one pooled callback at its *last* member's arrival — never earlier
-    than any member, never padded past it — handing the device the
-    frames *and their exact per-frame arrival times*, so receivers
-    account arrival-time semantics losslessly.  The flush is scheduled
-    at the opener's arrival and lazily chases the tail if the group
-    grew meanwhile (one extra pooled event, no cancellation), so
-    dispatch stays deterministic given the admission sequence.  Devices
-    without ``receive_train`` get the frame-level ``call_after`` per
-    frame instead.
+    than any member, never padded past it — handing the device its
+    ``(train, index)`` columns *and their exact per-frame arrival
+    times*, so receivers account arrival-time semantics losslessly.
+    The flush is scheduled at the opener's arrival and lazily chases
+    the tail if the group grew meanwhile (one extra pooled event, no
+    cancellation), so dispatch stays deterministic given the admission
+    sequence.  Whether a port's device implements ``receive_train`` is
+    looked up once per port; devices without it get the frame-level
+    ``call_after`` per frame, with the frame built by
+    :meth:`~repro.net.packet.Train.frame`.
     """
 
-    __slots__ = ("sim", "devices", "_groups")
+    __slots__ = ("sim", "devices", "_groups", "_train_ok")
 
     def __init__(self, sim: Simulator, devices: Sequence):
         self.sim = sim
         #: the fabric's port -> station list (read at dispatch time)
         self.devices = devices
         self._groups: list[_TrainGroup | None] = [None] * len(devices)
+        #: per port: does its device take whole groups?  (``None``: not
+        #: looked up yet)
+        self._train_ok: list[bool | None] = [None] * len(devices)
 
-    def add_many(self, deliveries: Sequence[tuple[int, Frame, float]]) -> None:
-        """Dispatch ``(port, frame, at)`` deliveries in the given order."""
+    def add_many(
+        self, train: Train, deliveries: Sequence[tuple[int, int, float]]
+    ) -> None:
+        """Dispatch ``(port, index, at)`` deliveries of ``train``'s
+        frames in the given order."""
         sim = self.sim
         now = sim.now
-        devices = self.devices
         groups = self._groups
-        for port, frame, at in deliveries:
-            device = devices[port]
-            if not hasattr(device, "receive_train"):
-                sim.call_after(at - now, device.receive_frame, frame)
-                continue
+        train_ok = self._train_ok
+        for port, i, at in deliveries:
             g = groups[port]
             if (
                 g is not None
                 and at - g.t0 <= TRAIN_TOLERANCE
-                and len(g.frames) < TRAIN_CAP
+                and len(g.idx) < TRAIN_CAP
             ):
-                g.frames.append(frame)
+                g.trains.append(train)
+                g.idx.append(i)
                 g.times.append(at)
                 g.t_last = at
                 continue
+            ok = train_ok[port]
+            if ok is None:
+                ok = train_ok[port] = hasattr(self.devices[port], "receive_train")
+            if not ok:
+                sim.call_after(
+                    at - now, self.devices[port].receive_frame, train.frame(i)
+                )
+                continue
             g = groups[port] = _TrainGroup(port, at)
-            g.frames.append(frame)
+            g.trains.append(train)
+            g.idx.append(i)
             g.times.append(at)
             sim.call_after(at - now, self._flush, g)
 
@@ -159,7 +184,7 @@ class DeliveryBatcher:
         port = group.port
         if self._groups[port] is group:
             self._groups[port] = None
-        self.devices[port].receive_train(group.frames, group.times)
+        self.devices[port].receive_train(group.trains, group.idx, group.times)
 
 
 #: logical seconds of a train admitted per DES event.  Bulk admission
@@ -174,70 +199,67 @@ class DeliveryBatcher:
 ADMIT_SLICE = 200e-6
 
 
-def admit_train(
-    fabric, uplink, frames: Sequence[Frame], times: Sequence[float]
-) -> float:
-    """Bulk-admit ``frames`` on ``uplink`` at per-frame send ``times``.
+def admit_train(fabric, uplink, train: Train) -> float:
+    """Bulk-admit ``train`` on ``uplink`` at its per-frame send times.
 
-    ``times`` must be non-decreasing and ``>= sim.now`` (the sender's
-    own serialization schedule).  Admission proceeds in
+    ``train.times`` must be non-decreasing and ``>= sim.now`` (the
+    sender's own serialization schedule).  Admission proceeds in
     :data:`ADMIT_SLICE` segments — one DES event covers every frame
     whose send time falls within the slice; a continuation event is
     scheduled at the next frame's send time.  Returns the last send
     time.
     """
-    sim = fabric.sim
-    now = sim.now
-    if not frames:
-        return now
-    if len(frames) != len(times):
-        raise ValueError(
-            f"train mismatch: {len(frames)} frames, {len(times)} times"
-        )
+    times = train.times
+    if not times:
+        return fabric.sim.now
+    n = len(times)
+    if any(len(getattr(train, name)) != n for name in Train.COLUMNS):
+        raise ValueError(f"train mismatch: a column is not {n} frames long")
     if uplink.fault is not None or not fabric.fastpath_ok():
-        _frame_fallback(fabric, uplink, frames, times, 0)
+        _frame_fallback(fabric, uplink, train, 0)
         return times[-1]
     fabric.trains_fast += 1
-    _admit_segment(fabric, uplink, list(frames), list(times), 0)
+    _admit_segment(fabric, uplink, train, 0)
     return times[-1]
 
 
-def _frame_fallback(fabric, uplink, frames, times, start: int) -> None:
-    """Frame-level remainder: replay each frame through the full
-    ``_send`` (fault dispositions included) at its exact send time, so
-    seeded fault schedules stay bit-identical."""
+def _frame_fallback(fabric, uplink, train: Train, start: int) -> None:
+    """Frame-level remainder: build the remaining frames and replay each
+    through the full ``_send`` (fault dispositions included) at its
+    exact send time, so seeded fault schedules stay bit-identical."""
     sim = fabric.sim
     now = sim.now
-    for i in range(start, len(frames)):
-        t = times[i]
+    times = train.times
+    frames = [train.frame(i) for i in range(start, len(times))]
+    for frame, t in zip(frames, times[start:]):
         if t <= now:
-            fabric._send(uplink, frames[i])
+            fabric._send(uplink, frame)
         else:
-            sim.call_after(t - now, fabric._send, uplink, frames[i])
+            sim.call_after(t - now, fabric._send, uplink, frame)
 
 
-def _admit_segment(fabric, uplink, frames, times, start: int) -> None:
+def _admit_segment(fabric, uplink, train: Train, start: int) -> None:
     """Admit the slice of the train due within :data:`ADMIT_SLICE`."""
     sim = fabric.sim
     now = sim.now
     if uplink.fault is not None or not fabric.fastpath_ok():
         # A fault armed mid-train: the remainder goes frame-level, at
         # the exact per-frame send times.
-        _frame_fallback(fabric, uplink, frames, times, start)
+        _frame_fallback(fabric, uplink, train, start)
         return
     # ``times`` is non-decreasing: the slice ends at the first frame
     # due after the horizon.
+    times = train.times
     end = bisect_right(times, now + ADMIT_SLICE, start)
     sink: list = []
-    fabric._admit_slice(uplink, frames, times, start, end, sink)
+    fabric._admit_slice(uplink, train, start, end, sink)
     batcher = fabric._batcher
     if batcher is None:
         batcher = fabric._batcher = DeliveryBatcher(sim, fabric._devices)
-    batcher.add_many(sink)
-    if end < len(frames):
+    batcher.add_many(train, sink)
+    if end < len(times):
         sim.call_after(
-            times[end] - now,
-            _admit_segment, fabric, uplink, frames, times, end,
+            times[end] - now, _admit_segment, fabric, uplink, train, end
         )
 
 
@@ -259,11 +281,13 @@ class _TrainProbe:
     def receive_frame(self, frame: Frame) -> None:
         self.got.append((self.port, self.sim.now, frame.payload_bytes))
 
-    def receive_train(self, frames: Sequence[Frame], times: Sequence[float]) -> None:
+    def receive_train(
+        self, trains: Sequence[Train], idx: Sequence[int], times: Sequence[float]
+    ) -> None:
         # Record the exact per-frame arrival floats the batcher carried,
         # not the (later) flush time — that is the identity under test.
-        for frame, t in zip(frames, times):
-            self.got.append((self.port, t, frame.payload_bytes))
+        for train, i, t in zip(trains, idx, times):
+            self.got.append((self.port, t, train.payload_bytes[i]))
 
 
 #: A/B time grid: dyadic constants, so ``base + i * intra`` round-trips
@@ -324,18 +348,18 @@ def _replay(builder, opts, n: int, bulk: bool, fault_spec=None):
         wire = stations[src].wire
 
         def fire(wire=wire, src=src, base_t=base_t, intra=intra, entries=entries):
-            frames = [
-                Frame(addrs[src], addrs[dst], payload_bytes=size, headers=8)
-                for dst, size in entries
-            ]
-            times = [base_t + i * intra for i in range(len(frames))]
+            times = [base_t + i * intra for i in range(len(entries))]
             if bulk:
-                wire.send_train(frames, times)
+                train = Train(addrs[src], headers=8)
+                for (dst, size), t in zip(entries, times):
+                    train.append(addrs[dst], size, t)
+                wire.send_train(train)
             else:
                 # Mirror the fallback's scheduling exactly: immediate
                 # sends inline (train order), future ones per frame.
                 now = sim.now
-                for frame, t in zip(frames, times):
+                for (dst, size), t in zip(entries, times):
+                    frame = Frame(addrs[src], addrs[dst], payload_bytes=size, headers=8)
                     if t <= now:
                         wire.send(frame)
                     else:

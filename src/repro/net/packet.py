@@ -29,6 +29,7 @@ __all__ = [
     "IP_TCP_HEADERS",
     "MIN_FRAME_PAYLOAD",
     "Frame",
+    "Train",
     "wire_bytes",
 ]
 
@@ -181,3 +182,117 @@ class Frame:
             f"<Frame#{self.uid} {self.kind} {self.src}->{self.dst} "
             f"{self.payload_bytes}B x{self.frame_count} seq={self.seq}>"
         )
+
+
+class Train:
+    """A sender's frame train in columns: the exchange-phase fast path's
+    unit of transfer (:mod:`repro.net.flowclock`).
+
+    Every frame of a train shares its source, protocol tag (``op``),
+    per-frame ``headers``, ``kind`` and ``nocredit`` marker, so those
+    are set once.  Frame ``i`` is the ``i``-th entry of the parallel
+    per-frame columns: ``dst``, ``payload_bytes``, ``wire_size``,
+    ``frame_count``, ``payload``, ``last``, ``total`` (its message's
+    byte count) and ``times`` (its logical send time, non-decreasing).
+    The fabric, its delivery batcher and the receiving card read the
+    columns directly; :meth:`frame` builds the equivalent :class:`Frame`
+    for the consumers that need one.
+
+    :meth:`append` validates like :class:`Frame`; a hot producer may
+    append to the columns itself, keeping them equally long and
+    ``wire_size`` equal to :func:`wire_bytes` of the entry.
+    """
+
+    __slots__ = (
+        "src",
+        "op",
+        "headers",
+        "kind",
+        "nocredit",
+        "dst",
+        "payload_bytes",
+        "wire_size",
+        "frame_count",
+        "payload",
+        "last",
+        "total",
+        "times",
+    )
+
+    #: the per-frame columns, all the same length
+    COLUMNS = (
+        "dst",
+        "payload_bytes",
+        "wire_size",
+        "frame_count",
+        "payload",
+        "last",
+        "total",
+        "times",
+    )
+
+    def __init__(
+        self,
+        src: MacAddress,
+        headers: int,
+        kind: str = "raw",
+        op: Any = None,
+        nocredit: bool = False,
+    ):
+        if headers < 0:
+            raise PacketError(f"negative header size {headers}")
+        self.src = src
+        self.op = op
+        self.headers = headers
+        self.kind = kind
+        self.nocredit = nocredit
+        self.dst: list[MacAddress] = []
+        self.payload_bytes: list[int] = []
+        self.wire_size: list[int] = []
+        self.frame_count: list[int] = []
+        self.payload: list[Any] = []
+        self.last: list[bool] = []
+        self.total: list[int] = []
+        self.times: list[float] = []
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def append(
+        self,
+        dst: MacAddress,
+        payload_bytes: int,
+        at: float,
+        frame_count: int = 1,
+        payload: Any = None,
+        last: bool = False,
+        total: int = 0,
+    ) -> None:
+        """Add one frame, sent at logical time ``at``."""
+        self.wire_size.append(wire_bytes(payload_bytes, self.headers, frame_count))
+        self.dst.append(dst)
+        self.payload_bytes.append(payload_bytes)
+        self.frame_count.append(frame_count)
+        self.payload.append(payload)
+        self.last.append(last)
+        self.total.append(total)
+        self.times.append(at)
+
+    def frame(self, i: int) -> Frame:
+        """Frame ``i`` as a :class:`Frame` (a fresh object per call)."""
+        meta = {"op": self.op, "last": self.last[i], "total": self.total[i]}
+        if self.nocredit:
+            meta["nocredit"] = True
+        return Frame(
+            src=self.src,
+            dst=self.dst[i],
+            payload_bytes=self.payload_bytes[i],
+            headers=self.headers,
+            frame_count=self.frame_count[i],
+            kind=self.kind,
+            payload=self.payload[i],
+            meta=meta,
+        )
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<Train {self.kind} from {self.src} op={self.op} x{len(self)}>"

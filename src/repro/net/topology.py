@@ -62,7 +62,7 @@ from .fabric import (
     build_star,
     validate_stations,
 )
-from .packet import Frame
+from .packet import Frame, Train
 from .switch import PortStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -548,9 +548,11 @@ class _AggregateUplink:
     def send(self, frame: Frame) -> float:
         return self.fabric._send(self, frame)
 
-    def send_train(self, frames: Sequence[Frame], times: Sequence[float]) -> float:
-        """Bulk-admit a frame train (see :mod:`repro.net.flowclock`)."""
-        return self.fabric.send_train(self, frames, times)
+    def send_train(self, train: Train) -> float:
+        """Bulk-admit a column train (see :mod:`repro.net.flowclock`)."""
+        from .flowclock import admit_train
+
+        return admit_train(self.fabric, self, train)
 
     def install_fault(self, fault) -> None:
         """Attach a :class:`~repro.faults.WireFault` injector."""
@@ -900,34 +902,35 @@ class HierarchicalFabric:
     def _admit_slice(
         self,
         uplink: _AggregateUplink,
-        frames: Sequence[Frame],
-        times: Sequence[float],
+        train: Train,
         start: int,
         end: int,
         sink: list,
     ) -> None:
-        """Admit ``frames[start:end]`` at their send ``times``, collecting
-        each delivery in ``sink`` as ``(port, frame, at)``.
+        """Admit frames ``start:end`` of ``train`` at their send times,
+        collecting each delivery in ``sink`` as ``(port, index, at)``.
 
         The flow-clock fast path's fused form of per-frame :meth:`_admit`
         with delivery collected: unicast runs go through the one loop of
-        :meth:`_admit_unicast`; a broadcast frame takes :meth:`_admit`'s
-        fan-out.  Every float operation is the frame-level one, in the
-        same order, so clocks, ledgers and arrivals are bit-equal.  Each
-        ``at`` is ``t + (deliver_at - t)``: frame-level delivery fires at
-        the scheduler's reconstruction of the absolute time from the
-        delay, one rounding away from ``deliver_at`` itself.
+        :meth:`_admit_unicast`, straight off the train's columns; a
+        broadcast frame is built (:meth:`Train.frame`) and takes
+        :meth:`_admit`'s fan-out, each copy collected under its index.
+        Every float operation is the frame-level one, in the same order,
+        so clocks, ledgers and arrivals are bit-equal.  Each ``at`` is
+        ``t + (deliver_at - t)``: frame-level delivery fires at the
+        scheduler's reconstruction of the absolute time from the delay,
+        one rounding away from ``deliver_at`` itself.
 
         Only valid while :meth:`fastpath_ok` holds: no component window
         was ever staged, so no clock is failed, no switch is dead and no
         route detours.
         """
         while start < end:
-            start = self._admit_unicast(uplink, frames, times, start, end, sink)
+            start = self._admit_unicast(uplink, train, start, end, sink)
             if start == end:
                 return
-            frame = frames[start]
-            t = times[start]
+            frame = train.frame(start)
+            t = train.times[start]
             mark = len(sink)
             self._collect = sink
             try:
@@ -935,15 +938,14 @@ class HierarchicalFabric:
             finally:
                 self._collect = None
             for j in range(mark, len(sink)):
-                port, copy, at = sink[j]
-                sink[j] = (port, copy, t + (at - t))
+                port, _copy, at = sink[j]
+                sink[j] = (port, start, t + (at - t))
             start += 1
 
     def _admit_unicast(
         self,
         uplink: _AggregateUplink,
-        frames: Sequence[Frame],
-        times: Sequence[float],
+        train: Train,
         start: int,
         end: int,
         sink: list,
@@ -963,6 +965,10 @@ class HierarchicalFabric:
         routes = self._routes
         devices = self._devices
         walk = self._walk_hops
+        dsts = train.dst
+        times = train.times
+        wire_sizes = train.wire_size
+        frame_counts = train.frame_count
         src_port = uplink.port
         key_base = self._key_base[src_port]
         busy_until = uplink._busy_until
@@ -975,23 +981,22 @@ class HierarchicalFabric:
         max_hops = self._max_hops
         try:
             for i in range(start, end):
-                frame = frames[i]
-                dst = frame.dst.value
+                dst = dsts[i].value
                 if dst == -1:
                     return i
                 t = times[i]
-                wire_size = frame.wire_size
+                wire_size = wire_sizes[i]
                 tx_time = wire_size / bandwidth
                 begin = t if t > busy_until else busy_until
                 busy_until = begin + tx_time
-                frame_count = frame.frame_count
+                frame_count = frame_counts[i]
                 frames_sent += frame_count
                 bytes_sent += wire_size
                 busy_time += tx_time
                 arrival = begin + tx_time + prop + fwd
                 port = table.get(dst)
                 if port is None:
-                    raise NetworkError(f"no forwarding entry for {frame.dst}")
+                    raise NetworkError(f"no forwarding entry for {dsts[i]}")
                 key = key_base + port
                 frames_in += frame_count
                 hops = routes.get(key)
@@ -1007,7 +1012,7 @@ class HierarchicalFabric:
                     continue
                 if devices[port] is None:
                     raise NetworkError(f"fabric port {port} has no station attached")
-                sink.append((port, frame, t + (deliver_at - t)))
+                sink.append((port, i, t + (deliver_at - t)))
         finally:
             uplink._busy_until = busy_until
             uplink.frames_sent = frames_sent
@@ -1023,13 +1028,6 @@ class HierarchicalFabric:
         """True when bulk admission preserves identity fabric-wide
         (component windows — switch or uplink — force frame-level)."""
         return not self._faults_armed
-
-    def send_train(
-        self, uplink: _AggregateUplink, frames: Sequence[Frame], times: Sequence[float]
-    ) -> float:
-        from .flowclock import admit_train
-
-        return admit_train(self, uplink, frames, times)
 
     def _route_miss(self, key: int, src_port: int, dst_port: int) -> tuple[int, ...]:
         """Fill the route memo for ``key`` (``()`` marks a partition)."""

@@ -84,8 +84,10 @@ def render_outcomes(entry: dict) -> str:
     """Structured transfer-outcome table for a faulted run.
 
     ``entry`` is either a sweep report scenario row (with ``faults``,
-    ``aborted``, ``fallbacks`` keys) or a bare counters dict as returned
-    by :func:`repro.faults.robustness_counters`.  Nested ``components``
+    ``aborted``, ``fallbacks`` keys, and on INIC points
+    ``fastpath_fallbacks``: train scatters that took the slow path, by
+    reason) or a bare counters dict as returned by
+    :func:`repro.faults.robustness_counters`.  Nested ``components``
     and ``conservation`` ledgers render as dotted rows; zero-valued
     counters are kept so absence of a failure mode is visible too.
     """
@@ -94,6 +96,8 @@ def render_outcomes(entry: dict) -> str:
     if counters is not entry:
         for key in ("aborted", "fallbacks"):
             rows.append((key, _fmt(float(entry.get(key) or 0), "")))
+        for reason, count in sorted(entry.get("fastpath_fallbacks", {}).items()):
+            rows.append((f"fastpath_fallbacks.{reason}", _fmt(float(count), "")))
 
     def flatten(prefix: str, doc: dict) -> None:
         for name in sorted(doc):

@@ -1,5 +1,7 @@
 """Integration tests for the INIC card datapath."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.inic import (
     Design,
     IDEAL_INIC,
     INICCard,
+    ScatterOp,
     SendBlock,
 )
 from repro.inic.cores import (
@@ -20,7 +23,7 @@ from repro.inic.cores import (
     PacketizerCore,
     ReduceCore,
 )
-from repro.net import GIGABIT_ETHERNET, MacAddress, build_star
+from repro.net import BROADCAST, GIGABIT_ETHERNET, MacAddress, build_star
 from repro.protocols import TransferPlan
 from repro.sim import Simulator
 from repro.units import MiB
@@ -367,3 +370,150 @@ def test_fastpath_card_stats_are_pinned(app):
     assert trains > 0
     assert rows[0] == want[3]
     assert digest == want[4]
+
+
+# --- card-train fast path: the column train and its frames ----------------------------
+def test_train_frames_match_per_chunk_frames(monkeypatch):
+    """``Train.frame(i)`` is, field for field, the ``Frame`` the fast
+    path built per chunk before its trains went columnar — first,
+    middle and last chunks of each block on the wire train, and the
+    self-addressed chunks on the local train — so fallbacks and the
+    ``_pending_rx`` backlog see the same frames.  A gather posted after
+    its frames arrived replays that backlog to the same result."""
+    from repro.net import Frame, Train, wire_bytes
+    from repro.net.topology import _AggregateUplink, build_fattree
+
+    wire_trains, local_chunks = [], []
+    send_train = _AggregateUplink.send_train
+    local_deliver = INICCard._fast_local_deliver
+
+    def record_train(uplink, train):
+        wire_trains.append(train)
+        return send_train(uplink, train)
+
+    def record_local(card, train, i):
+        local_chunks.append((train, i))
+        return local_deliver(card, train, i)
+
+    monkeypatch.setattr(_AggregateUplink, "send_train", record_train)
+    monkeypatch.setattr(INICCard, "_fast_local_deliver", record_local)
+
+    sim = Simulator()
+    spec = ACEII_PROTOTYPE
+    cards = [INICCard(sim, MacAddress(i), spec=spec, name=f"inic{i}") for i in range(4)]
+    build_fattree(sim, [(card.address, card) for card in cards])
+    for card in cards:
+        card.fastpath = True
+    nbytes = 40_000  # several chunks per block, the last one short
+    blocks = [
+        SendBlock(MacAddress(dst), nbytes, np.full(8, float(dst)))
+        for dst in (1, 2, 3, 0)
+    ]
+    tag = 0x51
+    gathers = {
+        rank: cards[rank].post_gather(tag, TransferPlan(sim, {0: nbytes}))
+        for rank in (0, 2, 3)
+    }
+    cards[0].post_scatter(tag, blocks, train=True)
+    sim.run()
+    assert len(wire_trains) == 1
+    train = wire_trains[0]
+    assert isinstance(train, Train)
+    assert tag in cards[1]._pending_rx  # arrived before its gather
+
+    proto = spec.proto
+    sizes = cards[0]._chunks_of(nbytes, spec.flow_window)
+    assert len(sizes) >= 3 and sizes[-1] < sizes[0]
+    expected = []
+    for block in blocks[:3]:
+        for k, size in enumerate(sizes):
+            last = k == len(sizes) - 1
+            expected.append(
+                Frame(
+                    src=cards[0].address,
+                    dst=block.dst,
+                    payload_bytes=size,
+                    headers=proto.headers,
+                    frame_count=-(-size // proto.packet_size),
+                    kind="inic",
+                    payload=block.data if last else None,
+                    meta={"op": tag, "last": last, "total": nbytes, "nocredit": True},
+                )
+            )
+    local_expected = [
+        Frame(
+            src=cards[0].address,
+            dst=cards[0].address,
+            payload_bytes=size,
+            headers=0,
+            kind="inic-local",
+            payload=blocks[3].data if k == len(sizes) - 1 else None,
+            meta={"op": tag, "last": k == len(sizes) - 1, "total": nbytes},
+        )
+        for k, size in enumerate(sizes)
+    ]
+
+    def fields(frame):
+        return (
+            frame.src, frame.dst, frame.payload_bytes, frame.headers,
+            frame.frame_count, frame.kind, frame.seq, id(frame.payload),
+            frame.meta, frame.wire_size,
+        )
+
+    n = len(sizes)
+    assert len(train) == len(expected)
+    for i in (0, n // 2, n - 1, n, len(expected) - 1):  # first, middle, last
+        assert fields(train.frame(i)) == fields(expected[i])
+        assert train.wire_size[i] == wire_bytes(
+            train.payload_bytes[i], proto.headers, train.frame_count[i]
+        )
+    assert [fields(t.frame(i)) for t, i in local_chunks] == [
+        fields(f) for f in local_expected
+    ]
+
+    late = cards[1].post_gather(tag, TransferPlan(sim, {0: nbytes}))
+    sim.run()
+    for rank, op in {**gathers, 1: late}.items():
+        assert op.done.processed
+        (payload,) = op.done.value[0]
+        assert payload is blocks[rank - 1 if rank else 3].data
+
+
+def test_fastpath_fallback_reasons_are_counted():
+    """Each train scatter that cannot take the fast path is counted
+    under the reason ``_fast_eligible`` gives."""
+    from repro.net.topology import build_fattree
+
+    def card_on(builder, spec=ACEII_PROTOTYPE, fastpath=True):
+        sim = Simulator()
+        cards = [INICCard(sim, MacAddress(i), spec=spec, name=f"c{i}") for i in range(2)]
+        builder(sim, [(card.address, card) for card in cards])
+        for card in cards:
+            card.fastpath = fastpath
+        return cards[0]
+
+    def reason(card, blocks):
+        return card._fast_eligible(ScatterOp(card.sim, 1, blocks, train=True))
+
+    one = [SendBlock(MacAddress(1), 1000)]
+    assert reason(card_on(build_fattree), one) is None
+    assert reason(card_on(build_fattree, fastpath=False), one) == "fastpath_off"
+    assert reason(card_on(build_fattree, spec=IDEAL_INIC), one) == "bus_geometry"
+    recovering = replace(
+        ACEII_PROTOTYPE, proto=replace(ACEII_PROTOTYPE.proto, max_retries=2)
+    )
+    assert reason(card_on(build_fattree, spec=recovering), one) == "retries"
+    assert reason(card_on(build_star), one) == "no_train_wire"
+    card = card_on(build_fattree)
+    assert reason(card, [SendBlock(BROADCAST, 1000)]) == "broadcast"
+    assert reason(card, [SendBlock(MacAddress(1), 1 << 20)]) == "window"
+    card._outstanding[1] = 10.0
+    assert reason(card, one) == "outstanding_credit"
+    card._wire_out.fabric._faults_armed = True
+    assert reason(card, one) == "fault_armed"
+
+    card = card_on(build_fattree, fastpath=False)
+    card.post_scatter(1, one, train=True)
+    card.post_scatter(2, one)  # not a train: never a candidate
+    card.sim.run()
+    assert card.fastpath_fallbacks == {"fastpath_off": 1}

@@ -26,6 +26,7 @@ from repro.net import (
     Frame,
     GIGABIT_ETHERNET,
     MacAddress,
+    Train,
     build_star,
 )
 from repro.net.topology import (
@@ -565,6 +566,15 @@ def test_bulk_train_faulted_uplink_falls_back_bit_identically():
     assert 0 < fab.trains_fast < len(_exchange_trains(16))
 
 
+def _card_train(addrs, src, dsts, times, size=1000, tag=0x51):
+    """A card scatter's column train: kind, op and ``nocredit`` as
+    ``INICCard._run_scatter_fast`` sets them, one chunk per block."""
+    train = Train(addrs[src], headers=8, kind="inic", op=tag, nocredit=True)
+    for dst, t in zip(dsts, times):
+        train.append(addrs[dst], size, t, last=True, total=size)
+    return train
+
+
 def test_component_arming_mid_train_degrades_remainder_exactly():
     """A component-fault window arming between admission slices sends
     the train's remainder frame-level; arrivals still match an
@@ -574,16 +584,13 @@ def test_component_arming_mid_train_degrades_remainder_exactly():
     spans = []
     for bulk in (False, True):
         sim, stations, addrs, fabric = make_fabric(build_aggregate_star, n=4)
-        frames = [
-            Frame(addrs[0], addrs[1], payload_bytes=1000, headers=8)
-            for _ in range(8)
-        ]
         times = [i * ADMIT_SLICE / 2 for i in range(8)]
+        train = _card_train(addrs, 0, [1] * 8, times)
         if bulk:
-            fabric.uplink(0).send_train(frames, times)
+            fabric.uplink(0).send_train(train)
         else:
-            for frame, t in zip(frames, times):
-                sim.call_after(t, fabric._send, fabric.uplink(0), frame)
+            for i, t in enumerate(times):
+                sim.call_after(t, fabric._send, fabric.uplink(0), train.frame(i))
         sim.call_after(
             1.25 * ADMIT_SLICE, setattr, fabric, "_faults_armed", True
         )
@@ -595,9 +602,62 @@ def test_component_arming_mid_train_degrades_remainder_exactly():
     assert spans[0] == spans[1]
 
 
+def test_component_window_mid_train_on_fattree_matches_frame_level():
+    """A card column train on the fat-tree meets a spine window staged
+    between its admission slices: the remainder is built into frames
+    and goes frame-level, arming the window on its first frame.  Frames
+    hashed to the dead spine are blackholed during the detection delay,
+    then rerouted, then take their default path again after repair —
+    and arrivals, the conservation ledger and the component fault log
+    equal an all-frame-level replay of the same train."""
+    from repro.faults import ComponentFaultSpec
+    from repro.net.flowclock import ADMIT_SLICE, _TrainProbe
+
+    n = 16  # 4 leaves x 4 ports, 4 spines; dst % 4 == 1 rides spine1
+    dsts = [5, 6, 9, 10, 13, 14, 7, 11] * 4
+    # Dyadic send times: the fallback's relative delays reconstruct them
+    # exactly, as the frame-level replay's absolute ones do.
+    times = [i * 2.0 ** -13 for i in range(len(dsts))]
+    plan = FaultPlan(
+        FaultSpec(
+            components=(ComponentFaultSpec("spine1", windows=((0.0, 1.2e-3),)),),
+            detection_delay=3e-4,
+        )
+    )
+    runs = []
+    for bulk in (False, True):
+        sim = Simulator()
+        stations = [_TrainProbe(sim, port) for port in range(n)]
+        addrs = [MacAddress(i) for i in range(n)]
+        fabric = build_fattree(sim, list(zip(addrs, stations)))
+        train = _card_train(addrs, 0, dsts, times)
+        if bulk:
+            fabric.uplink(0).send_train(train)
+        else:
+            for i, t in enumerate(times):
+                sim.call_after(t, fabric._send, fabric.uplink(0), train.frame(i))
+        sim.call_after(1.25 * ADMIT_SLICE, fabric.install_component_faults, plan)
+        sim.run()
+        arrivals = sorted(got for st in stations for got in st.got)
+        runs.append(
+            (
+                arrivals,
+                fabric.conservation_counters(),
+                fabric.component_counters(),
+            )
+        )
+        if bulk:
+            assert fabric.trains_fast == 1
+    assert runs[0] == runs[1]
+    _, ledger, log = runs[1]
+    assert log["failover_drops"] > 0 and log["reroutes"] > 0
+    assert log["transitions"] == 2
+    assert ledger["frames_in"] == ledger["frames_delivered"] + ledger["frames_dropped"]
+
+
 def test_zero_length_train_is_a_no_op():
     sim, stations, addrs, fabric = make_fabric(build_aggregate_star, n=3)
-    assert fabric.uplink(0).send_train([], []) == sim.now
+    assert fabric.uplink(0).send_train(Train(addrs[0], headers=8)) == sim.now
     sim.run()
     assert fabric.trains_fast == 0
     assert all(st.got == [] for st in stations)
@@ -605,9 +665,11 @@ def test_zero_length_train_is_a_no_op():
 
 def test_train_length_mismatch_rejected():
     sim, stations, addrs, fabric = make_fabric(build_aggregate_star, n=3)
-    frame = Frame(addrs[0], addrs[1], payload_bytes=64)
+    train = Train(addrs[0], headers=8)
+    train.append(addrs[1], 64, 0.0)
+    train.times.append(1.0)
     with pytest.raises(ValueError, match="train mismatch"):
-        fabric.uplink(0).send_train([frame], [0.0, 1.0])
+        fabric.uplink(0).send_train(train)
 
 
 # -- slice loop vs frame-level admission (differential) ---------------------
@@ -640,26 +702,15 @@ def _diff_fabric(kind, n, buffer_bytes):
     return fabric
 
 
-def _diff_frames(src, entries):
-    # ``seq`` numbers the frame inside its train; broadcast copies keep it.
-    return [
-        Frame(
-            MacAddress(src),
-            BROADCAST if dst is None else MacAddress(dst),
-            payload_bytes=size,
-            headers=8,
-            frame_count=count,
-            seq=i,
-        )
-        for i, (dst, size, count) in enumerate(entries)
-    ]
+def _diff_train(src, entries, times):
+    train = Train(MacAddress(src), headers=8)
+    for (dst, size, count), t in zip(entries, times):
+        dst = BROADCAST if dst is None else MacAddress(dst)
+        train.append(dst, size, t, frame_count=count)
+    return train
 
 
-def _diff_state(fabric, sink):
-    arrivals = [
-        (port, frame.src.value, frame.dst.value, frame.seq, at)
-        for port, frame, at in sink
-    ]
+def _diff_state(fabric, arrivals):
     ports = [
         (s.frames_forwarded, s.frames_dropped, s.bytes_forwarded,
          s.bytes_dropped, s.max_queue_bytes)
@@ -709,27 +760,29 @@ def _diff_scenarios(draw):
 @given(_diff_scenarios())
 def test_slice_admission_matches_frame_level(scenario):
     """``_admit_slice`` is the fused form of per-frame ``_admit`` with
-    delivery collected: on every topology, for random trains (broadcast
-    frames inside them, buffers at the tail-drop boundary), arrivals,
-    every clock's ``PortStats``, the uplink clocks and counters, the
-    routing counters and the conservation ledger are bit-equal."""
+    delivery collected: on every topology, for random column trains
+    (broadcast frames inside them, buffers at the tail-drop boundary),
+    arrivals, every clock's ``PortStats``, the uplink clocks and
+    counters, the routing counters and the conservation ledger are
+    bit-equal to admitting each frame ``Train.frame`` builds."""
     kind, n, buffer_bytes, trains = scenario
     fused = _diff_fabric(kind, n, buffer_bytes)
     framewise = _diff_fabric(kind, n, buffer_bytes)
-    fused_sink, framewise_sink = [], []
-    for src, start, gap, entries in trains:
+    fused_arrivals, framewise_arrivals = [], []
+    for k, (src, start, gap, entries) in enumerate(trains):
         times = [start * 2.0 ** -16 + i * gap * 2.0 ** -20 for i in range(len(entries))]
-        frames = _diff_frames(src, entries)
-        fused._admit_slice(
-            fused.uplink(src), frames, times, 0, len(frames), fused_sink
-        )
+        train = _diff_train(src, entries, times)
+        sink = []
+        fused._admit_slice(fused.uplink(src), train, 0, len(train), sink)
+        fused_arrivals += [(k, port, i, at) for port, i, at in sink]
         uplink = framewise.uplink(src)
-        for frame, t in zip(_diff_frames(src, entries), times):
-            mark = len(framewise_sink)
-            framewise._collect = framewise_sink
+        for i, t in enumerate(times):
+            frame = train.frame(i)
+            sink = []
+            framewise._collect = sink
             framewise._admit(uplink, frame, t, frame.wire_size / framewise.bandwidth)
             framewise._collect = None
-            for j in range(mark, len(framewise_sink)):
-                port, fr, at = framewise_sink[j]
-                framewise_sink[j] = (port, fr, t + (at - t))
-    assert _diff_state(fused, fused_sink) == _diff_state(framewise, framewise_sink)
+            framewise_arrivals += [(k, port, i, t + (at - t)) for port, _, at in sink]
+    assert _diff_state(fused, fused_arrivals) == _diff_state(
+        framewise, framewise_arrivals
+    )

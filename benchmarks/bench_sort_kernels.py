@@ -4,6 +4,11 @@
 * "it is important to first bucket sort the data such that the buckets
   fit in the processor cache" — with >= 128 buckets at 2^21 keys.
 
+It also times the apps layer's phase-1 destination binning at the
+Fig. 8(b) shapes (2^24 keys over p = 2..16 ranks): the stable
+``split_by_bits`` binning against ``phase1_destination_buckets``, which
+sorts each shard once and cuts it at the destination edges.
+
 These are wall-clock benchmarks of our from-scratch kernels (the only
 deliberately wall-clock measurements in the suite; everything else is
 simulated time).  The quicksort here manages segments in Python, so the
@@ -17,8 +22,10 @@ import pytest
 from repro.apps.sort import (
     cache_bucket_count,
     count_sort,
+    phase1_destination_buckets,
     quicksort,
     split_by_bits,
+    split_keys,
     uniform_keys,
 )
 
@@ -75,3 +82,58 @@ def test_bucketed_count_sort_end_to_end(benchmark, n_buckets):
 
     out = benchmark.pedantic(pipeline, rounds=1, iterations=1)
     assert np.array_equal(out, np.sort(KEYS))
+
+
+# --- phase-1 destination binning at the Fig. 8(b) shapes -------------------------------
+FIG8B_KEYS = 1 << 24
+FIG8B_PROCS = (2, 4, 8, 16)
+PHASE1_BINNERS = {
+    "split_by_bits": lambda shard, p: split_by_bits(shard, 0, p),
+    "phase1_destination_buckets": phase1_destination_buckets,
+}
+
+
+def _fig8b_phase1(binner, keys, p):
+    """Every rank's phase 1 of one Fig. 8(b) point: bin each of the p
+    shards of ``keys`` into p destination buckets."""
+    return [binner(shard, p) for shard in split_keys(keys, p)]
+
+
+@pytest.fixture(scope="module")
+def fig8b_keys():
+    return uniform_keys(FIG8B_KEYS, np.random.default_rng(2))
+
+
+@pytest.mark.parametrize("p", FIG8B_PROCS)
+@pytest.mark.parametrize("binner", sorted(PHASE1_BINNERS))
+def test_phase1_binning_rate(benchmark, fig8b_keys, binner, p):
+    per_rank = benchmark.pedantic(
+        _fig8b_phase1,
+        args=(PHASE1_BINNERS[binner], fig8b_keys, p),
+        rounds=3,
+        iterations=1,
+    )
+    sizes = np.sum([[b.shape[0] for b in buckets] for buckets in per_rank], axis=0)
+    assert sizes.sum() == FIG8B_KEYS
+    # Destination d receives the keys whose top log2(p) bits are d.
+    top = fig8b_keys >> np.uint32(32 - (p.bit_length() - 1))
+    assert sizes.tolist() == np.bincount(top, minlength=p).tolist()
+
+
+def test_phase1_sort_and_cut_beats_stable_binning(fig8b_keys):
+    """Sorting a shard once and cutting it is cheaper host work than the
+    stable bucket-index argsort, at every Fig. 8(b) processor count."""
+    import time
+
+    def best_of_3(binner, p):
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            _fig8b_phase1(binner, fig8b_keys, p)
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
+    for p in FIG8B_PROCS:
+        t_stable = best_of_3(PHASE1_BINNERS["split_by_bits"], p)
+        t_cut = best_of_3(PHASE1_BINNERS["phase1_destination_buckets"], p)
+        assert t_cut < t_stable, (p, t_cut, t_stable)

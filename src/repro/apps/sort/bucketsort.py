@@ -10,8 +10,22 @@ Two uses in the paper's sort (Section 3.2):
   pre-bins 16 ways and the host refines each 16th into N buckets
   (Section 6's two-phase scheme).
 
-``split_by_bits`` is the shared kernel: bin by ``n_buckets`` consecutive
-key bits starting below ``start_bit`` leading bits.
+``split_by_bits`` bins stably by ``n_buckets`` consecutive key bits
+starting below ``start_bit`` leading bits; phase 2 and the calibration
+use it.
+
+Phase 1 (:func:`phase1_destination_buckets`, and the splitter variant
+:func:`repro.apps.sort.sampling.split_by_splitters`) instead sorts the
+shard once and cuts it at value edges (:func:`_sort_and_cut`).  Each
+destination receives exactly the multiset of keys a stable binning gives
+it, so every bucket size — all the simulation times — is unchanged;
+only the order inside a bucket differs (ascending, not input order).
+That order is never observed: every receiver sorts what it gets in
+full, through :func:`repro.apps.sort.countsort.count_sort`, which
+itself hands large inputs to ``np.sort`` on the same values.  The
+simulated cost of phase 1 comes from
+:func:`repro.models.params.bucket_sort_time` either way; sorting once
+is just the cheapest host numpy that hands every destination its keys.
 """
 
 from __future__ import annotations
@@ -63,9 +77,28 @@ def split_by_bits(
     return [binned[bounds[b] : bounds[b + 1]] for b in range(n_buckets)]
 
 
+def _sort_and_cut(keys: np.ndarray, edges: np.ndarray) -> list[np.ndarray]:
+    """Sort ``keys`` once and cut at ``edges`` (ascending, keys' dtype).
+
+    Piece i holds the keys in ``[edges[i-1], edges[i])``, ascending; the
+    pieces are views of one sorted copy.  ``edges`` must share the keys'
+    dtype: a wider one makes ``searchsorted`` promote the whole array.
+    """
+    ordered = np.sort(keys)
+    cuts = np.searchsorted(ordered, edges, side="left").tolist()
+    bounds = [0, *cuts, ordered.shape[0]]
+    return [ordered[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 def phase1_destination_buckets(keys: np.ndarray, p: int) -> list[np.ndarray]:
-    """Bucket i of the result belongs on processor i."""
-    return split_by_bits(keys, 0, p)
+    """Bucket i of the result belongs on processor i: the keys whose top
+    ``log2 p`` bits equal i, in ascending order."""
+    a = np.asarray(keys)
+    if a.dtype != np.uint32:
+        raise ApplicationError(f"expected uint32 keys, got {a.dtype}")
+    bits = _check_pow2(p, "bucket count")
+    edges = np.arange(1, p, dtype=np.uint32) << np.uint32(32 - bits)
+    return _sort_and_cut(a, edges)
 
 
 def phase2_cache_buckets(

@@ -36,9 +36,16 @@ def gaussian_keys(n: int, rng: np.random.Generator, terms: int = 4) -> np.ndarra
 
 
 def split_keys(keys: np.ndarray, p: int) -> list[np.ndarray]:
-    """Initial block distribution of the key array over ``p`` ranks."""
+    """Initial block distribution of the key array over ``p`` ranks.
+
+    The shards are read-only views of ``keys``, not copies: no rank
+    writes into its shard, and writing through one raises.
+    """
     n = keys.shape[0]
     if n % p != 0:
         raise ApplicationError(f"{n} keys do not distribute over {p} ranks")
     chunk = n // p
-    return [keys[r * chunk : (r + 1) * chunk].copy() for r in range(p)]
+    shards = [keys[r * chunk : (r + 1) * chunk] for r in range(p)]
+    for shard in shards:
+        shard.flags.writeable = False
+    return shards

@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...errors import ApplicationError
+from .bucketsort import _sort_and_cut
 
 __all__ = [
     "sample_local",
@@ -63,22 +64,13 @@ def choose_splitters(all_samples: np.ndarray, p: int) -> np.ndarray:
 def split_by_splitters(
     keys: np.ndarray, splitters: np.ndarray
 ) -> list[np.ndarray]:
-    """Stable-partition ``keys`` into ``len(splitters)+1`` range buckets.
+    """Partition ``keys`` into ``len(splitters)+1`` range buckets.
 
-    Bucket i holds keys in [splitters[i-1], splitters[i]); the
-    concatenation of all buckets is a permutation of the input and
-    bucket ranges are globally ordered.
+    Bucket i holds keys in [splitters[i-1], splitters[i]), ascending
+    (phase 1's sort-and-cut; see :mod:`repro.apps.sort.bucketsort`); the
+    concatenation of all buckets is ``np.sort(keys)``.
     """
-    if splitters.size == 0:
-        return [keys.copy()]
-    idx = np.searchsorted(splitters, keys, side="right")
-    order = np.argsort(idx, kind="stable")
-    binned = keys[order]
-    counts = np.bincount(idx, minlength=splitters.size + 1)
-    bounds = np.concatenate(([0], np.cumsum(counts)))
-    return [
-        binned[bounds[b] : bounds[b + 1]] for b in range(splitters.size + 1)
-    ]
+    return _sort_and_cut(keys, splitters)
 
 
 def imbalance(bucket_sizes: list[int]) -> float:

@@ -125,6 +125,35 @@ def test_inic_sort_correct_prototype_two_phase():
     assert cluster.nodes[0].require_inic().design.has_core("bucket-sort-16")
 
 
+@pytest.mark.parametrize(
+    "variant, p",
+    [
+        ("baseline", 1),
+        ("baseline", 4),
+        ("baseline-sampling", 4),
+        ("inic-ideal", 4),
+        ("inic-prototype", 4),
+    ],
+)
+def test_sort_leaves_input_untouched_and_unshared(variant, p):
+    """Rank shards are views of the caller's keys: the sort must neither
+    write into them nor hand one back as a rank's output."""
+    keys = random_keys(2**13, seed=5)
+    before = keys.copy()
+    if variant.startswith("inic"):
+        card = ACEII_PROTOTYPE if variant == "inic-prototype" else IDEAL_INIC
+        cluster, manager = _acc(p, card=card)
+        parts, _ = inic_sort(cluster, manager, keys)
+    else:
+        cluster = Cluster.build(ClusterSpec(n_nodes=p))
+        parts, _ = baseline_sort(
+            cluster, keys, balance_sampling=variant == "baseline-sampling"
+        )
+    assert keys.tobytes() == before.tobytes()
+    assert not any(np.shares_memory(part, keys) for part in parts)
+    assert np.array_equal(np.concatenate(parts), np.sort(before))
+
+
 def test_sort_rejects_non_power_of_two_ranks():
     keys = random_keys(3 * 2**10)
     cluster = Cluster.build(ClusterSpec(n_nodes=3))

@@ -17,6 +17,7 @@ from repro.apps.sort import (
     phase2_cache_buckets,
     quicksort,
     split_by_bits,
+    split_by_splitters,
     split_keys,
     uniform_keys,
 )
@@ -142,6 +143,113 @@ def test_phase1_then_phase2_nesting():
         assert is_sorted(np.concatenate(pieces))
 
 
+# Phase-1 binning sorts once and cuts at value edges; these pin it to the
+# stable binning it replaced: same members per bucket, same sizes, only the
+# order inside a bucket (now ascending) differs.
+_EDGE_KEYS = [0, 1, 2**31 - 1, 2**31, 2**31 + 1, 2**32 - 1]
+
+
+@st.composite
+def _phase1_cases(draw):
+    p = 2 ** draw(st.integers(min_value=0, max_value=10))
+    bits = p.bit_length() - 1
+    edges = [b << (32 - bits) for b in range(1, p)]
+    specials = _EDGE_KEYS + edges + [e - 1 for e in edges]
+    keys = draw(
+        arrays(
+            dtype=np.uint32,
+            shape=st.integers(min_value=0, max_value=600),
+            elements=st.one_of(
+                st.sampled_from(specials),
+                st.integers(min_value=0, max_value=2**32 - 1),
+            ),
+        )
+    )
+    return keys, p
+
+
+@settings(max_examples=80, deadline=None)
+@given(_phase1_cases())
+def test_phase1_sort_and_cut_matches_stable_binning(case):
+    keys, p = case
+    before = keys.copy()
+    buckets = phase1_destination_buckets(keys, p)
+    assert len(buckets) == p
+    bits = p.bit_length() - 1
+    top = keys.astype(np.uint64) >> np.uint64(32 - bits)
+    for b, bucket in enumerate(buckets):
+        assert bucket.dtype == np.uint32
+        assert np.array_equal(bucket, np.sort(keys[top == b]))
+    stable = split_by_bits(keys, 0, p)
+    assert [x.shape[0] for x in buckets] == [x.shape[0] for x in stable]
+    assert np.array_equal(np.concatenate(buckets), np.sort(keys))
+    assert np.array_equal(keys, before)
+
+
+@st.composite
+def _splitter_cases(draw):
+    keys = draw(
+        arrays(
+            dtype=np.uint32,
+            shape=st.integers(min_value=0, max_value=600),
+            elements=st.one_of(
+                st.sampled_from(_EDGE_KEYS),
+                st.integers(min_value=0, max_value=2**32 - 1),
+            ),
+        )
+    )
+    p = draw(st.integers(min_value=1, max_value=1024))
+    # Splitters drawn from a small pool (duplicates are certain at large
+    # p) that mixes edge values with the keys themselves.
+    pool = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from(_EDGE_KEYS),
+                st.sampled_from(keys.tolist()) if keys.size else st.just(0),
+                st.integers(min_value=0, max_value=2**32 - 1),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    picks = draw(
+        arrays(np.intp, p - 1, elements=st.integers(0, len(pool) - 1))
+    )
+    splitters = np.sort(np.asarray(pool, dtype=np.uint32)[picks])
+    return keys, splitters
+
+
+@settings(max_examples=80, deadline=None)
+@given(_splitter_cases())
+def test_splitter_sort_and_cut_matches_range_binning(case):
+    keys, splitters = case
+    before = keys.copy()
+    buckets = split_by_splitters(keys, splitters)
+    assert len(buckets) == splitters.size + 1
+    bounds = np.concatenate(([0], splitters.astype(np.int64), [2**32]))
+    wide = keys.astype(np.int64)
+    for b, bucket in enumerate(buckets):
+        assert bucket.dtype == np.uint32
+        mask = (wide >= bounds[b]) & (wide < bounds[b + 1])
+        assert np.array_equal(bucket, np.sort(keys[mask]))
+    # Sizes equal the range search the stable splitter binning used.
+    old = np.bincount(
+        np.searchsorted(splitters, keys, side="right"),
+        minlength=splitters.size + 1,
+    )
+    assert [x.shape[0] for x in buckets] == old.tolist()
+    assert np.array_equal(np.concatenate(buckets), np.sort(keys))
+    assert np.array_equal(keys, before)
+
+
+def test_phase1_rejects_bad_input():
+    keys = uniform_keys(16, rng)
+    with pytest.raises(ApplicationError):
+        phase1_destination_buckets(keys, 3)
+    with pytest.raises(ApplicationError):
+        phase1_destination_buckets(keys.astype(np.int64), 4)
+
+
 def test_split_by_bits_validates():
     keys = uniform_keys(16, rng)
     with pytest.raises(ApplicationError):
@@ -181,5 +289,9 @@ def test_split_keys_even():
     shards = split_keys(k, 4)
     assert [s.shape[0] for s in shards] == [250] * 4
     assert np.array_equal(np.concatenate(shards), k)
+    # Read-only views of the caller's array, not copies.
+    assert all(np.shares_memory(s, k) for s in shards)
+    with pytest.raises(ValueError):
+        shards[0][0] = 1
     with pytest.raises(ApplicationError):
         split_keys(k, 3)

@@ -30,6 +30,7 @@ The perf-regression suite (``--suite perf``) and the figure suite
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -656,12 +657,20 @@ def _execute_point(kind: str, params: dict, repeats: int) -> dict:
     """Worker entry: run one point ``repeats`` times; median wall clock,
     exact (and verified-identical) simulation output."""
     fn = _RUNNERS[kind]
+    des = _KIND_FAMILY[kind] == "des"
     walls: list[float] = []
     value: Optional[dict] = None
     for _ in range(max(1, repeats)):
         t0 = time.perf_counter()
         v = fn(params)
         walls.append(time.perf_counter() - t0)
+        if des:
+            # A finished cluster is a cyclic graph, and ``Simulator.run``
+            # pauses the collector that would otherwise find it mid-run:
+            # free it here, untimed, so dead clusters never pile up.
+            # Analytic points build no cluster, so they skip the full
+            # collection, which costs as much when it finds nothing.
+            gc.collect()
         if value is None:
             value = v
         elif v != value:

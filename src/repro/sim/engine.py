@@ -59,6 +59,7 @@ inputs yield identical schedules — a property the test suite checks.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import os
 import sys
@@ -779,6 +780,12 @@ class Simulator:
         finite = horizon != float("inf")
         limit = sys.maxsize if max_events is None else max_events
         processed = 0
+        # The loop creates no reference cycles (a granted ``Request`` is
+        # not its own value), so the cyclic collector would only traverse
+        # the run's live state — TCP connections, card rings — again and
+        # again; pause it and leave its state as the caller had it.
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
         try:
             while not stop_value:
                 if finite:
@@ -827,6 +834,8 @@ class Simulator:
                     )
         finally:
             self.event_count += processed
+            if gc_was_enabled:
+                gc.enable()
 
         if target is not None:
             if not stop_value:

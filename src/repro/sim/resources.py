@@ -44,6 +44,11 @@ class Request(Event):
     :meth:`Resource.release` (or used via the ``with``-like helper
     :meth:`Resource.acquire`).  The display name is built lazily —
     requests are created on the DMA hot path.
+
+    A granted request's value is ``None`` (SimPy's convention), not the
+    request itself: an event holding itself as its value is a reference
+    cycle only the cyclic collector can free, and :meth:`Simulator.run`
+    pauses that collector, so every grant would leak until the run ends.
     """
 
     __slots__ = ("resource", "_t0")
@@ -123,7 +128,7 @@ class Resource:
     def _grant(self, req: Request) -> None:
         self._users.add(req)
         self.total_wait_time += self.sim.now - req._t0
-        req.succeed(req)
+        req.succeed()
 
     def _dispatch(self) -> None:
         while self._queue and len(self._users) < self.capacity:

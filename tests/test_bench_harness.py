@@ -1,6 +1,13 @@
 """Tests for the benchmark harness, report, and calibration modules."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.bench import (
     Experiment,
@@ -128,3 +135,44 @@ def test_des_and_model_agree_for_gige_fft():
         _, res = baseline_fft2d(cluster, m)
         dev = compare_des_vs_model(res.makespan, 256, p, "gige")
         assert abs(dev) < 1.0, f"DES vs model deviation {dev:.2f} at P={p}"
+
+
+# --- package CLIs -------------------------------------------------------------------
+def _python(*args: str) -> subprocess.CompletedProcess:
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", *args],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize("module", ["repro.bench.sweep", "repro.bench.figures"])
+def test_bench_cli_module_is_imported_once_under_dash_m(module):
+    """``import repro.bench`` must not import its CLI modules, or ``-m``
+    runs their bodies twice (runpy warns "found in sys.modules")."""
+    out = _python("-m", module, "--help")
+    assert out.returncode == 0, out.stderr
+    assert "usage:" in out.stdout
+
+
+def test_bench_package_exports_resolve_lazily():
+    out = _python(
+        "-c",
+        "import sys, repro.bench as b\n"
+        "assert 'repro.bench.sweep' not in sys.modules\n"
+        "assert 'repro.bench.figures' not in sys.modules\n"
+        "from repro.bench import SweepEngine, fig8b, all_figures\n"
+        "from repro.bench.sweep import SweepEngine as E\n"
+        "assert SweepEngine is E\n"
+        "try:\n"
+        "    b.no_such_name\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('missing attribute did not raise')\n",
+    )
+    assert out.returncode == 0, out.stderr

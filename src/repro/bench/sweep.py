@@ -25,6 +25,13 @@ The perf-regression suite (``--suite perf``) and the figure suite
 
     python -m repro.bench.sweep --suite perf --jobs 2 --check
     python -m repro.bench.figures --scale paper --jobs 8 --csv results
+
+:func:`main` is the home of every ``--check`` gate.  For the perf and
+scale suites, :func:`compare` fails a run whose event counts grow past
+``--tolerance`` over the committed reference
+(``benchmarks/perf_reference.json`` or ``scale_reference.json``).
+Event counts are deterministic; wall seconds are recorded, never gated.
+The faults and chaos suites gate their recovery and invariant checks.
 """
 
 from __future__ import annotations
@@ -61,6 +68,7 @@ __all__ = [
     "scheduler_kind",
     "scheduler_backend",
     "build_report",
+    "compare",
     "write_report",
     "main",
 ]
@@ -864,7 +872,6 @@ def scale_points(
     scale,
     max_p: Optional[int] = None,
     fabrics: Optional[Iterable[str]] = None,
-    fastpath: bool = True,
 ) -> list[PointSpec]:
     """The scale-out suite: FFT and integer sort at ``Scale.large``'s
     32-128 nodes, TCP/GigE baseline vs prototype INIC, both on the
@@ -886,19 +893,17 @@ def scale_points(
     p=32) and ``fabrics`` selects fabric kinds (the CI matrix runs one
     kind per job) — neither changes any point's identity, so the full
     suite, the smoke job, and the matrix legs all share cache entries.
-    ``fastpath`` (the default; ``--no-fastpath`` clears it) opts the
-    INIC points into bulk flow-clock admission
-    (:mod:`repro.net.flowclock`) — it rides in the params, so fast-path
-    and frame-level runs occupy distinct cache entries.
+    Every INIC point carries ``"fastpath": True`` in its params: it runs
+    the card-train fast path (bulk flow-clock admission,
+    :mod:`repro.net.flowclock`).  The frame-level model is reached
+    through ``Experiment().fastpath(False)``, not through this suite.
     """
     fabric_set = None if fabrics is None else set(fabrics)
 
     def want(fabric: str) -> bool:
         return fabric_set is None or fabric in fabric_set
 
-    inic: dict[str, Any] = {"card": "aceii-prototype"}
-    if fastpath:
-        inic["fastpath"] = True
+    inic: dict[str, Any] = {"card": "aceii-prototype", "fastpath": True}
     specs = []
     if not want("aggregate"):
         return _topology_points(scale, max_p, want, inic)
@@ -1252,7 +1257,7 @@ def build_report(
             # The wall (and anything derived from it) was measured by
             # whichever host populated the cache — tag it so `--check`
             # style gates never read wall-derived fields off this row
-            # (see repro.bench.perf.WALL_DERIVED).
+            # (see WALL_DERIVED).
             entry["wall_cached"] = True
         if "hops" in r.value:  # float-clock fabrics: routing cost
             entry["hops"] = r.value["hops"]
@@ -1292,6 +1297,55 @@ def build_report(
         "sweep_wall_seconds": round(stats.wall_seconds, 4),
         "scenarios": scenarios,
     }
+
+
+#: per-scenario fields derived from the measuring host's wall clock —
+#: never part of any regression gate, and stripped outright from rows
+#: tagged ``wall_cached`` (their wall was measured by whichever host
+#: populated the cache, so even a human reading a diff must not treat
+#: it as this machine's number)
+WALL_DERIVED = frozenset({"wall_seconds", "events_per_sec"})
+
+
+def _gateable(row: dict[str, Any]) -> dict[str, Any]:
+    """The comparable view of a scenario row: wall-derived fields are
+    dropped whenever the row's wall came out of the cache."""
+    if not row.get("wall_cached"):
+        return row
+    return {k: v for k, v in row.items() if k not in WALL_DERIVED}
+
+
+def compare(
+    current: dict[str, Any], reference: dict[str, Any], tolerance: float
+) -> list[str]:
+    """Regression report: list of failures (empty means pass).
+
+    Only machine-independent fields are gated (event counts); rows are
+    passed through :func:`_gateable` first, so wall-derived fields of
+    cached rows are structurally invisible to every check here.
+    """
+    failures = []
+    if current.get("scale") != reference.get("scale"):
+        failures.append(
+            f"scale mismatch: ran {current.get('scale')!r}, reference is "
+            f"{reference.get('scale')!r}"
+        )
+        return failures
+    ref = {k: _gateable(v) for k, v in reference["scenarios"].items()}
+    cur = {k: _gateable(v) for k, v in current["scenarios"].items()}
+    for name, r in ref.items():
+        c = cur.get(name)
+        if c is None:
+            failures.append(f"{name}: scenario missing from current run")
+            continue
+        limit = r["events"] * (1.0 + tolerance)
+        if c["events"] > limit:
+            failures.append(
+                f"{name}: event_count regressed {r['events']} -> {c['events']} "
+                f"(+{(c['events'] / r['events'] - 1) * 100:.1f}%, "
+                f"tolerance {tolerance * 100:.0f}%)"
+            )
+    return failures
 
 
 def write_report(doc: dict[str, Any], path: str) -> None:
@@ -1340,12 +1394,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         help="(scale suite) restrict to these fabric kinds (repeatable; "
         "default: all).  The CI matrix runs one kind per job; point "
         "identities are filter-independent so the legs share caches",
-    )
-    parser.add_argument(
-        "--no-fastpath", action="store_true",
-        help="(scale suite) run the INIC points frame-level instead of "
-        "with bulk flow-clock admission (repro.net.flowclock); the two "
-        "modes cache separately",
     )
     parser.add_argument(
         "--jobs", type=int, default=None,
@@ -1437,12 +1485,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         elif args.suite == "chaos":
             points = chaos_points(scale)
         elif args.suite == "scale":
-            points = scale_points(
-                scale,
-                max_p=args.max_p,
-                fabrics=args.fabrics,
-                fastpath=not args.no_fastpath,
-            )
+            points = scale_points(scale, max_p=args.max_p, fabrics=args.fabrics)
         else:
             points = perf_points(scale)
         if args.telemetry or args.report:
@@ -1568,8 +1611,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             return 0
 
         if args.check:
-            from .perf import compare
-
             try:
                 with open(args.reference) as fh:
                     reference = json.load(fh)

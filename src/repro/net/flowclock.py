@@ -67,8 +67,13 @@ train's tail count as phantom backlog against another train's head and
 manufacture tail-drops the frame-level path never takes.  A single
 train's frames stay sequentially ordered across its slices, so where
 trains do not overlap (the A/B harness's staggered phase) equality is
-exact to the last bit; under overlap the residual skew is bounded by
-one slice, documented, measurable, and disabled by ``--no-fastpath``.
+exact to the last bit.  Under overlap it is approximate, and the skew
+is *not* bounded by one slice: queueing behind a shifted frame carries
+the shift downstream.  ``tests/test_topology.py`` measures it with 300
+MTU frames per sender.  At ~40% uplink load the largest per-frame skew
+is 1.02 slices and the drop ledgers match.  Near line rate it reaches
+5-24 slices, and on the tail-dropping fabrics the ledgers differ.
+The frame-level model (``Experiment().fastpath(False)``) is exact.
 
 Run ``python -m repro.net.flowclock --ab`` to replay the scale suite's
 exchange patterns frame-level vs bulk on every fabric and diff arrival

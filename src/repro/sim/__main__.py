@@ -129,19 +129,30 @@ def run_bench(n: int, seed: int, kinds: tuple[str, ...], as_json: bool = False) 
         json.dump(report, sys.stdout, indent=2)
         sys.stdout.write("\n")
         return 0
+    # With the reference heap in the run, each cell also shows its
+    # throughput as a multiple of the heap's on the same mix.
+    heap = report["schedulers"].get("heap")
+    width = 23 if heap else 14
     print(f"scheduler microbenchmark: n={n} seed={seed}")
-    header = f"{'kind':>10} | " + " | ".join(f"{m:>14}" for m in _MIXES)
+    header = f"{'kind':>10} | " + " | ".join(f"{m:>{width}}" for m in _MIXES)
     print(header)
     print("-" * len(header))
     for kind in kinds:
         entry = report["schedulers"][kind]
-        cells = [
-            f"{entry['ops_per_sec'][mix] / 1e6:>10.2f}Mo/s" for mix in _MIXES
-        ]
+        cells = []
+        for mix in _MIXES:
+            ops = entry["ops_per_sec"][mix]
+            cell = f"{ops / 1e6:>10.2f}Mo/s"
+            if heap:
+                cell += f" ({ops / heap['ops_per_sec'][mix]:>5.2f}x)"
+            cells.append(cell)
         print(f"{kind:>10} | " + " | ".join(cells))
         if kind == "native" and not entry["compiled"]:
             print(f"{'':>10}   (reference-heap fallback; extension not built)")
-    print("(Mo/s = million scheduler operations per second, higher is better)")
+    print(
+        "(Mo/s = million scheduler operations per second, higher is better"
+        + ("; Nx = throughput vs heap)" if heap else ")")
+    )
     return 0
 
 

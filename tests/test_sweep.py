@@ -8,13 +8,15 @@ import pytest
 from repro.bench.export import export_csv
 from repro.bench.figures import fig8b
 from repro.bench.harness import Scale
-from repro.bench.perf import SCENARIOS, compare, run_suite
+from repro.bench import sweep
 from repro.bench.sweep import (
+    WALL_DERIVED,
     PointSpec,
     SweepEngine,
     SweepError,
     build_report,
     canonical_json,
+    compare,
     kind_salt,
     perf_points,
     scale_points,
@@ -175,10 +177,29 @@ def test_parallel_warm_rerun_is_all_hits(tmp_path):
 
 
 # --- perf suite through the engine ----------------------------------------------------
-def test_perf_report_shape_and_reference_compat():
-    doc = run_suite("ci", repeats=1)
+PERF_CLI = ["--suite", "perf", "--jobs", "1", "--no-cache", "--repeats", "1"]
+PERF_REFERENCE = os.path.join("benchmarks", "perf_reference.json")
+
+
+def _load(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+@pytest.fixture(scope="module")
+def perf_doc(tmp_path_factory):
+    """One serial, uncached ci perf run through the sweep CLI; its report."""
+    out = tmp_path_factory.mktemp("perf") / "BENCH_perf.json"
+    assert sweep.main([*PERF_CLI, "--out", str(out)]) == 0
+    return _load(out)
+
+
+def test_perf_report_shape_and_reference_compat(perf_doc):
+    doc = perf_doc
     assert doc["scale"] == "ci"
-    assert sorted(doc["scenarios"]) == sorted(SCENARIOS)
+    assert sorted(doc["scenarios"]) == sorted(
+        spec.name for spec in perf_points(Scale.ci())
+    )
     for entry in doc["scenarios"].values():
         assert entry["events"] > 0
         assert "makespan" in entry and "wall_seconds" in entry
@@ -196,16 +217,81 @@ def test_perf_report_shape_and_reference_compat():
     assert any("missing" in f for f in compare(worse, doc, tolerance=0.10))
 
 
-def test_perf_report_against_committed_reference():
+def test_perf_report_against_committed_reference(perf_doc):
     """The engine reproduces the committed reference's exact event
     counts and makespans (the fidelity canary)."""
-    with open(os.path.join("benchmarks", "perf_reference.json")) as fh:
-        reference = json.load(fh)
-    doc = run_suite("ci", repeats=1)
+    reference = _load(PERF_REFERENCE)
     for name, ref in reference["scenarios"].items():
-        cur = doc["scenarios"][name]
+        cur = perf_doc["scenarios"][name]
         assert cur["events"] == ref["events"], name
         assert cur["makespan"] == pytest.approx(ref["makespan"], rel=0, abs=0), name
+
+
+def test_perf_check_passes_against_committed_reference(tmp_path):
+    out = str(tmp_path / "BENCH_perf.json")
+    assert sweep.main([*PERF_CLI, "--out", out, "--check"]) == 0
+
+
+def test_perf_check_fails_against_halved_reference(tmp_path):
+    """A reference whose event counts are half the run's: every scenario
+    has grown 100%, far past the 10% tolerance, so ``--check`` exits 1."""
+    reference = _load(PERF_REFERENCE)
+    for row in reference["scenarios"].values():
+        row["events"] //= 2
+    halved = tmp_path / "halved.json"
+    halved.write_text(json.dumps(reference))
+    out = str(tmp_path / "BENCH_perf.json")
+    argv = [*PERF_CLI, "--out", out, "--check", "--reference", str(halved)]
+    assert sweep.main(argv) == 1
+
+
+def test_wall_cached_row_wall_fields_are_invisible_to_compare(perf_doc):
+    """A cached row's wall was measured by whichever host filled the
+    cache: its wall-derived fields never reach the gate, whatever they
+    hold, while its event count still does."""
+    name = "sort-gige-p2"
+    row = perf_doc["scenarios"][name]
+    assert WALL_DERIVED <= set(row)
+    cached = {**row, "wall_cached": True}
+    assert WALL_DERIVED.isdisjoint(sweep._gateable(cached))
+    assert sweep._gateable(row) is row  # measured here: nothing stripped
+    for garbage in ("not-a-number", None, -1.0):
+        current = json.loads(json.dumps(perf_doc))
+        current["scenarios"][name] = {
+            **cached, **{field: garbage for field in WALL_DERIVED}
+        }
+        assert compare(current, perf_doc, tolerance=0.10) == []
+        assert compare(perf_doc, current, tolerance=0.10) == []
+    current["scenarios"][name]["events"] *= 2
+    assert compare(current, perf_doc, tolerance=0.10) != []
+
+
+def test_scale_check_gates_only_the_selected_rows(tmp_path):
+    """A trimmed scale run (``--max-p``/``--fabric``) is gated against
+    just its own rows of the full-suite reference: corrupting every
+    other row changes nothing, corrupting a selected row fails it."""
+    selection = ["--max-p", "64", "--fabric", "fattree"]
+    selected = {s.name for s in scale_points(Scale.large(), max_p=64, fabrics=["fattree"])}
+    reference = _load(os.path.join("benchmarks", "scale_reference.json"))
+    assert selected and selected < set(reference["scenarios"])
+
+    def check(victims):
+        ref = json.loads(json.dumps(reference))
+        for name in victims:
+            ref["scenarios"][name]["events"] //= 2
+        path = tmp_path / "reference.json"
+        path.write_text(json.dumps(ref))
+        return sweep.main([
+            "--suite", "scale", *selection, "--jobs", "1", "--repeats", "1",
+            "--cache-dir", str(tmp_path / "cache"),
+            "--out", str(tmp_path / "BENCH_scale.json"),
+            "--check", "--reference", str(path),
+        ])
+
+    assert check(set(reference["scenarios"]) - selected) == 0
+    assert sorted(_load(tmp_path / "BENCH_scale.json")["scenarios"]) == sorted(selected)
+    # the warm rerun reads events from the cache; the gate still applies
+    assert check({"scale-sort-inic-fattree-p64"}) == 1
 
 
 def test_build_report_counts_cache(tmp_path):
@@ -220,15 +306,13 @@ def test_build_report_counts_cache(tmp_path):
 
 
 # --- scale-out suite -----------------------------------------------------------------
-def test_report_records_scheduler_and_throughput(monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_SCHEDULER", "heap")
-    assert scheduler_kind() == "heap"
-    monkeypatch.delenv("REPRO_SIM_SCHEDULER")
-    doc = run_suite("ci", repeats=1)
-    assert doc["scheduler"] == scheduler_kind()
-    for entry in doc["scenarios"].values():
+def test_report_records_scheduler_and_throughput(perf_doc, monkeypatch):
+    assert perf_doc["scheduler"] == scheduler_kind()
+    for entry in perf_doc["scenarios"].values():
         if entry["wall_seconds"] > 0:
             assert entry["events_per_sec"] > 0
+    monkeypatch.setenv("REPRO_SIM_SCHEDULER", "heap")
+    assert scheduler_kind() == "heap"
 
 
 def test_scale_points_enumerate_large_suite():

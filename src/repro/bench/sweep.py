@@ -20,8 +20,9 @@ throughput:
   :data:`ENGINE_VERSION`), so touching a model recomputes exactly the
   affected points and nothing else.
 
-The perf-regression suite (``--suite perf``) and the figure suite
-(:mod:`repro.bench.figures`) both route through this engine::
+This module's CLI runs the gate suites (``--suite perf|scale|faults|chaos``);
+the paper's figure panels go through the same engine from their one
+front end, :mod:`repro.bench.figures`::
 
     python -m repro.bench.sweep --suite perf --jobs 2 --check
     python -m repro.bench.figures --scale paper --jobs 8 --csv results
@@ -46,7 +47,7 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Any, Callable, Iterable, Optional
 
 from ..errors import ApplicationError
@@ -331,15 +332,6 @@ def _recovery_card(card, retries: int):
     )
 
 
-def _robustness_counters(cluster, manager=None) -> dict:
-    """Cluster-wide fault/recovery counters (the shared aggregation now
-    lives in :func:`repro.faults.robustness_counters`, so the sweep,
-    the chaos harness, and ``Session.report()`` all read one source)."""
-    from ..faults import robustness_counters
-
-    return robustness_counters(cluster)
-
-
 def _merge_counters(a: dict, b: dict) -> dict:
     out = {}
     for k in {*a, *b}:
@@ -420,9 +412,34 @@ def _point_value(session, res, **extra) -> dict:
     return out
 
 
-@runner("sort-des", family="des")
-def _run_sort_des(p: dict) -> dict:
-    """One Fig. 8(b)-style DES point: integer sort on ``p`` nodes.
+def _sort_app(p: dict):
+    """Fig. 8(b) point inputs: ``e_init`` uniform 32-bit keys and the
+    two sort entry points (default network)."""
+    import numpy as np
+
+    from ..apps.sort import baseline_sort, inic_sort
+
+    g = np.random.default_rng(p["seed"])
+    keys = g.integers(0, 2**32, size=p["e_init"], dtype=np.uint32)
+    return keys, baseline_sort, inic_sort, None
+
+
+def _fft_app(p: dict):
+    """Fig. 8(a) point inputs: a ``rows`` x ``rows`` complex matrix, the
+    two 2D-FFT entry points and the point's ``network``."""
+    import numpy as np
+
+    from ..apps.fft import baseline_fft2d, inic_fft2d
+
+    rows = p["rows"]
+    g = np.random.default_rng(p["seed"])
+    m = g.standard_normal((rows, rows)) + 1j * g.standard_normal((rows, rows))
+    return m, baseline_fft2d, inic_fft2d, _network(p["network"])
+
+
+def _run_des(app: Callable, p: dict) -> dict:
+    """One Fig. 8-style DES point on ``p`` nodes: ``app(p)`` gives the
+    input, the host-TCP and INIC entry points, and the network.
 
     With a ``faults`` block in the params the run goes through the
     fault-injection path: link/switch/ring/config faults are installed,
@@ -433,125 +450,50 @@ def _run_sort_des(p: dict) -> dict:
     visible in the result.  A transfer that exhausts its retry budget
     reports ``aborted`` with the deterministic abort-time makespan.
     """
-    import numpy as np
-
-    from ..apps.sort import baseline_sort, inic_sort
     from ..errors import ConfigurationError, TransferAborted
+    from ..faults import robustness_counters
 
-    g = np.random.default_rng(p["seed"])
-    keys = g.integers(0, 2**32, size=p["e_init"], dtype=np.uint32)
-    card = _card(p.get("card"))
-    faults = _fault_spec(p)
-    if faults is None:
-        session = _point_session(p["p"], p, card=card)
-        if card is None:
-            _, res = baseline_sort(session.cluster, keys)
-        else:
-            _, res = inic_sort(session.cluster, session.manager, keys)
-        return _point_value(session, res)
-
-    retries = int(p.get("retries", 8))
-    if card is None:
-        session = _point_session(p["p"], p, faults=faults)
-        _, res = baseline_sort(session.cluster, keys)
-        return _point_value(
-            session, res, aborted=False, fallbacks=0,
-            faults=_robustness_counters(session.cluster),
-        )
-    session = _point_session(
-        p["p"], p, card=_recovery_card(card, retries), faults=faults
-    )
-    cluster = session.cluster
-    try:
-        _, res = inic_sort(cluster, session.manager, keys)
-    except ConfigurationError:
-        # Graceful degradation: the INIC bitstream would not load, so the
-        # job runs on the commodity host-TCP path instead.  The failed
-        # cluster's elapsed time (the paid-for load attempts) and events
-        # are charged on top of the baseline run.
-        fb = _point_session(p["p"], p, faults=_fallback_faults(faults))
-        _, res = baseline_sort(fb.cluster, keys)
-        out = {
-            "makespan": cluster.sim.now + res.makespan,
-            "events": cluster.sim.event_count + fb.sim.event_count,
-            "aborted": False,
-            "fallbacks": 1,
-            "faults": _merge_counters(
-                _robustness_counters(cluster), _robustness_counters(fb.cluster)
-            ),
-        }
-        if fb.telemetry_enabled:
-            out["metrics"] = fb.metrics()
-        return out
-    except TransferAborted:
-        out = {
-            "makespan": cluster.sim.now,
-            "events": cluster.sim.event_count,
-            "aborted": True,
-            "fallbacks": 0,
-            "faults": _robustness_counters(cluster),
-        }
-        if session.telemetry_enabled:
-            out["metrics"] = session.metrics()
-        return out
-    return _point_value(
-        session, res, aborted=False, fallbacks=0,
-        faults=_robustness_counters(cluster),
-    )
-
-
-@runner("fft-des", family="des")
-def _run_fft_des(p: dict) -> dict:
-    """One Fig. 8(a)-style DES point: 2D FFT on ``p`` nodes.
-
-    Supports the same optional ``faults``/``retries`` params as the sort
-    runner (see :func:`_run_sort_des`).
-    """
-    import numpy as np
-
-    from ..apps.fft import baseline_fft2d, inic_fft2d
-    from ..errors import ConfigurationError, TransferAborted
-
-    rows = p["rows"]
-    g = np.random.default_rng(p["seed"])
-    m = g.standard_normal((rows, rows)) + 1j * g.standard_normal((rows, rows))
-    network = _network(p["network"])
+    data, baseline, offload, network = app(p)
     card = _card(p.get("card"))
     faults = _fault_spec(p)
     if faults is None:
         session = _point_session(p["p"], p, card=card, network=network)
         if card is None:
-            _, res = baseline_fft2d(session.cluster, m)
+            _, res = baseline(session.cluster, data)
         else:
-            _, res = inic_fft2d(session.cluster, session.manager, m)
+            _, res = offload(session.cluster, session.manager, data)
         return _point_value(session, res)
 
     retries = int(p.get("retries", 8))
     if card is None:
         session = _point_session(p["p"], p, network=network, faults=faults)
-        _, res = baseline_fft2d(session.cluster, m)
+        _, res = baseline(session.cluster, data)
         return _point_value(
             session, res, aborted=False, fallbacks=0,
-            faults=_robustness_counters(session.cluster),
+            faults=robustness_counters(session.cluster),
         )
     session = _point_session(
         p["p"], p, card=_recovery_card(card, retries), network=network, faults=faults
     )
     cluster = session.cluster
     try:
-        _, res = inic_fft2d(cluster, session.manager, m)
+        _, res = offload(cluster, session.manager, data)
     except ConfigurationError:
+        # Graceful degradation: the INIC bitstream would not load, so the
+        # job runs on the commodity host-TCP path instead.  The failed
+        # cluster's elapsed time (the paid-for load attempts) and events
+        # are charged on top of the baseline run.
         fb = _point_session(
             p["p"], p, network=network, faults=_fallback_faults(faults)
         )
-        _, res = baseline_fft2d(fb.cluster, m)
+        _, res = baseline(fb.cluster, data)
         out = {
             "makespan": cluster.sim.now + res.makespan,
             "events": cluster.sim.event_count + fb.sim.event_count,
             "aborted": False,
             "fallbacks": 1,
             "faults": _merge_counters(
-                _robustness_counters(cluster), _robustness_counters(fb.cluster)
+                robustness_counters(cluster), robustness_counters(fb.cluster)
             ),
         }
         if fb.telemetry_enabled:
@@ -563,15 +505,19 @@ def _run_fft_des(p: dict) -> dict:
             "events": cluster.sim.event_count,
             "aborted": True,
             "fallbacks": 0,
-            "faults": _robustness_counters(cluster),
+            "faults": robustness_counters(cluster),
         }
         if session.telemetry_enabled:
             out["metrics"] = session.metrics()
         return out
     return _point_value(
         session, res, aborted=False, fallbacks=0,
-        faults=_robustness_counters(cluster),
+        faults=robustness_counters(cluster),
     )
+
+
+runner("sort-des", family="des")(partial(_run_des, _sort_app))
+runner("fft-des", family="des")(partial(_run_des, _fft_app))
 
 
 @runner("fft-analytic", family="analytic")
@@ -1370,9 +1316,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     parser.add_argument(
         "--suite", default="perf",
-        choices=["perf", "figures", "faults", "scale", "chaos"],
-        help="perf: the regression scenario suite; figures: every paper "
-        "panel; faults: seeded lossy/degraded scenarios with recovery; "
+        choices=["perf", "faults", "scale", "chaos"],
+        help="perf: the regression scenario suite; "
+        "faults: seeded lossy/degraded scenarios with recovery; "
         "scale: the 32-1024 node scale-out suite (aggregated star + "
         "hierarchical fat-tree/torus fabrics); chaos: seeded "
         "component-failure campaigns with reroute/failover and "
@@ -1419,10 +1365,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         "whatever --jobs was (the CI chaos-smoke job cmp's them)",
     )
     parser.add_argument(
-        "--csv", default=None,
-        help="(figures suite) export per-figure CSVs to this directory",
-    )
-    parser.add_argument(
         "--telemetry", action="store_true",
         help="(perf/faults suites) instrument every point; the flat "
         "metrics snapshot rides into the report (instrumented points "
@@ -1462,182 +1404,164 @@ def main(argv: Optional[list[str]] = None) -> int:
         repeats=args.repeats,
     )
 
-    if args.suite == "figures":
-        from .figures import all_figures
-        from .harness import render_all
-
-        experiments = all_figures(scale, engine=engine)
-        print(render_all(experiments))
-        if args.csv:
-            from .export import export_all_csv
-
-            for path in export_all_csv(experiments, args.csv):
-                print(f"wrote {path}")
-        stats = engine.last_run  # all_figures runs one batched sweep
-        print(
-            f"sweep: {stats.unique} points, {stats.hits} cached, "
-            f"{stats.executed} executed, jobs={engine.jobs}, "
-            f"{stats.wall_seconds:.2f}s"
-        )
+    if args.suite == "faults":
+        points = fault_points(scale)
+    elif args.suite == "chaos":
+        points = chaos_points(scale)
+    elif args.suite == "scale":
+        points = scale_points(scale, max_p=args.max_p, fabrics=args.fabrics)
     else:
-        if args.suite == "faults":
-            points = fault_points(scale)
-        elif args.suite == "chaos":
-            points = chaos_points(scale)
-        elif args.suite == "scale":
-            points = scale_points(scale, max_p=args.max_p, fabrics=args.fabrics)
-        else:
-            points = perf_points(scale)
-        if args.telemetry or args.report:
-            points = [
-                PointSpec(s.kind, s.name, {**s.params, "telemetry": True})
-                for s in points
-            ]
-        results = engine.run(points)
-        doc = build_report(results, scale.name, engine)
-        write_report(doc, args.out)
-        if args.summary is not None:
-            write_report(chaos_summary(doc), args.summary)
-        for name, r in doc["scenarios"].items():
-            tag = "cached" if r["cached"] else f"{r['wall_seconds']:.3f}s"
-            extra = ""
-            if args.suite in ("faults", "chaos") and r["fabric"] != "wire":
-                extra += f" fabric={r['fabric']}"
-            if "faults" in r:
-                f = r["faults"]
+        points = perf_points(scale)
+    if args.telemetry or args.report:
+        points = [
+            PointSpec(s.kind, s.name, {**s.params, "telemetry": True})
+            for s in points
+        ]
+    results = engine.run(points)
+    doc = build_report(results, scale.name, engine)
+    write_report(doc, args.out)
+    if args.summary is not None:
+        write_report(chaos_summary(doc), args.summary)
+    for name, r in doc["scenarios"].items():
+        tag = "cached" if r["cached"] else f"{r['wall_seconds']:.3f}s"
+        extra = ""
+        if args.suite in ("faults", "chaos") and r["fabric"] != "wire":
+            extra += f" fabric={r['fabric']}"
+        if "faults" in r:
+            f = r["faults"]
+            extra += (
+                f" dropped={f['frames_dropped']}"
+                f" retx={f['retransmits']}"
+                f" fallbacks={r['fallbacks']}"
+                f" aborted={r['aborted']}"
+            )
+            comp = f.get("components")
+            if comp:
                 extra += (
-                    f" dropped={f['frames_dropped']}"
-                    f" retx={f['retransmits']}"
-                    f" fallbacks={r['fallbacks']}"
-                    f" aborted={r['aborted']}"
+                    f" reroutes={comp['reroutes']}"
+                    f" failover_drops={comp['failover_drops']}"
+                    f" partition_drops={comp['partition_drops']}"
+                    f" uplink_drops={comp['uplink_drops']}"
                 )
-                comp = f.get("components")
-                if comp:
-                    extra += (
-                        f" reroutes={comp['reroutes']}"
-                        f" failover_drops={comp['failover_drops']}"
-                        f" partition_drops={comp['partition_drops']}"
-                        f" uplink_drops={comp['uplink_drops']}"
-                    )
-            print(
-                f"{name:22s} events={r['events']:>8d} "
-                f"makespan={r['makespan']:.6f} wall={tag}{extra}"
-            )
         print(
-            f"{'TOTAL':16s} events={doc['total_events']:>8d} "
-            f"wall={doc['total_wall_seconds']:.3f}s "
-            f"(sweep {doc['sweep_wall_seconds']:.3f}s, jobs={doc['jobs']}) "
-            f"-> {args.out}"
+            f"{name:22s} events={r['events']:>8d} "
+            f"makespan={r['makespan']:.6f} wall={tag}{extra}"
         )
+    print(
+        f"{'TOTAL':16s} events={doc['total_events']:>8d} "
+        f"wall={doc['total_wall_seconds']:.3f}s "
+        f"(sweep {doc['sweep_wall_seconds']:.3f}s, jobs={doc['jobs']}) "
+        f"-> {args.out}"
+    )
 
-        if args.report:
-            from ..telemetry.report import render_outcomes, render_snapshot
+    if args.report:
+        from ..telemetry.report import render_outcomes, render_snapshot
 
-            for name, r in doc["scenarios"].items():
-                metrics = r.get("metrics")
-                if metrics:
+        for name, r in doc["scenarios"].items():
+            metrics = r.get("metrics")
+            if metrics:
+                print(f"\n== {name} ==")
+                print(render_snapshot(metrics))
+            if "faults" in r:
+                if not metrics:
                     print(f"\n== {name} ==")
-                    print(render_snapshot(metrics))
-                if "faults" in r:
-                    if not metrics:
-                        print(f"\n== {name} ==")
-                    print(render_outcomes(r))
+                print(render_outcomes(r))
 
-        if args.update_reference:
-            write_report(doc, args.reference)
-            print(f"reference updated: {args.reference}")
+    if args.update_reference:
+        write_report(doc, args.reference)
+        print(f"reference updated: {args.reference}")
 
-        if args.check and args.suite == "chaos":
-            from ..faults.campaign import check_invariants
+    if args.check and args.suite == "chaos":
+        from ..faults.campaign import check_invariants
 
-            violations = []
-            for name, r in doc["scenarios"].items():
-                violations.extend(check_invariants(name, r))
-            anchor = doc["scenarios"].get("chaos-sort-fattree-p256")
-            if anchor is not None:
-                comp = (anchor.get("faults") or {}).get("components") or {}
-                if not comp.get("reroutes"):
-                    violations.append(
-                        "chaos-sort-fattree-p256: spine campaign produced "
-                        "no reroutes (failover never engaged)"
-                    )
-            torus = doc["scenarios"].get("chaos-sort-torus-p64")
-            if torus is not None:
-                comp = (torus.get("faults") or {}).get("components") or {}
-                if not comp.get("reroutes"):
-                    violations.append(
-                        "chaos-sort-torus-p64: router failure produced no "
-                        "detours"
-                    )
-                if torus.get("aborted") or comp.get("partition_drops"):
-                    violations.append(
-                        "chaos-sort-torus-p64: a non-partitioned transfer "
-                        "aborted or was partition-dropped"
-                    )
-            print(
-                f"chaos campaign: {len(violations)} invariant violations "
-                f"across {len(doc['scenarios'])} scenarios"
-            )
-            if violations:
-                for msg in violations:
-                    print(f"FAIL {msg}")
-                return 1
-            print(f"PASS chaos suite: {len(doc['scenarios'])} scenarios")
-            return 0
-
-        if args.check and args.suite == "faults":
-            failures = []
-            fpga = doc["scenarios"].get("sort-faults-fpga")
-            if fpga is not None and fpga.get("fallbacks") != 1:
-                failures.append(
-                    "sort-faults-fpga: expected exactly one host-TCP fallback"
+        violations = []
+        for name, r in doc["scenarios"].items():
+            violations.extend(check_invariants(name, r))
+        anchor = doc["scenarios"].get("chaos-sort-fattree-p256")
+        if anchor is not None:
+            comp = (anchor.get("faults") or {}).get("components") or {}
+            if not comp.get("reroutes"):
+                violations.append(
+                    "chaos-sort-fattree-p256: spine campaign produced "
+                    "no reroutes (failover never engaged)"
                 )
-            for name, r in doc["scenarios"].items():
-                f = r.get("faults")
-                if (
-                    f
-                    and f["frames_dropped"] > 0
-                    and f["retransmits"] == 0
-                    and not r.get("aborted")
-                ):
-                    failures.append(
-                        f"{name}: frames were dropped but no recovery ran"
-                    )
-            if failures:
-                for msg in failures:
-                    print(f"FAIL {msg}")
-                return 1
-            print(f"PASS fault suite: {len(doc['scenarios'])} scenarios")
-            return 0
+        torus = doc["scenarios"].get("chaos-sort-torus-p64")
+        if torus is not None:
+            comp = (torus.get("faults") or {}).get("components") or {}
+            if not comp.get("reroutes"):
+                violations.append(
+                    "chaos-sort-torus-p64: router failure produced no "
+                    "detours"
+                )
+            if torus.get("aborted") or comp.get("partition_drops"):
+                violations.append(
+                    "chaos-sort-torus-p64: a non-partitioned transfer "
+                    "aborted or was partition-dropped"
+                )
+        print(
+            f"chaos campaign: {len(violations)} invariant violations "
+            f"across {len(doc['scenarios'])} scenarios"
+        )
+        if violations:
+            for msg in violations:
+                print(f"FAIL {msg}")
+            return 1
+        print(f"PASS chaos suite: {len(doc['scenarios'])} scenarios")
+        return 0
 
-        if args.check:
-            try:
-                with open(args.reference) as fh:
-                    reference = json.load(fh)
-            except FileNotFoundError:
-                print(f"no reference at {args.reference}; run --update-reference")
-                return 1
-            if args.suite == "scale" and (args.max_p is not None or args.fabrics):
-                # The smoke job trims the processor/fabric axes; gate only
-                # the points it actually selected (names are trim-stable).
-                selected = {s.name for s in points}
-                reference = {
-                    **reference,
-                    "scenarios": {
-                        k: v
-                        for k, v in reference["scenarios"].items()
-                        if k in selected
-                    },
-                }
-            failures = compare(doc, reference, args.tolerance)
-            if failures:
-                for f in failures:
-                    print(f"FAIL {f}")
-                return 1
-            print(
-                f"PASS all {len(reference['scenarios'])} scenarios within "
-                f"{args.tolerance * 100:.0f}% of reference event counts"
+    if args.check and args.suite == "faults":
+        failures = []
+        fpga = doc["scenarios"].get("sort-faults-fpga")
+        if fpga is not None and fpga.get("fallbacks") != 1:
+            failures.append(
+                "sort-faults-fpga: expected exactly one host-TCP fallback"
             )
+        for name, r in doc["scenarios"].items():
+            f = r.get("faults")
+            if (
+                f
+                and f["frames_dropped"] > 0
+                and f["retransmits"] == 0
+                and not r.get("aborted")
+            ):
+                failures.append(
+                    f"{name}: frames were dropped but no recovery ran"
+                )
+        if failures:
+            for msg in failures:
+                print(f"FAIL {msg}")
+            return 1
+        print(f"PASS fault suite: {len(doc['scenarios'])} scenarios")
+        return 0
+
+    if args.check:
+        try:
+            with open(args.reference) as fh:
+                reference = json.load(fh)
+        except FileNotFoundError:
+            print(f"no reference at {args.reference}; run --update-reference")
+            return 1
+        if args.suite == "scale" and (args.max_p is not None or args.fabrics):
+            # The smoke job trims the processor/fabric axes; gate only
+            # the points it actually selected (names are trim-stable).
+            selected = {s.name for s in points}
+            reference = {
+                **reference,
+                "scenarios": {
+                    k: v
+                    for k, v in reference["scenarios"].items()
+                    if k in selected
+                },
+            }
+        failures = compare(doc, reference, args.tolerance)
+        if failures:
+            for f in failures:
+                print(f"FAIL {f}")
+            return 1
+        print(
+            f"PASS all {len(reference['scenarios'])} scenarios within "
+            f"{args.tolerance * 100:.0f}% of reference event counts"
+        )
 
     if args.assert_cache_hits is not None:
         rate = engine.last_run.hit_rate

@@ -54,7 +54,6 @@ from typing import Optional, Sequence, TYPE_CHECKING
 from ..errors import NetworkError
 from ..sim.engine import Simulator
 from .addresses import MacAddress
-from .batching import BatchPolicy, WIRE_BATCH
 from .fabric import (
     FrameDevice,
     GIGABIT_ETHERNET,
@@ -1283,15 +1282,13 @@ def build_aggregate_star(
     sim: Simulator,
     stations: Sequence[tuple[MacAddress, FrameDevice]],
     tech: NetworkTechnology = GIGABIT_ETHERNET,
-    batch: BatchPolicy = WIRE_BATCH,
     name: str = "fabric",
     faults: Optional["FaultPlan"] = None,
 ) -> HierarchicalFabric:
     """Wire ``stations`` to a one-switch :class:`StarTopology`.
 
     The scale-out stand-in for :func:`~repro.net.fabric.build_star`.
-    ``batch`` is accepted for builder-signature parity (no in-fabric
-    train merging at this fidelity).  A ``faults`` plan installs
+    A ``faults`` plan installs
     per-uplink link-fault injectors (the uplinks carry the wire star's
     ``<name>.up<port>`` names, so a spec's ``wires`` pattern selects
     the same links) and applies forced switch-buffer pressure.  There
@@ -1307,7 +1304,6 @@ def build_fattree(
     sim: Simulator,
     stations: Sequence[tuple[MacAddress, FrameDevice]],
     tech: NetworkTechnology = GIGABIT_ETHERNET,
-    batch: BatchPolicy = WIRE_BATCH,
     name: str = "fabric",
     faults: Optional["FaultPlan"] = None,
     oversub: int = 1,
@@ -1316,9 +1312,8 @@ def build_fattree(
 ) -> HierarchicalFabric:
     """Wire ``stations`` to a leaf/spine fat-tree.
 
-    ``batch`` is accepted for builder-signature parity (no in-fabric
-    train merging at this fidelity).  ``faults`` installs per-uplink
-    injectors and buffer pressure, as on the aggregate star.
+    ``faults`` installs per-uplink injectors and buffer pressure, as on
+    the aggregate star.
     """
     topo = FatTreeTopology(
         len(stations), oversub=oversub, leaf_ports=leaf_ports, leaves=leaves
@@ -1330,7 +1325,6 @@ def build_torus(
     sim: Simulator,
     stations: Sequence[tuple[MacAddress, FrameDevice]],
     tech: NetworkTechnology = GIGABIT_ETHERNET,
-    batch: BatchPolicy = WIRE_BATCH,
     name: str = "fabric",
     faults: Optional["FaultPlan"] = None,
     dims: Optional[Sequence[int]] = None,

@@ -1,17 +1,13 @@
-"""Protocol stacks: TCP baseline, raw Ethernet, INIC custom protocol."""
+"""Protocol stacks: the host TCP baseline and the INIC custom protocol."""
 
 from .base import Mailbox, MessageView, choose_quantum, next_message_id
-from .inicproto import CreditGate, INICProtoConfig, TransferPlan
-from .raw import RawConfig, RawEthernetStack
+from .inicproto import INICProtoConfig, TransferPlan
 from .tcp import TCPConfig, TCPStack, TCPStats
 
 __all__ = [
-    "CreditGate",
     "INICProtoConfig",
     "Mailbox",
     "MessageView",
-    "RawConfig",
-    "RawEthernetStack",
     "TCPConfig",
     "TCPStack",
     "TCPStats",

@@ -1,12 +1,10 @@
 """Transport abstractions shared by all protocol stacks.
 
 A *transport* moves application messages (byte counts plus optional
-functional payload objects) between stations.  Three implementations:
+functional payload objects) between stations.  Two implementations:
 
 * :class:`~repro.protocols.tcp.TCPStack` — the paper's Gigabit/Fast
   Ethernet baseline (host TCP/IP),
-* :class:`~repro.protocols.raw.RawEthernetStack` — thin datagrams with
-  message reassembly, no reliability (substrate for custom protocols),
 * the INIC's on-card protocol (:mod:`repro.protocols.inicproto`).
 
 Received messages land in a :class:`Mailbox` supporting blocking,
@@ -57,7 +55,6 @@ class Mailbox:
         self.name = name
         self._messages: deque[MessageView] = deque()
         self._waiters: deque[tuple[Optional[MacAddress], Optional[int], Event]] = deque()
-        self._poison: deque[tuple[Optional[MacAddress], Optional[int], BaseException]] = deque()
 
     def deliver(self, message: MessageView) -> None:
         """Called by a transport when a message completes reassembly."""
@@ -74,43 +71,10 @@ class Mailbox:
     ) -> bool:
         return (src is None or m.src == src) and (tag is None or m.tag == tag)
 
-    def fail(
-        self,
-        src: Optional[MacAddress],
-        tag: Optional[int],
-        exc: BaseException,
-    ) -> None:
-        """Fail a matching waiter with ``exc`` (or poison the next
-        matching ``recv``): a transport reporting that the message this
-        receive is blocked on will never arrive."""
-        for i, (wsrc, wtag, ev) in enumerate(self._waiters):
-            if self._criteria_overlap(wsrc, wtag, src, tag):
-                del self._waiters[i]
-                ev.fail(exc)
-                return
-        self._poison.append((src, tag, exc))
-
-    @staticmethod
-    def _criteria_overlap(
-        a_src: Optional[MacAddress],
-        a_tag: Optional[int],
-        b_src: Optional[MacAddress],
-        b_tag: Optional[int],
-    ) -> bool:
-        return (a_src is None or b_src is None or a_src == b_src) and (
-            a_tag is None or b_tag is None or a_tag == b_tag
-        )
-
     def recv(
         self, src: Optional[MacAddress] = None, tag: Optional[int] = None
     ) -> Event:
         """Event that fires with the next matching :class:`MessageView`."""
-        for i, (psrc, ptag, exc) in enumerate(self._poison):
-            if self._criteria_overlap(src, tag, psrc, ptag):
-                del self._poison[i]
-                ev = self.sim.event(name=f"{self.name}.recv")
-                ev.fail(exc)
-                return ev
         for i, m in enumerate(self._messages):
             if self._matches(m, src, tag):
                 del self._messages[i]

@@ -7,7 +7,7 @@ NIC and switch buffers).  The protocol also has the advantage of knowing
 exactly how much data to expect; hence, the protocol needs minimal
 acknowledgement information."
 
-Three pieces implement that:
+Two pieces implement that:
 
 * :class:`INICProtoConfig` — framing parameters.  The paper picks a
   1024-byte packet (Section 4.2): small packets are fine because the
@@ -16,41 +16,32 @@ Three pieces implement that:
   collective phase (each node "knows exactly how much data will be sent
   to and received from every other node", Section 3.1.2).  Completion is
   detected by byte accounting, not ACKs.
-* :class:`CreditGate` — conservative in-flight budget that enforces the
-  no-loss invariant: a sender never has more unacknowledged-by-arrival
-  bytes in the fabric than its share of the switch buffers.  Credits are
-  returned by time (the known drain rate), not by ACK packets — this is
-  the "minimal acknowledgement information" property.
 
 The data movement itself is done by the INIC card
-(:mod:`repro.inic.card`), which consumes these policies.
+(:mod:`repro.inic.card`), which consumes these policies.  The card also
+enforces the no-loss invariant: per-destination credit windows, opened
+again by one small ``inic-credit`` frame per chunk (docs/protocol.md §2).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Optional
 
-from ..config import config_from_json, config_to_json, renamed_kwargs
+from ..config import config_from_json, config_to_json
 from ..errors import ProtocolError
 from ..net.addresses import MacAddress
 from ..net.batching import BatchPolicy, DEFAULT_BATCH
 from ..sim.engine import Event, Simulator
-from ..sim.resources import Container
 
-__all__ = ["INICProtoConfig", "TransferPlan", "CreditGate"]
+__all__ = ["INICProtoConfig", "TransferPlan"]
 
 
-@renamed_kwargs(nack_timeout="timeout")
 @dataclass(frozen=True)
 class INICProtoConfig:
-    """Framing for the custom on-card protocol.
+    """Framing and loss-recovery settings for the custom on-card protocol.
 
     Field naming follows the repo-wide convention (``max_retries`` /
-    ``timeout`` / ``retry_backoff``, shared with
-    :class:`~repro.protocols.raw.RawConfig`); the pre-normalization
-    ``nack_timeout`` kwarg is still accepted with a deprecation warning.
+    ``timeout`` / ``retry_backoff``).
     """
 
     packet_size: int = 1024  # paper, Section 4.2
@@ -79,16 +70,6 @@ class INICProtoConfig:
             raise ProtocolError("max_retries must be >= 0")
         if self.timeout <= 0 or self.retry_backoff < 1.0:
             raise ProtocolError("invalid recovery timing parameters")
-
-    @property
-    def nack_timeout(self) -> float:
-        """Deprecated alias for :attr:`timeout`."""
-        warnings.warn(
-            "INICProtoConfig.nack_timeout is deprecated; use .timeout",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.timeout
 
     def to_json(self) -> dict:
         """JSON-safe dict (round-trips through :meth:`from_json`)."""
@@ -185,48 +166,3 @@ class TransferPlan:
         if self._pending == 0 and not self._complete.triggered:
             self._complete.succeed(dict(self.received))
 
-
-class CreditGate:
-    """Bounded in-flight bytes toward the fabric (loss avoidance).
-
-    ``acquire(n)`` blocks until ``n`` bytes of budget are free; credits
-    return automatically after ``drain_time(n)`` — the deterministic time
-    for those bytes to leave the slowest queue in the path — so no
-    credit-return packets are needed.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        budget_bytes: float,
-        drain_rate: float,
-        name: str = "credits",
-    ):
-        if budget_bytes <= 0:
-            raise ProtocolError("credit budget must be > 0")
-        if drain_rate <= 0:
-            raise ProtocolError("credit drain rate must be > 0")
-        self.sim = sim
-        self.drain_rate = float(drain_rate)
-        self.name = name
-        self._pool = Container(
-            sim, capacity=budget_bytes, init=budget_bytes, name=f"{name}.pool"
-        )
-
-    @property
-    def available(self) -> float:
-        return self._pool.level
-
-    def acquire(self, nbytes: float):
-        """Generator: take ``nbytes`` of budget (blocks until free) and
-        schedule its automatic return."""
-        if nbytes <= 0:
-            raise ProtocolError(f"credit acquire of {nbytes}")
-        yield self._pool.get(nbytes)
-        delay = nbytes / self.drain_rate
-        self.sim.schedule_callback(
-            delay, lambda: self._pool.put(nbytes), name=f"{self.name}.return"
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<CreditGate {self.name!r} {self._pool.level:g} free>"

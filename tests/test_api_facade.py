@@ -4,9 +4,7 @@ Covers the builder's order-independence (and the matching
 ``ClusterSpec.with_*`` chaining regression), the process registration
 surface (``Experiment().process`` / ``Session.spawn`` / ``Session.env``),
 the removal of the deprecated ``build_acc``/``build_beowulf`` wrappers,
-the repo-wide config naming normalization (``max_retries`` / ``timeout``
-/ ``seed``; old kwargs accepted with ``DeprecationWarning``), and the
-shared ``to_json``/``from_json`` round-trip convention.
+and the shared ``to_json``/``from_json`` round-trip convention.
 """
 
 import numpy as np
@@ -24,8 +22,9 @@ from repro.api import (
 from repro.config import ConfigError
 from repro.core.manager import INICManager
 from repro.errors import FaultConfigError
+from repro.faults import ComponentFaultSpec
 from repro.net.batching import BatchPolicy
-from repro.protocols import INICProtoConfig, RawConfig
+from repro.protocols import INICProtoConfig
 
 
 FAULTS = FaultSpec(seed=5, loss_rate=0.01)
@@ -157,33 +156,12 @@ def test_session_spawn_generator_and_coroutine():
     assert session.env.sim is session.sim
 
 
-# -- renamed config kwargs ---------------------------------------------------------
-def test_inicproto_nack_timeout_kwarg_deprecated():
-    with pytest.warns(DeprecationWarning, match="nack_timeout"):
-        cfg = INICProtoConfig(nack_timeout=0.01)
-    assert cfg.timeout == 0.01
-    with pytest.warns(DeprecationWarning, match="nack_timeout"):
-        assert cfg.nack_timeout == 0.01  # read alias warns too
-    with pytest.raises(TypeError):
-        INICProtoConfig(nack_timeout=0.01, timeout=0.02)
-
-
-def test_rawconfig_retransmit_timeout_kwarg_deprecated():
-    with pytest.warns(DeprecationWarning, match="retransmit_timeout"):
-        cfg = RawConfig(retransmit_timeout=0.25)
-    assert cfg.timeout == 0.25
-    with pytest.warns(DeprecationWarning, match="retransmit_timeout"):
-        assert cfg.retransmit_timeout == 0.25
-    with pytest.raises(TypeError):
-        RawConfig(retransmit_timeout=0.25, timeout=0.5)
-
-
 # -- shared to_json/from_json convention -------------------------------------------
 @pytest.mark.parametrize(
     "cfg",
     [
         INICProtoConfig(packet_size=2048, max_retries=3, timeout=0.01),
-        RawConfig(max_retries=2, timeout=0.125),
+        ComponentFaultSpec("spine1", windows=((0.01, 0.02),)),
         BatchPolicy(timing_tolerance=50e-6, max_quantum=32),
         FaultSpec(seed=9, loss_rate=0.02, outages=((0.1, 0.05),)),
     ],

@@ -27,7 +27,6 @@ from repro.net import (
     build_star,
 )
 from repro.net.packet import ETHERNET_MTU
-from repro.protocols import RawConfig, RawEthernetStack
 from repro.sim import FairShareBus, Simulator
 
 MTU = ETHERNET_MTU
@@ -162,40 +161,55 @@ def test_switch_merge_respects_max_quantum_and_buffer_accounting():
 # -- end-to-end: NIC ring merging stays within the policy tolerance ------------------
 
 
-def _run_raw_transfer(wire_batch, nbytes=120 * MTU):
-    """One raw-datagram message across a 2-node star; sender emits
-    per-frame (so all batching happens in the fabric)."""
+def _run_nic_transfer(wire_batch, n_frames=120):
+    """One ``n_frames``-MTU message across a 2-node star, handed to the
+    sending NIC one frame at a time (so all batching happens in the NIC
+    ring and the fabric)."""
     sim = Simulator()
-    cfg = RawConfig(quantum_target_events=10**9, max_quantum=1, batch=PER_FRAME)
-    nics, stacks = [], []
+    nics = []
     for i in range(2):
         bus = FairShareBus(sim, bandwidth=112e6)
-        nic = StandardNIC(
-            sim, MacAddress(i), host_bus=bus, batch=wire_batch, name=f"nic{i}"
+        nics.append(
+            StandardNIC(
+                sim, MacAddress(i), host_bus=bus, batch=wire_batch, name=f"nic{i}"
+            )
         )
-        stacks.append(RawEthernetStack(sim, nic, config=cfg, name=f"raw{i}"))
-        nics.append(nic)
     build_star(sim, [(MacAddress(i), nics[i]) for i in range(2)], batch=wire_batch)
+    total = n_frames * MTU
+    got = [0]
     t = {}
 
-    def sender():
-        yield stacks[0].send(MacAddress(1), nbytes)
+    def on_frame(frame):
+        got[0] += frame.payload_bytes
+        if got[0] == total:
+            t["done"] = sim.now
 
-    def receiver():
-        yield stacks[1].recv()
-        t["done"] = sim.now
+    nics[1].bind_receiver(on_frame)
+
+    def sender():
+        for i in range(n_frames):
+            yield from nics[0].transmit(
+                Frame(
+                    src=MacAddress(0),
+                    dst=MacAddress(1),
+                    payload_bytes=MTU,
+                    headers=8,
+                    kind="raw",
+                    seq=i * MTU,
+                    meta={"msg": 7, "total": total, "last": i == n_frames - 1},
+                )
+            )
 
     sim.process(sender())
-    sim.process(receiver())
     sim.run()
-    assert stacks[1].messages_delivered == 1
+    assert got[0] == total
     return sim, t["done"], nics
 
 
 def test_nic_ring_merge_bounded_by_tolerance():
     tol = 200e-6
-    sim_pf, t_pf, _ = _run_raw_transfer(PER_FRAME)
-    sim_b, t_b, nics = _run_raw_transfer(
+    sim_pf, t_pf, _ = _run_nic_transfer(PER_FRAME)
+    sim_b, t_b, nics = _run_nic_transfer(
         BatchPolicy(timing_tolerance=tol, max_quantum=64)
     )
     assert sim_b.event_count < sim_pf.event_count

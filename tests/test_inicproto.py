@@ -5,7 +5,7 @@ import pytest
 from repro.errors import INICError, ProtocolError
 from repro.inic import INICMemory
 from repro.net import MacAddress
-from repro.protocols import CreditGate, INICProtoConfig, TransferPlan
+from repro.protocols import INICProtoConfig, TransferPlan
 from repro.sim import Simulator
 
 
@@ -68,34 +68,6 @@ def test_plan_rejects_negative_expectation():
     sim = Simulator()
     with pytest.raises(ProtocolError):
         TransferPlan(sim, {0: -5})
-
-
-# --- CreditGate ------------------------------------------------------------------------
-def test_credit_gate_blocks_then_returns():
-    sim = Simulator()
-    gate = CreditGate(sim, budget_bytes=100.0, drain_rate=100.0)
-    times = []
-
-    def proc():
-        yield from gate.acquire(80.0)
-        times.append(sim.now)
-        yield from gate.acquire(80.0)  # must wait for first to drain
-        times.append(sim.now)
-
-    sim.process(proc())
-    sim.run()
-    assert times[0] == pytest.approx(0.0)
-    # 80 bytes drain at 100 B/s -> credits back at t=0.8.
-    assert times[1] == pytest.approx(0.8)
-
-
-def test_credit_gate_validation():
-    sim = Simulator()
-    with pytest.raises(ProtocolError):
-        CreditGate(sim, budget_bytes=0, drain_rate=1)
-    gate = CreditGate(sim, budget_bytes=10, drain_rate=1)
-    with pytest.raises(ProtocolError):
-        list(gate.acquire(0))
 
 
 # --- INICMemory ----------------------------------------------------------------------------

@@ -203,7 +203,9 @@ def test_telemetry_does_not_perturb_simulation():
 def test_disabled_session_matches_never_instrumented_runner():
     """A sweep point without the telemetry flag must be bit-identical to
     one that never knew telemetry existed (cache-identity contract)."""
-    from repro.bench.sweep import _run_sort_des
+    from repro.bench.sweep import _RUNNERS
+
+    _run_sort_des = _RUNNERS["sort-des"]
 
     params = {"e_init": 1 << 12, "p": 2, "card": "aceii-prototype", "seed": 2}
     plain = _run_sort_des(dict(params))

@@ -21,7 +21,13 @@ import numpy as np
 
 from ...errors import ApplicationError
 
-__all__ = ["count_sort", "counting_pass", "digit_histogram", "is_sorted"]
+__all__ = [
+    "count_sort",
+    "count_sort_inplace",
+    "counting_pass",
+    "digit_histogram",
+    "is_sorted",
+]
 
 _DIGIT_BITS = 8
 _DIGIT_MASK = (1 << _DIGIT_BITS) - 1
@@ -44,27 +50,35 @@ def counting_pass(keys: np.ndarray, shift: int) -> np.ndarray:
 
 
 def count_sort(keys: np.ndarray) -> np.ndarray:
-    """Full 32-bit sort of ``keys``; returns a sorted copy.
+    """Full 32-bit sort of ``keys``; returns a sorted copy and leaves
+    ``keys`` untouched (see :func:`count_sort_inplace`)."""
+    return count_sort_inplace(np.array(keys))
+
+
+def count_sort_inplace(keys: np.ndarray) -> np.ndarray:
+    """Sort the writeable 1-D ``uint32`` array ``keys`` in place and
+    return it.
 
     Small inputs run the four 8-bit counting passes (the algorithm the
     paper describes, kept exercised by the kernel tests).  Large inputs
-    delegate to ``np.sort``: the keys are plain ``uint32`` *values*, so
-    every correct sort produces the byte-identical array and the
-    counting passes buy nothing but host wall time — the *simulated*
-    cost of the paper's count sort comes from
+    delegate to ``ndarray.sort``: the keys are plain ``uint32``
+    *values*, so every correct sort produces the byte-identical array
+    and the counting passes buy nothing but host wall time — the
+    *simulated* cost of the paper's count sort comes from
     :func:`repro.models.params.count_sort_time` either way.
     """
-    a = np.asarray(keys)
-    if a.dtype != np.uint32:
-        raise ApplicationError(f"count sort expects uint32 keys, got {a.dtype}")
-    if a.ndim != 1:
-        raise ApplicationError(f"count sort expects a 1-D array, got {a.shape}")
-    if a.shape[0] >= 1 << 12:
-        return np.sort(a)
-    out = a.copy()
+    if keys.dtype != np.uint32:
+        raise ApplicationError(f"count sort expects uint32 keys, got {keys.dtype}")
+    if keys.ndim != 1:
+        raise ApplicationError(f"count sort expects a 1-D array, got {keys.shape}")
+    if keys.shape[0] >= 1 << 12:
+        keys.sort()
+        return keys
+    out = keys
     for shift in range(0, 32, _DIGIT_BITS):
         out = counting_pass(out, shift)
-    return out
+    keys[:] = out
+    return keys
 
 
 def is_sorted(keys: np.ndarray) -> bool:

@@ -30,7 +30,7 @@ from ...models.params import (
     count_sort_time,
 )
 from .bucketsort import cache_bucket_count, phase1_destination_buckets, phase2_cache_buckets
-from .countsort import count_sort
+from .countsort import count_sort_inplace
 from .keygen import split_keys
 from .sampling import choose_splitters, sample_local, split_by_splitters
 
@@ -45,6 +45,9 @@ def host_final_sort(
     pre_binned_ways: int = 1,
 ):
     """Generator: phase-2 cache binning + per-bucket count sort.
+
+    Takes ownership of ``local_keys``, a fresh receive buffer, and
+    returns it sorted in place.
 
     ``pre_binned_ways``: how many ways the data is already binned when
     it reaches the host (1 = not at all; 16 = the prototype INIC's
@@ -74,7 +77,7 @@ def host_final_sort(
     yield from ctx.compute(t_count)
     span.close()
     # Functionally, binning + per-bucket count sort == full count sort.
-    return count_sort(local_keys) if n_local else local_keys
+    return count_sort_inplace(local_keys)
 
 
 def baseline_sort(

@@ -525,4 +525,9 @@ def _main() -> None:  # pragma: no cover - CLI entry
 
 
 if __name__ == "__main__":  # pragma: no cover
+    import gc
+
+    # As in ``python -m repro.bench.sweep``: the per-point collections
+    # skip the imported heap, which lives as long as the process.
+    gc.freeze()
     _main()

@@ -1578,4 +1578,10 @@ def main(argv: Optional[list[str]] = None) -> int:
 if __name__ == "__main__":  # pragma: no cover - exercised via CLI
     import sys
 
+    # Everything imported so far lives as long as the process: move it
+    # out of the collector's reach, so the collection after each DES
+    # point (here and in the fork workers, which inherit the frozen
+    # heap) traverses only what the point allocated.  Not in ``main``:
+    # in-process callers manage their own heap.
+    gc.freeze()
     sys.exit(main())

@@ -131,6 +131,7 @@ class RankContext:
         cfg = self.mpi_config
         tcp = self.node.require_tcp()
         while True:
+            msg = None  # drop the last RTS while parked
             msg = yield tcp.recv(tag=_RTS_TAG)
             self.node.cpu.steal(cfg.recv_match_cost)
             tcp.send(

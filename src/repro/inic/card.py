@@ -312,7 +312,10 @@ class INICCard:
         self._outstanding: dict[int, float] = {}
         self._credit_wakeups: dict[int, Event] = {}
         #: (tag, dst) -> (block, window) retained to serve NACK-driven
-        #: retransmits; populated only when ``proto.max_retries > 0``
+        #: retransmits; populated only when ``proto.max_retries > 0``.
+        #: Never pruned: the sender never learns that the receiver's
+        #: gather finished (the protocol has no completion message), so
+        #: every posted block and its payload live as long as the card.
         self._sent_blocks: dict[tuple[int, int], tuple[SendBlock, Optional[int]]] = {}
 
         sim.process(self._ingest_loop(), name=f"{name}.ingest")
@@ -536,7 +539,10 @@ class INICCard:
         """host memory -> (transform cores) -> card memory, chunked."""
         ingest_rate_fn = lambda: self.datapath_rate(self.host_tx.bandwidth)
         while True:
-            op: ScatterOp = yield self._scatter_q.get()
+            # Parked on the next get, this daemon loop must not keep the
+            # last operation's blocks (and their payloads) alive.
+            op = block = None
+            op = yield self._scatter_q.get()
             if op.train:
                 refusal = self._fast_eligible(op)
                 if refusal is None:
@@ -564,7 +570,8 @@ class INICCard:
         """card memory -> (packetize) -> MAC -> wire, chunked."""
         proto = self.spec.proto
         while True:
-            chunk: _EgressChunk = yield self._egress_q.get()
+            chunk = op = block = frame = None  # drop the last payload while parked
+            chunk = yield self._egress_q.get()
             op, block = chunk.op, chunk.block
             if block.dst == self.address:
                 # Self-addressed block: loops back inside the card
@@ -903,7 +910,8 @@ class INICCard:
     def _rx_loop(self):
         """MAC -> (depacketize, transform) -> card memory, chunked."""
         while True:
-            frame: Frame = yield self._rx_q.get()
+            frame = gather = None  # drop the last payload while parked
+            frame = yield self._rx_q.get()
             # On the prototype the MAC shares the card bus, so arriving
             # payloads cross it before reaching card memory; the ideal
             # card's dedicated network path is modelled the same way.

@@ -163,7 +163,10 @@ class StandardNIC:
         ring = self._tx_ring
         policy = self.batch
         while True:
-            frame: Frame = yield ring.get()
+            # Parked on the next get, this loop must not keep the last
+            # frame (and its payload) alive.
+            frame = nxt = None
+            frame = yield ring.get()
             if self._wire_out is None:
                 raise NetworkError(f"{self.name}: transmit with no wire attached")
             # Coalesce a train of back-to-back continuation frames already
@@ -200,7 +203,8 @@ class StandardNIC:
 
     def _rx_loop(self):
         while True:
-            frame: Frame = yield self._rx_ring.get()
+            frame = None  # drop the last frame while parked
+            frame = yield self._rx_ring.get()
             # DMA the payload into host memory, then raise an interrupt
             # cause per physical frame (coalescing may batch them).
             if frame.payload_bytes > 0:

@@ -206,6 +206,8 @@ class _SendConn:
         cfg = self.stack.config
         while True:
             if self.snd_nxt >= self.stream_end:
+                # Idle until the next send(): keep no delivered payload.
+                msg = frame = None
                 ev = sim.event(name="tcp.snd.wakeup")
                 self._send_wakeup = ev
                 yield ev

@@ -1,0 +1,243 @@
+"""A finished run keeps no delivered payload alive.
+
+The simulator's daemon loops (NIC rings, card ingest/egress/receive, the
+TCP sender, the MPI rendezvous responder) live as long as the cluster.
+A loop parked on its next ``get`` used to keep its last item in a local,
+so a finished sort cluster still held the whole phase-1 copy of the
+keys.  These tests pin the fix:
+
+* a census walks everything reachable from the ``Session`` after the
+  app returns and checks that every ``ndarray`` is (a view of) the
+  input, the output, or an ``AppResult.rank_results`` entry;
+* no suspended generator holds a payload carrier (frame, message,
+  block, scatter, gather, queue item) in a local;
+* with ``proto.max_retries > 0`` the only other holders are the card's
+  retransmit retention (``INICCard._sent_blocks``) and its early-arrival
+  backlog (``INICCard._pending_rx``), where late retransmits park;
+* ``host_final_sort`` sorts the receive buffer it owns in place, while
+  ``count_sort`` keeps its copy contract.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import gc
+import sys
+import types
+from collections import deque
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from repro.api import ACEII_PROTOTYPE, Experiment, FaultSpec
+from repro.apps.fft import baseline_fft2d, inic_fft2d
+from repro.apps.sort import baseline_sort, count_sort, host_final_sort, inic_sort
+from repro.cluster.app import ParallelApp
+from repro.inic.card import GatherOp, ScatterOp, SendBlock, _EgressChunk
+from repro.models.params import DEFAULT_PARAMS
+from repro.net.packet import Frame
+from repro.protocols.base import MessageView
+from repro.protocols.tcp import _OutMsg
+
+#: the items the datapath loops pass along; none may outlive its delivery
+#: in a parked loop's locals
+CARRIERS = (Frame, MessageView, _OutMsg, SendBlock, ScatterOp, GatherOp, _EgressChunk)
+
+#: random-generator state is not payload
+_RNG_TYPES = (np.random.Generator, np.random.BitGenerator, np.random.SeedSequence)
+
+
+def _owner(a: np.ndarray) -> np.ndarray:
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def _reachable(root, exempt=()):
+    """Every object reachable from ``root`` through ``gc.get_referents``,
+    not descending into modules, classes, module globals, RNG state or
+    the ``exempt`` containers."""
+    stop = {id(m.__dict__) for m in list(sys.modules.values()) if m is not None}
+    stop.update(id(o) for o in exempt)
+    seen = {id(root)}
+    queue = deque([root])
+    while queue:
+        obj = queue.popleft()
+        yield obj
+        if isinstance(obj, np.ndarray):
+            continue
+        for ref in gc.get_referents(obj):
+            if (
+                id(ref) in seen
+                or id(ref) in stop
+                or isinstance(ref, (types.ModuleType, type, *_RNG_TYPES))
+            ):
+                continue
+            seen.add(id(ref))
+            queue.append(ref)
+
+
+def _census(session, data, output, result, exempt=()):
+    """(stray arrays, parked carriers) reachable from ``session``."""
+    results = [output] if isinstance(output, np.ndarray) else list(output)
+    allowed = {id(data)}
+    allowed.update(
+        id(_owner(a)) for a in results + list(result.rank_results)
+        if isinstance(a, np.ndarray)
+    )
+    strays, parked = [], []
+    for obj in _reachable(session, exempt):
+        if isinstance(obj, np.ndarray):
+            if id(_owner(obj)) not in allowed:
+                strays.append(obj)
+        elif isinstance(obj, types.GeneratorType) and obj.gi_frame is not None:
+            parked += [
+                f"{obj.__qualname__}.{name}"
+                for name, value in obj.gi_frame.f_locals.items()
+                if isinstance(value, CARRIERS)
+            ]
+    return strays, parked
+
+
+def _keys(n: int) -> np.ndarray:
+    return np.random.default_rng(2).integers(0, 2**32, size=n, dtype=np.uint32)
+
+
+def _matrix(rows: int) -> np.ndarray:
+    g = np.random.default_rng(2)
+    return g.standard_normal((rows, rows)) + 1j * g.standard_normal((rows, rows))
+
+
+def _tcp_fft_aggregate():
+    session = Experiment().nodes(8).fabric("aggregate").build()
+    data = _matrix(32)
+    return session, data, *baseline_fft2d(session.cluster, data)
+
+
+def _baseline_sort_wire_star():
+    # 2^17 keys over 2 ranks: ~128 KiB buckets, above the MPI eager
+    # limit, so the rendezvous responder runs too
+    session = Experiment().nodes(2).build()
+    data = _keys(1 << 17)
+    return session, data, *baseline_sort(session.cluster, data)
+
+
+def _prototype_sort_wire_star():
+    session = Experiment().nodes(4).card(ACEII_PROTOTYPE).build()
+    data = _keys(1 << 14)
+    return session, data, *inic_sort(session.cluster, session.manager, data)
+
+
+def _prototype_fft_wire_star():
+    session = Experiment().nodes(4).card(ACEII_PROTOTYPE).build()
+    data = _matrix(32)
+    return session, data, *inic_fft2d(session.cluster, session.manager, data)
+
+
+def _inic_sort_fattree_fastpath():
+    session = (
+        Experiment()
+        .nodes(16)
+        .card(ACEII_PROTOTYPE)
+        .fabric("fattree")
+        .fastpath(True)
+        .build()
+    )
+    data = _keys(1 << 12)
+    out = inic_sort(session.cluster, session.manager, data)
+    assert session.cluster.switch.trains_fast > 0
+    return session, data, *out
+
+
+DATAPATHS = [
+    _tcp_fft_aggregate,
+    _baseline_sort_wire_star,
+    _prototype_sort_wire_star,
+    _prototype_fft_wire_star,
+    _inic_sort_fattree_fastpath,
+]
+
+
+@pytest.mark.parametrize(
+    "point", DATAPATHS, ids=[fn.__name__.lstrip("_") for fn in DATAPATHS]
+)
+def test_finished_run_holds_no_delivered_payload(point):
+    session, data, output, result = point()
+    strays, parked = _census(session, data, output, result)
+    assert not parked, f"parked loops hold delivered items: {sorted(set(parked))}"
+    assert not strays, (
+        f"{len(strays)} arrays ({sum(a.nbytes for a in strays)} B) outlive "
+        "their delivery"
+    )
+
+
+def test_retransmit_retention_is_the_only_other_holder():
+    card = dataclasses.replace(
+        ACEII_PROTOTYPE,
+        proto=dataclasses.replace(ACEII_PROTOTYPE.proto, max_retries=6),
+    )
+    session = (
+        Experiment()
+        .nodes(4)
+        .card(card)
+        .faults(FaultSpec(seed=3, loss_rate=0.1))
+        .build()
+    )
+    data = _keys(1 << 14)
+    output, result = inic_sort(session.cluster, session.manager, data)
+    cards = [node.inic for node in session.cluster.nodes]
+    assert sum(c.stats.retransmits for c in cards) > 0
+    # A retransmit that raced its late original parks in the backlog of
+    # a gather that has already completed.
+    assert any(c._pending_rx for c in cards)
+
+    strays, parked = _census(session, data, output, result)
+    assert strays, "retention holds every posted block by design"
+    assert not parked
+    retention = [c._sent_blocks for c in cards] + [c._pending_rx for c in cards]
+    strays, _ = _census(session, data, output, result, exempt=retention)
+    assert not strays, (
+        f"{len(strays)} arrays held outside _sent_blocks and _pending_rx"
+    )
+
+
+# -- host_final_sort owns its receive buffer -------------------------------------
+
+
+def _final_sort(buf: np.ndarray) -> np.ndarray:
+    session = Experiment().nodes(1).build()
+
+    def program(ctx):
+        return (yield from host_final_sort(ctx, buf, 1, DEFAULT_PARAMS))
+
+    (out,) = ParallelApp(session.cluster).run(program).rank_results
+    return out
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    n=st.integers(min_value=0, max_value=1 << 14),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(n=0, seed=0)
+@example(n=1, seed=0)
+@example(n=4095, seed=1)
+@example(n=4096, seed=2)
+@example(n=4097, seed=3)
+@example(n=1 << 16, seed=4)
+def test_host_final_sort_sorts_its_buffer_in_place(n, seed):
+    keys = np.random.default_rng(seed).integers(0, 2**32, size=n, dtype=np.uint32)
+    expected = np.sort(keys)
+    buf = keys.copy()
+    assert _final_sort(buf) is buf
+    assert np.array_equal(buf, expected)
+
+    before = keys.copy()
+    assert np.array_equal(count_sort(keys), expected)
+    assert np.array_equal(keys, before), "count_sort must not touch its input"

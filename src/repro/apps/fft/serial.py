@@ -19,6 +19,8 @@ Correctness is cross-checked against ``numpy.fft`` in the test suite;
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ...errors import ApplicationError
@@ -30,6 +32,14 @@ def is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
 
 
+# The two size-only tables below are memoised: a 2-D transform runs the
+# same row length hundreds of times (once per row panel and phase).  The
+# cached arrays are read-only, so no caller can corrupt a shared table;
+# the bounds keep a process that transforms many sizes from growing
+# without limit (one length n needs log2(n) twiddle vectors).
+
+
+@functools.lru_cache(maxsize=16)
 def _bit_reversal_indices(n: int) -> np.ndarray:
     """Permutation indices for the radix-2 reordering pass."""
     bits = n.bit_length() - 1
@@ -38,11 +48,15 @@ def _bit_reversal_indices(n: int) -> np.ndarray:
     for _ in range(bits):
         rev = (rev << 1) | (idx & 1)
         idx >>= 1
+    rev.flags.writeable = False
     return rev
 
 
+@functools.lru_cache(maxsize=128)
 def _twiddles(half: int, step: int, sign: float) -> np.ndarray:
-    return np.exp(sign * 2j * np.pi * np.arange(half) / step)
+    w = np.exp(sign * 2j * np.pi * np.arange(half) / step)
+    w.flags.writeable = False
+    return w
 
 
 def _fft_pow2(x: np.ndarray, sign: float) -> np.ndarray:

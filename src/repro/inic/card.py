@@ -118,13 +118,15 @@ ACEII_PROTOTYPE = CardSpec(
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class SendBlock:
     """One destination's share of a scatter operation.
 
     ``data`` is the functional payload *after* the datapath transform
     (the application applies the design's core, mirroring the hardware
-    doing it inline); ``nbytes`` is its logical size.
+    doing it inline); ``nbytes`` is its logical size.  An all-to-all
+    posts p of these per rank, so the class has slots, not a
+    ``__dict__``.
     """
 
     dst: MacAddress
@@ -173,7 +175,11 @@ class GatherOp:
         self.assemble = assemble
         self.reduce_core = reduce_core
         self.done: Event = sim.event(name=f"gather#{tag}.done")
-        self.payloads: dict[int, list] = {}
+        # Stored payloads as two arrival-order columns (source address
+        # value, payload): two list slots per payload instead of a list
+        # per source.  ``payloads`` groups them on demand.
+        self._sources: list[int] = []
+        self._items: list = []
         self.accumulator = None
         self.delivered_bytes = 0
         self.pending_delivery = 0.0
@@ -199,14 +205,33 @@ class GatherOp:
                 payload, accumulator=self.accumulator
             )
         else:
-            self.payloads.setdefault(src.value, []).append(payload)
+            self._sources.append(src.value)
+            self._items.append(payload)
+
+    @property
+    def payloads(self) -> dict[int, list]:
+        """Stored payloads by source address value, each source's in
+        arrival order, sources in order of their first arrival.
+
+        Read-only: each read builds a fresh dict from the arrival columns
+        (``result()`` reads it once), so editing it changes nothing
+        stored.
+        """
+        grouped: dict[int, list] = {}
+        for src, payload in zip(self._sources, self._items):
+            items = grouped.get(src)
+            if items is None:
+                grouped[src] = [payload]
+            else:
+                items.append(payload)
+        return grouped
 
     def payload_missing(self, peer: int) -> bool:
         """True if ``peer``'s functional payload has not been stored yet
         (its ``last``-marked packet was lost) — the NACK asks for it."""
         if self.dedupe_payloads:
             return peer not in self._payload_seen
-        return peer not in self.payloads
+        return peer not in self._sources
 
     def result(self) -> Any:
         if self.reduce_core is not None:

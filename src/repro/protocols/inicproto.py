@@ -110,7 +110,11 @@ class TransferPlan:
 
     @property
     def complete(self) -> Event:
-        """Fires when every peer's expected bytes have arrived."""
+        """Fires when every peer's expected bytes have arrived.
+
+        Its value is ``None``: the per-peer counts stay readable in
+        :attr:`received`, so completion copies nothing.
+        """
         return self._complete
 
     def total_expected(self) -> int:
@@ -146,7 +150,7 @@ class TransferPlan:
         if prev < exp <= new:
             self._pending -= 1
             if self._pending == 0 and not self._complete.triggered:
-                self._complete.succeed(dict(self.received))
+                self._complete.succeed()
 
     def missing_by_peer(self) -> dict[int, int]:
         """Byte ranges still owed, per incomplete peer — what a recovery
@@ -164,5 +168,5 @@ class TransferPlan:
         )
         self._total_received = sum(self.received.values())
         if self._pending == 0 and not self._complete.triggered:
-            self._complete.succeed(dict(self.received))
+            self._complete.succeed()
 

@@ -24,7 +24,6 @@ start), so retransmissions reproduce identical frames.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -117,7 +116,10 @@ class _SendConn:
         self._dup_acks = 0
         self._recover = 0  # NewReno-style: no second fast retransmit
         # until the flight outstanding at loss time is acknowledged
-        self.window_msgs: deque[_OutMsg] = deque()
+        # unacknowledged messages, oldest first.  It holds a message or
+        # two at a time, and an all-to-all opens p-1 connections per
+        # rank, so a plain list beats a deque's ~760 B of fixed blocks.
+        self.window_msgs: list[_OutMsg] = []
         self.last_progress = stack.sim.now
         self.last_activity = stack.sim.now
         self._send_wakeup: Optional[Event] = None
@@ -291,7 +293,7 @@ class _SendConn:
             self.cwnd += acked_segments / max(self.cwnd, 1.0)  # AIMD
         # Complete fully acknowledged messages.
         while self.window_msgs and self.window_msgs[0].end <= self.snd_una:
-            msg = self.window_msgs.popleft()
+            msg = self.window_msgs.pop(0)
             msg.done.succeed(None)
         self._wake("_window_wakeup")
 

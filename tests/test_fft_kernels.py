@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.fft import serial
 from repro.apps.fft import (
     FFTPlan,
     clear_plan_cache,
@@ -143,3 +144,45 @@ def test_plan_execute_works():
 def test_is_power_of_two():
     assert is_power_of_two(1) and is_power_of_two(1024)
     assert not is_power_of_two(0) and not is_power_of_two(12)
+
+
+# --- memoised size-only tables ------------------------------------------------------
+def _reference_fft_pow2(x, sign):
+    """The radix-2 loop with its tables built fresh on every pass."""
+    n = x.shape[-1]
+    bits = n.bit_length() - 1
+    rev = np.array([int(format(i, f"0{bits}b")[::-1], 2) if bits else 0 for i in range(n)])
+    a = np.array(x, dtype=np.complex128)[..., rev]
+    half = 1
+    while half < n:
+        step = half * 2
+        w = np.exp(sign * 2j * np.pi * np.arange(half) / step)
+        b = a.reshape(*a.shape[:-1], n // step, step)
+        even = b[..., :half]
+        odd = b[..., half:] * w
+        upper, lower = even + odd, even - odd
+        b[..., :half] = upper
+        b[..., half:] = lower
+        half = step
+    return a
+
+
+def test_cached_fft_tables_are_shared_and_read_only():
+    w = serial._twiddles(8, 16, -1.0)
+    assert serial._twiddles(8, 16, -1.0) is w
+    rev = serial._bit_reversal_indices(64)
+    assert serial._bit_reversal_indices(64) is rev
+    for table in (w, rev):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0
+
+
+@pytest.mark.parametrize("n", [2, 8, 64, 512])
+def test_fft1d_with_cached_tables_is_bit_identical(n):
+    x = random_complex(3, n)
+    serial._twiddles.cache_clear()
+    serial._bit_reversal_indices.cache_clear()
+    for _ in range(2):  # a cold and a warm cache
+        assert np.array_equal(fft1d(x), _reference_fft_pow2(x, -1.0))
+        assert np.array_equal(ifft1d(x), _reference_fft_pow2(x, +1.0) / n)

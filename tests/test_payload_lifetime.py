@@ -16,6 +16,11 @@ keys.  These tests pin the fix:
   backlog (``INICCard._pending_rx``), where late retransmits park;
 * ``host_final_sort`` sorts the receive buffer it owns in place, while
   ``count_sort`` keeps its copy contract.
+
+The last section pins the per-pair footprint of the all-to-all
+bookkeeping: an all-to-all posts p blocks per rank and gathers p
+payloads per rank, so anything allocated per (block, source) pair is
+p^2 objects per phase.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import sys
+import tracemalloc
 import types
 from collections import deque
 
@@ -35,11 +41,16 @@ from repro.api import ACEII_PROTOTYPE, Experiment, FaultSpec
 from repro.apps.fft import baseline_fft2d, inic_fft2d
 from repro.apps.sort import baseline_sort, count_sort, host_final_sort, inic_sort
 from repro.cluster.app import ParallelApp
+from repro.errors import OffloadError
 from repro.inic.card import GatherOp, ScatterOp, SendBlock, _EgressChunk
+from repro.inic.cores import ReduceCore
 from repro.models.params import DEFAULT_PARAMS
+from repro.net.addresses import MacAddress
 from repro.net.packet import Frame
 from repro.protocols.base import MessageView
+from repro.protocols.inicproto import TransferPlan
 from repro.protocols.tcp import _OutMsg
+from repro.sim import Simulator
 
 #: the items the datapath loops pass along; none may outlive its delivery
 #: in a parked loop's locals
@@ -241,3 +252,107 @@ def test_host_final_sort_sorts_its_buffer_in_place(n, seed):
     before = keys.copy()
     assert np.array_equal(count_sort(keys), expected)
     assert np.array_equal(keys, before), "count_sort must not touch its input"
+
+
+# -- per-pair footprint of the all-to-all bookkeeping -----------------------------
+
+#: bytes a GatherOp may spend per stored payload at N=1024 sources: two
+#: 8-byte list slots (source value, payload) plus CPython's list
+#: over-allocation of at most 1/8.  Measured 17.9 B; a dict entry plus a
+#: one-item list per source measured 121 B.
+GATHER_BYTES_PER_PAYLOAD = 20
+
+
+def _gather(sources, **kwargs) -> GatherOp:
+    sim = Simulator()
+    plan = TransferPlan(sim, {peer: 1 for peer in sources})
+    return GatherOp(sim, 1, plan, **kwargs)
+
+
+def test_gather_stores_a_payload_in_two_column_slots():
+    n = 1024
+    srcs = [MacAddress(i) for i in range(n)]
+    op = _gather(range(n))
+    payload = object()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for src in srcs:
+            op.store_payload(src, payload)
+        per_payload = (tracemalloc.get_traced_memory()[0] - before) / n
+    finally:
+        tracemalloc.stop()
+    assert per_payload <= GATHER_BYTES_PER_PAYLOAD, (
+        f"{per_payload:.1f} B per stored payload"
+    )
+    assert len(op.payloads) == n
+
+
+def test_send_block_has_no_dict_and_rejects_empty_blocks():
+    block = SendBlock(MacAddress(1), 1, b"x")
+    assert not hasattr(block, "__dict__")
+    with pytest.raises(AttributeError):
+        block.extra = 1
+    for nbytes in (0, -1):
+        with pytest.raises(OffloadError):
+            SendBlock(MacAddress(1), nbytes)
+
+
+def test_gather_payloads_keep_per_source_arrival_order():
+    seen = {}
+
+    def assemble(payloads):
+        seen["arg"] = payloads
+        return "assembled"
+
+    op = _gather([1, 3], assemble=assemble)
+    for src, item in ((3, "a"), (1, "b"), (3, "c")):
+        op.store_payload(MacAddress(src), item)
+    op.store_payload(MacAddress(1), None)  # a payload-less last packet
+    assert op.payloads == {3: ["a", "c"], 1: ["b"]}
+    assert list(op.payloads) == [3, 1], "sources in order of first arrival"
+    assert not op.payload_missing(3) and op.payload_missing(2)
+    assert op.result() == "assembled"
+    assert seen["arg"] == {3: ["a", "c"], 1: ["b"]}
+
+    # ``payloads`` is read-only: a caller's edit changes nothing stored.
+    op.payloads[3].append("z")
+    op.payloads.clear()
+    assert op.payloads == {3: ["a", "c"], 1: ["b"]}
+    with pytest.raises(AttributeError):
+        op.payloads = {}
+
+
+def test_gather_dedupe_folds_each_source_once():
+    op = _gather([1, 2])
+    op.dedupe_payloads = True
+    op.store_payload(MacAddress(2), "original")
+    op.store_payload(MacAddress(2), "retransmit")
+    assert op.payloads == {2: ["original"]}
+    assert not op.payload_missing(2) and op.payload_missing(1)
+
+
+def test_gather_reduce_accumulates_without_storing():
+    op = _gather([1, 2], reduce_core=ReduceCore("sum"))
+    for src in (1, 2):
+        op.store_payload(MacAddress(src), np.full(4, float(src)))
+    assert np.array_equal(op.result(), np.full(4, 3.0))
+    assert op.payloads == {}
+
+
+def test_host_tcp_alltoall_creates_no_per_connection_deque():
+    p = 16
+    session = Experiment().nodes(p).fabric("aggregate").build()
+    baseline_fft2d(session.cluster, _matrix(32))
+    conns = [
+        conn for node in session.cluster.nodes
+        for conn in node.tcp._send_conns.values()
+    ]
+    assert len(conns) == p * (p - 1)
+    holders = [
+        name for conn in conns for name, value in vars(conn).items()
+        if isinstance(value, deque)
+    ]
+    assert not holders, f"connections hold deques: {sorted(set(holders))}"
+    deques = sum(isinstance(obj, deque) for obj in _reachable(session))
+    assert deques < p * (p - 1), f"{deques} deques for {len(conns)} connections"

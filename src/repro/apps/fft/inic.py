@@ -20,7 +20,7 @@ from ...cluster.builder import Cluster
 from ...cluster.mpi import RankContext
 from ...core.design import fft_transpose_design
 from ...core.manager import INICManager
-from ...errors import ApplicationError
+from ...errors import ApplicationError, OffloadError
 from ...inic.card import SendBlock
 from ...models.params import DEFAULT_PARAMS, MachineParams
 from ...protocols.inicproto import TransferPlan
@@ -66,8 +66,13 @@ def inic_transpose(
         name=f"transpose.{ctx.rank}.{phase_tag}",
     )
 
-    def assemble(payloads: dict[int, list]) -> np.ndarray:
-        return pcore.assemble({src: items[0] for src, items in payloads.items()})
+    def assemble(sources: list[int], payloads: list) -> np.ndarray:
+        if len(sources) != p:
+            raise OffloadError(
+                f"transpose.{ctx.rank}: gathered {len(sources)} blocks from "
+                f"{p} ranks"
+            )
+        return pcore.assemble(sources, payloads)
 
     result = yield from driver.exchange(phase_tag, blocks, plan, assemble)
     return result

@@ -23,7 +23,7 @@ from ...cluster.builder import Cluster
 from ...cluster.mpi import RankContext
 from ...core.design import integer_sort_design
 from ...core.manager import INICManager
-from ...errors import ApplicationError
+from ...errors import ApplicationError, OffloadError
 from ...inic.card import SendBlock
 from ...models.params import DEFAULT_PARAMS, MachineParams
 from ...protocols.inicproto import TransferPlan
@@ -34,9 +34,22 @@ from .parallel import host_final_sort
 __all__ = ["inic_sort"]
 
 
+def _check_sources(sources: list[int], p: int, what: str) -> None:
+    """A gather over all ``p`` ranks holds one payload per rank."""
+    if sources != list(range(p)):
+        raise OffloadError(
+            f"{what}: gathered sources {sources} are not one each from 0..{p - 1}"
+        )
+
+
 def _counts_exchange(ctx: RankContext, manager: INICManager, counts: list[int], tag: int):
-    """Generator: one-packet-per-peer metadata all-to-all via the cards."""
+    """Generator: one-packet-per-peer metadata all-to-all via the cards.
+
+    Returns this rank's column of the received count vectors: how many
+    keys each source will send here, as Python ints in source order.
+    """
     p = ctx.size
+    rank = ctx.rank
     addrs = manager.cluster.addresses
     driver = manager.driver(ctx.rank)
     plan = TransferPlan(ctx.sim, {src: 4 * p for src in range(p)}, name=f"counts.{ctx.rank}")
@@ -45,8 +58,15 @@ def _counts_exchange(ctx: RankContext, manager: INICManager, counts: list[int], 
         SendBlock(addrs[(ctx.rank + s) % p], 4 * p, payload)
         for s in range(1, p)
     ] + [SendBlock(addrs[ctx.rank], 4 * p, payload)]
-    received = yield from driver.exchange(tag, blocks, plan)
-    return {src: items[0] for src, items in received.items()}
+
+    def column(sources: list[int], vectors: list) -> list[int]:
+        _check_sources(sources, p, f"counts.{rank}")
+        # ``item`` reads the entry as a Python int, one call per source;
+        # stacking the vectors to slice the column copies all p entries
+        # of each and is slower.
+        return [vector.item(rank) for vector in vectors]
+
+    return (yield from driver.exchange(tag, blocks, plan, column))
 
 
 def inic_sort(
@@ -82,7 +102,8 @@ def inic_sort(
             bucket_core.bytes_processed += b.nbytes
 
         counts = [int(b.shape[0]) for b in buckets]
-        counts_by_src = yield from _counts_exchange(ctx, manager, counts, 0x50)
+        incoming = yield from _counts_exchange(ctx, manager, counts, 0x50)
+        n_local = sum(incoming)
 
         order = [(ctx.rank + s) % p for s in range(1, p)] + [ctx.rank]
         blocks = [
@@ -95,22 +116,18 @@ def inic_sort(
         ]
         plan = TransferPlan(
             ctx.sim,
-            {
-                src: max(int(counts_by_src[src][ctx.rank]) * 4, 4)
-                for src in range(p)
-            },
+            {src: max(n * 4, 4) for src, n in enumerate(incoming)},
             name=f"sort.{ctx.rank}",
         )
 
-        def assemble(payloads: dict[int, list]) -> np.ndarray:
-            parts = [
-                np.asarray(items[0], dtype=np.uint32).ravel()
-                for _, items in sorted(payloads.items())
-                if items[0] is not None
-            ]
-            local = (
-                np.concatenate(parts) if parts else np.empty(0, dtype=np.uint32)
-            )
+        def assemble(sources: list[int], parts: list) -> np.ndarray:
+            _check_sources(sources, p, f"sort.{ctx.rank}")
+            local = np.concatenate(parts, dtype=np.uint32)
+            if local.shape != (n_local,):
+                raise OffloadError(
+                    f"sort.{ctx.rank}: gathered {local.shape} keys, "
+                    f"the counts promised {n_local}"
+                )
             # Receive-side binning in the card (functional bookkeeping).
             bucket_core.bytes_processed += local.nbytes
             return local

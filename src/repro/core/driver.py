@@ -10,10 +10,10 @@ from host compute.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from ..errors import OffloadError
-from ..inic.card import GatherOp, INICCard, ScatterOp, SendBlock
+from ..inic.card import Assemble, GatherOp, INICCard, ScatterOp, SendBlock
 from ..protocols.inicproto import TransferPlan
 from ..sim.trace import TraceRecorder
 
@@ -60,7 +60,7 @@ class HostDriver:
         self,
         tag: int,
         plan: TransferPlan,
-        assemble: Optional[Callable[[dict[int, list]], Any]] = None,
+        assemble: Optional[Assemble] = None,
         reduce_core=None,
     ):
         """Generator: post a gather; returns the :class:`GatherOp`."""
@@ -72,10 +72,12 @@ class HostDriver:
         tag: int,
         blocks: list[SendBlock],
         plan: TransferPlan,
-        assemble: Optional[Callable[[dict[int, list]], Any]] = None,
+        assemble: Optional[Assemble] = None,
     ):
         """Generator: the all-to-all primitive — post gather then scatter,
-        wait for the gather to complete, return its assembled result.
+        wait for the gather to complete, return its assembled result
+        (``assemble(sources, payloads)``, see
+        :meth:`~repro.inic.card.GatherOp.by_source`).
 
         Records a ``inic-exchange`` trace span covering the whole
         offloaded operation (what Fig. 4(b) calls "INIC Transpose Time").

@@ -159,6 +159,12 @@ class ScatterOp:
         self.sent: Event = sim.event(name=f"scatter#{tag}.sent")
 
 
+#: a gather's functional step: ``assemble(sources, payloads)`` gets the
+#: stored payloads sorted by source address value (see
+#: :meth:`GatherOp.by_source`) and returns the gather's result
+Assemble = Callable[[list[int], list], Any]
+
+
 class GatherOp:
     """A posted gather: accounts arrivals against a plan, DMAs to host."""
 
@@ -167,7 +173,7 @@ class GatherOp:
         sim: Simulator,
         tag: int,
         plan: TransferPlan,
-        assemble: Optional[Callable[[dict[int, list]], Any]] = None,
+        assemble: Optional[Assemble] = None,
         reduce_core=None,
     ):
         self.tag = tag
@@ -177,7 +183,8 @@ class GatherOp:
         self.done: Event = sim.event(name=f"gather#{tag}.done")
         # Stored payloads as two arrival-order columns (source address
         # value, payload): two list slots per payload instead of a list
-        # per source.  ``payloads`` groups them on demand.
+        # per source.  ``by_source`` and ``payloads`` order them on
+        # demand; the card's train receive appends to them inline.
         self._sources: list[int] = []
         self._items: list = []
         self.accumulator = None
@@ -208,14 +215,24 @@ class GatherOp:
             self._sources.append(src.value)
             self._items.append(payload)
 
+    def by_source(self) -> tuple[list[int], list]:
+        """The stored payloads as ``(sources, payloads)``: two parallel
+        lists sorted by source address value, each source's payloads in
+        arrival order (the sort is stable).  ``result()`` hands them to
+        ``assemble``; each call builds fresh lists."""
+        sources = self._sources
+        items = self._items
+        order = sorted(range(len(sources)), key=sources.__getitem__)
+        return [sources[i] for i in order], [items[i] for i in order]
+
     @property
     def payloads(self) -> dict[int, list]:
         """Stored payloads by source address value, each source's in
-        arrival order, sources in order of their first arrival.
+        arrival order, sources in order of their first arrival: the
+        result of a gather posted without ``assemble``.
 
-        Read-only: each read builds a fresh dict from the arrival columns
-        (``result()`` reads it once), so editing it changes nothing
-        stored.
+        Read-only: each read builds a fresh dict from the arrival
+        columns, so editing it changes nothing stored.
         """
         grouped: dict[int, list] = {}
         for src, payload in zip(self._sources, self._items):
@@ -237,7 +254,7 @@ class GatherOp:
         if self.reduce_core is not None:
             return self.accumulator
         if self.assemble is not None:
-            return self.assemble(self.payloads)
+            return self.assemble(*self.by_source())
         return self.payloads
 
 
@@ -318,6 +335,12 @@ class INICCard:
         self._rate_design: Optional[Design] = None
         self._design_min_rate: float = float("inf")
         self._chunk_cache: dict[tuple[int, Optional[int]], list[int]] = {}
+        #: the fast path's per-chunk constants, per (nbytes, window): one
+        #: row ``(size, bus time, datapath stall, last, packets, wire
+        #: bytes, nbytes)`` per chunk (:meth:`_fast_rows`).  The stall
+        #: depends on the design's slowest core, so :meth:`configure`
+        #: drops the memo.
+        self._row_cache: dict[tuple[int, Optional[int]], tuple[tuple, ...]] = {}
         self._wire_out: Optional[Wire] = None
         #: opt-in for the exchange-phase bulk fast path (set by the
         #: cluster builder from ``ClusterSpec.fastpath``); eligibility
@@ -352,6 +375,7 @@ class INICCard:
         """Generator: load ``design`` onto the fabric (fit check + time)."""
         yield from self.fabric.configure(design, design.clbs, design.ram_kbits)
         self.design = design
+        self._row_cache.clear()
         return design
 
     def require_core(self, core_name: str):
@@ -495,10 +519,16 @@ class INICCard:
         self,
         tag: int,
         plan: TransferPlan,
-        assemble: Optional[Callable[[dict[int, list]], Any]] = None,
+        assemble: Optional[Assemble] = None,
         reduce_core=None,
     ) -> GatherOp:
-        """Post a gather descriptor for phase ``tag``."""
+        """Post a gather descriptor for phase ``tag``.
+
+        On completion the gather's ``done`` event carries
+        ``assemble(sources, payloads)`` (:meth:`GatherOp.by_source`), the
+        ``reduce_core`` accumulator, or without either the
+        :attr:`GatherOp.payloads` map.
+        """
         if tag in self._gathers:
             raise OffloadError(f"gather tag {tag} already active")
         op = GatherOp(self.sim, tag, plan, assemble, reduce_core)
@@ -697,133 +727,163 @@ class INICCard:
                 return "outstanding_credit"
         return None
 
+    def _fast_rows(self, nbytes: int, window: Optional[int]) -> tuple[tuple, ...]:
+        """The fast path's per-chunk constants for a block of ``nbytes``
+        under ``window``, memoised per card.
+
+        One row per chunk of :meth:`_chunks_of`: ``(size, d_xfer, stall,
+        last, n_packets, wire_size, nbytes)``, where ``d_xfer`` is one
+        bus crossing (arbitration plus ``size / bandwidth``), ``stall``
+        the datapath's extra time when the design's slowest core is
+        slower than the bus (``0.0`` below the slow path's 1e-12 s
+        threshold), and ``wire_size`` :func:`wire_bytes` of the chunk.
+        Each value is the expression the slow path evaluates for that
+        chunk (:meth:`FCFSBus.transfer`'s duration, :meth:`_ingest_loop`'s
+        stall), so the rows hold the same floats.
+        """
+        bus = self.host_tx
+        bw = bus.bandwidth
+        arb = bus.arbitration_latency
+        ingest_rate = self.datapath_rate(bw)
+        proto = self.spec.proto
+        packet_size = proto.packet_size
+        overhead = ETHERNET_OVERHEAD + proto.headers
+        sizes = self._chunks_of(nbytes, window)
+        n_last = len(sizes) - 1
+        rows = []
+        for i, size in enumerate(sizes):
+            extra = size / ingest_rate - size / bw
+            n_packets = -(-size // packet_size)
+            padded = MIN_FRAME_PAYLOAD * n_packets
+            rows.append((
+                size,
+                arb + size / bw,
+                extra if extra > 1e-12 else 0.0,
+                i == n_last,
+                n_packets,
+                (size if size > padded else padded) + n_packets * overhead,
+                nbytes,
+            ))
+        rows = tuple(rows)
+        self._row_cache[(nbytes, window)] = rows
+        return rows
+
     def _run_scatter_fast(self, op: ScatterOp) -> None:
         """Whole-scatter datapath in closed form: zero events per chunk.
 
         The slow path's per-chunk event cascade (ingest transfer,
         datapath stall, egress-queue rendezvous, credit gate, egress
         transfer) collapses onto the shared bus clock: chunks alternate
-        ingest/egress strictly, each egress starting no earlier than its
-        chunk's datapath-ready time.  The bus clock and statistics are
-        committed in bulk, the wire chunks become one column
-        :class:`~repro.net.packet.Train` handed to the fabric's flow
-        clock in one call, and the operation completes with two
-        scheduled callbacks total (delivery of self-addressed chunks,
-        a second train that never touches the wire, adds one each).
-        Credits are elided (``nocredit``): eligibility already
+        ingest/egress strictly, each egress starting at its chunk's
+        datapath-ready time (the bus is free by then: the ingest that
+        made the chunk ready was the bus's last transfer).  The bus
+        clock and statistics are committed in bulk, the wire chunks
+        become one column :class:`~repro.net.packet.Train` handed to the
+        fabric's flow clock in one call, and the operation completes
+        with two scheduled callbacks total (delivery of self-addressed
+        chunks, a second train that never touches the wire, adds one
+        each).  Credits are elided (``nocredit``): eligibility already
         guaranteed the window cannot overrun.
+
+        The per-chunk constants come from :meth:`_fast_rows`, so the
+        loop runs only the bus and memory recurrences; the counters are
+        sums of integers, added once per scatter from the train's
+        columns.
         """
         sim = self.sim
         now = sim.now
         bus = self.host_tx
-        proto = self.spec.proto
-        packet_size = proto.packet_size
-        headers = proto.headers
-        overhead = ETHERNET_OVERHEAD + headers
         stats = self.stats
         window = op.window_bytes or self.spec.flow_window
-        chunk_cache = self._chunk_cache
-        bw = bus.bandwidth
-        ingest_rate = self.datapath_rate(bw)
-        arb = bus.arbitration_latency
+        row_cache = self._row_cache
         busy = bus._busy_until
         if now > busy:
             busy = now
-        n_xfers = 0
-        bus_bytes = 0.0
         busy_add = 0.0
-        # The card's counters and memory gauge ride in locals; ``mem``
-        # and ``peak`` take exactly :meth:`_track_mem`'s adds and
+        # ``mem`` and ``peak`` take exactly :meth:`_track_mem`'s adds and
         # compares, in order (a release can never raise the peak).
         mem = self._mem_in_use
         peak = stats.peak_memory_bytes
-        bytes_ingested = stats.bytes_ingested
-        bytes_egressed = stats.bytes_egressed
-        frames_sent = stats.frames_sent
-        last_t = now
         addr = self.address
         own = addr.value
         tag = op.tag
-        train = Train(addr, headers, kind="inic", op=tag, nocredit=True)
+        train = Train(addr, self.spec.proto.headers, kind="inic", op=tag, nocredit=True)
         local = Train(addr, 0, kind="inic-local", op=tag)
-        # The train's columns are filled here directly (``Train.append``
-        # would validate each chunk and cost a call per chunk);
-        # ``wire_size`` is :func:`wire_bytes` inlined.
+        # The wire train's per-chunk columns come from the rows, taken
+        # apart once at the end; the loop appends a row, the
+        # destination, the payload and the send time.
+        wire_rows: list[tuple] = []
+        add_row = wire_rows.append
         add_dst = train.dst.append
-        add_bytes = train.payload_bytes.append
-        add_wire = train.wire_size.append
-        add_count = train.frame_count.append
         add_payload = train.payload.append
-        add_last = train.last.append
-        add_total = train.total.append
         add_time = train.times.append
+        rows_bytes = -1
+        rows: tuple[tuple, ...] = ()
         for block in op.blocks:
             nbytes = block.nbytes
-            sizes = chunk_cache.get((nbytes, window))
-            if sizes is None:
-                sizes = self._chunks_of(nbytes, window)
+            if nbytes != rows_bytes:
+                rows = row_cache.get((nbytes, window))
+                if rows is None:
+                    rows = self._fast_rows(nbytes, window)
+                rows_bytes = nbytes
             dst = block.dst
-            is_local = dst.value == own
-            n_sizes = len(sizes)
-            for i, size in enumerate(sizes):
-                d_xfer = arb + size / bw
-                fin_i = busy + d_xfer
-                busy = fin_i
-                n_xfers += 1
-                bus_bytes += size
-                busy_add += d_xfer
-                extra = size / ingest_rate - size / bw
-                ready = fin_i + extra if extra > 1e-12 else fin_i
-                bytes_ingested += size
-                mem += size
-                if mem > peak:
-                    peak = mem
-                last_chunk = i == n_sizes - 1
-                if is_local:
+            data = block.data
+            if dst.value == own:
+                for size, d_xfer, stall, last_chunk, _, _, _ in rows:
+                    busy += d_xfer
+                    busy_add += d_xfer
+                    mem += size
+                    if mem > peak:
+                        peak = mem
                     mem -= size
                     local.append(
-                        addr, size, ready,
-                        payload=block.data if last_chunk else None,
+                        addr, size, busy + stall,
+                        payload=data if last_chunk else None,
                         last=last_chunk,
                         total=nbytes,
                     )
-                    if ready > last_t:
-                        last_t = ready
-                    continue
-                start_e = busy if busy > ready else ready
-                fin_e = start_e + d_xfer
-                busy = fin_e
-                n_xfers += 1
-                bus_bytes += size
+                continue
+            for row in rows:
+                size, d_xfer, stall, last_chunk, _, _, _ = row
+                # Ingest ends, the stall ends (ready), the egress ends:
+                # three float adds, left to right, in that order.
+                busy = busy + d_xfer + stall + d_xfer
                 busy_add += d_xfer
+                busy_add += d_xfer
+                mem += size
+                if mem > peak:
+                    peak = mem
                 mem -= size
-                n_packets = -(-size // packet_size)
-                padded = MIN_FRAME_PAYLOAD * n_packets
+                add_row(row)
                 add_dst(dst)
-                add_bytes(size)
-                add_wire((size if size > padded else padded) + n_packets * overhead)
-                add_count(n_packets)
-                add_payload(block.data if last_chunk else None)
-                add_last(last_chunk)
-                add_total(nbytes)
-                add_time(fin_e)
-                frames_sent += n_packets
-                bytes_egressed += size
-                if fin_e > last_t:
-                    last_t = fin_e
+                add_payload(data if last_chunk else None)
+                add_time(busy)
         self._mem_in_use = mem
         stats.peak_memory_bytes = peak
-        stats.bytes_ingested = bytes_ingested
-        stats.bytes_egressed = bytes_egressed
-        stats.frames_sent = frames_sent
+        local_times = local.times
+        ingested = sum(local.payload_bytes)
+        egressed = 0
+        last_t = now
+        if wire_rows:
+            (
+                train.payload_bytes, _, _, train.last,
+                train.frame_count, train.wire_size, train.total,
+            ) = map(list, zip(*wire_rows))
+            egressed = sum(train.payload_bytes)
+            stats.frames_sent += sum(train.frame_count)
+            stats.bytes_egressed += egressed
+            last_t = train.times[-1]
+        if local_times:
+            last_t = max(last_t, *local_times)
+        stats.bytes_ingested += ingested + egressed
         bus._busy_until = busy
         bus_stats = bus.stats
-        bus_stats.bytes_transferred += bus_bytes
-        bus_stats.transfer_count += n_xfers
+        bus_stats.bytes_transferred += ingested + 2 * egressed
+        bus_stats.transfer_count += len(local_times) + 2 * len(wire_rows)
         bus_stats.busy_time += busy_add
-        if train.times:
+        if wire_rows:
             self._wire_out.send_train(train)
-        for i, ready in enumerate(local.times):
+        for i, ready in enumerate(local_times):
             sim.call_after(ready - now, self._fast_local_deliver, local, i)
         sim.call_after(last_t - now, op.sent.succeed, None)
 
@@ -884,8 +944,11 @@ class INICCard:
         the train columns: counters and the memory gauge ride in locals
         (same adds and compares as :meth:`_track_mem`, in order) and
         each frame is accounted against its gather's plan inline
-        (:meth:`_account_rx`).  A frame whose gather is not posted yet
-        is built and parked in the backlog :meth:`post_gather` replays.
+        (:meth:`_account_rx`); a payload is appended to the gather's
+        arrival columns inline too, unless the gather dedupes or reduces
+        (:meth:`GatherOp.store_payload`).  A frame whose gather is not
+        posted yet is built and parked in the backlog :meth:`post_gather`
+        replays.
         """
         stats = self.stats
         wire = self._wire_out
@@ -925,7 +988,12 @@ class INICCard:
             gather.plan.account(src, nbytes)
             gather.pending_delivery += nbytes
             if train.last[i]:
-                gather.store_payload(src, train.payload[i])
+                payload = train.payload[i]
+                if gather.dedupe_payloads or gather.reduce_core is not None:
+                    gather.store_payload(src, payload)
+                elif payload is not None:
+                    gather._sources.append(src.value)
+                    gather._items.append(payload)
         self._mem_in_use = mem
         stats.peak_memory_bytes = peak
         stats.frames_received = frames_received

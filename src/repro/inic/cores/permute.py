@@ -5,8 +5,8 @@ other processor; interleaving them column-block-wise yields its panel of
 the transposed matrix.  On the INIC this happens in "Permutation Memory"
 as frames are de-packetized — again zero host cost.
 
-``assemble`` is the functional gather: blocks keyed by source rank are
-placed into the local (M x N) result panel.
+``assemble`` is the functional gather: the blocks, in source-rank order,
+are placed into the local (M x N) result panel.
 """
 
 from __future__ import annotations
@@ -33,31 +33,39 @@ class FinalPermutationCore(StreamCore):
             )
         )
 
-    def assemble(self, blocks_by_source: dict[int, np.ndarray]) -> np.ndarray:
-        """Place block ``p`` (from source rank p) at column band p.
+    def assemble(self, sources: list[int], blocks: list[np.ndarray]) -> np.ndarray:
+        """Place block ``k`` (from source rank ``sources[k]``) at column
+        band ``k``.
 
-        Each block is M x M; the result is M x (M * n_sources).
+        ``sources`` must be exactly ``0 .. n-1`` in order (a gather's
+        :meth:`~repro.inic.card.GatherOp.by_source` order), one M x M
+        block each; the result is M x (M * n).  The ranks are checked
+        once, and the blocks' shapes once through the concatenated
+        panel's shape (so blocks of M rows whose widths differ but sum
+        to M * n pass).
         """
-        if not blocks_by_source:
+        if not blocks:
             raise OffloadError("no blocks to assemble")
-        ranks = sorted(blocks_by_source)
-        if ranks != list(range(len(ranks))):
-            raise OffloadError(f"non-contiguous source ranks {ranks}")
-        first = blocks_by_source[0]
+        n = len(blocks)
+        if sources != list(range(n)):
+            raise OffloadError(
+                f"source ranks {sources} are not one block each from 0..{n - 1}"
+            )
+        first = blocks[0]
         if first.ndim != 2 or first.shape[0] != first.shape[1]:
             raise OffloadError(f"blocks must be square, got {first.shape}")
         m = first.shape[0]
-        blocks = [blocks_by_source[r] for r in ranks]
-        for r, block in zip(ranks, blocks):
-            if block.shape != (m, m):
-                raise OffloadError(
-                    f"block {r} has shape {block.shape}, expected {(m, m)}"
-                )
         # One copy places every band (cast to the first block's dtype,
         # as band-by-band assignment into a preallocated panel would).
-        out = np.concatenate(blocks, axis=1, dtype=first.dtype, casting="unsafe")
-        for block in blocks:
-            self.bytes_processed += block.nbytes
+        try:
+            out = np.concatenate(blocks, axis=1, dtype=first.dtype, casting="unsafe")
+        except ValueError as exc:
+            raise OffloadError(f"blocks do not form an {m} x {m * n} panel: {exc}") from None
+        if out.shape != (m, m * n):
+            raise OffloadError(
+                f"blocks form a {out.shape} panel, expected {(m, m * n)}"
+            )
+        self.bytes_processed += out.nbytes
         return out
 
     def apply(self, data: np.ndarray, **context) -> np.ndarray:

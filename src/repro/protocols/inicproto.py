@@ -96,17 +96,26 @@ class TransferPlan:
         name: str = "plan",
         tolerate_surplus: bool = False,
     ):
-        for peer, nbytes in expected.items():
-            if nbytes < 0:
+        self.expected = dict(expected)
+        self.received = dict.fromkeys(self.expected, 0)
+        # One pass over the peers: validate and count the pending ones
+        # (an all-to-all builds one plan of p peers per rank and phase).
+        pending = 0
+        for peer, nbytes in self.expected.items():
+            if nbytes > 0:
+                pending += 1
+            elif nbytes < 0:
                 raise ProtocolError(f"negative expected bytes from peer {peer}")
         self.sim = sim
         self.name = name
-        self.expected = dict(expected)
-        self.received = {peer: 0 for peer in expected}
         self.tolerate_surplus = tolerate_surplus
         self.surplus_bytes = 0
+        #: O(1) accounting state (see :meth:`account`)
+        self._pending = pending
+        self._total_received = 0
         self._complete = sim.event(name=f"{name}.complete")
-        self._check_done()
+        if pending == 0:
+            self._complete.succeed()
 
     @property
     def complete(self) -> Event:
@@ -160,13 +169,3 @@ class TransferPlan:
             for peer in self.expected
             if self.received[peer] < self.expected[peer]
         }
-
-    def _check_done(self) -> None:
-        """Rebuild the O(1) accounting state from the dicts (init path)."""
-        self._pending = sum(
-            1 for p, e in self.expected.items() if self.received[p] < e
-        )
-        self._total_received = sum(self.received.values())
-        if self._pending == 0 and not self._complete.triggered:
-            self._complete.succeed()
-

@@ -1,9 +1,12 @@
 """Integration tests for the INIC card datapath."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import FPGAResourceError, OffloadError
 from repro.hw import CPU, CacheLevel, MemoryHierarchy
@@ -373,6 +376,27 @@ def test_fastpath_card_stats_are_pinned(app):
 
 
 # --- card-train fast path: the column train and its frames ----------------------------
+def _record_fast_path(monkeypatch):
+    """Record every wire train and every self-addressed fast-path chunk."""
+    from repro.net.topology import _AggregateUplink
+
+    wire, local = [], []
+    send_train = _AggregateUplink.send_train
+    local_deliver = INICCard._fast_local_deliver
+
+    def record_train(uplink, train):
+        wire.append(train)
+        return send_train(uplink, train)
+
+    def record_local(card, train, i):
+        local.append((train, i))
+        return local_deliver(card, train, i)
+
+    monkeypatch.setattr(_AggregateUplink, "send_train", record_train)
+    monkeypatch.setattr(INICCard, "_fast_local_deliver", record_local)
+    return wire, local
+
+
 def test_train_frames_match_per_chunk_frames(monkeypatch):
     """``Train.frame(i)`` is, field for field, the ``Frame`` the fast
     path built per chunk before its trains went columnar — first,
@@ -381,23 +405,9 @@ def test_train_frames_match_per_chunk_frames(monkeypatch):
     ``_pending_rx`` backlog see the same frames.  A gather posted after
     its frames arrived replays that backlog to the same result."""
     from repro.net import Frame, Train, wire_bytes
-    from repro.net.topology import _AggregateUplink, build_fattree
+    from repro.net.topology import build_fattree
 
-    wire_trains, local_chunks = [], []
-    send_train = _AggregateUplink.send_train
-    local_deliver = INICCard._fast_local_deliver
-
-    def record_train(uplink, train):
-        wire_trains.append(train)
-        return send_train(uplink, train)
-
-    def record_local(card, train, i):
-        local_chunks.append((train, i))
-        return local_deliver(card, train, i)
-
-    monkeypatch.setattr(_AggregateUplink, "send_train", record_train)
-    monkeypatch.setattr(INICCard, "_fast_local_deliver", record_local)
-
+    wire_trains, local_chunks = _record_fast_path(monkeypatch)
     sim = Simulator()
     spec = ACEII_PROTOTYPE
     cards = [INICCard(sim, MacAddress(i), spec=spec, name=f"inic{i}") for i in range(4)]
@@ -517,3 +527,223 @@ def test_fastpath_fallback_reasons_are_counted():
     card.post_scatter(2, one)  # not a train: never a candidate
     card.sim.run()
     assert card.fastpath_fallbacks == {"fastpath_off": 1}
+
+
+# --- card-train fast path: memoised chunk rows ------------------------------------------
+def _rate_design(name, bytes_per_cycle):
+    """A one-core design streaming ``bytes_per_cycle`` per fabric clock."""
+    from repro.inic.cores import CoreSpec, StreamCore
+
+    return Design(name, [StreamCore(CoreSpec(name, 10, 0, bytes_per_cycle))])
+
+
+#: at the prototype's 50 MHz clock, 4 B/cycle outruns its 112.2 MB/s bus
+#: (no datapath stall); 1 B/cycle is slower, so every chunk stalls
+FAST_CORE, SLOW_CORE = 4.0, 1.0
+
+
+def _fast_cards(n=2):
+    from repro.net.topology import build_fattree
+
+    sim = Simulator()
+    cards = [
+        INICCard(sim, MacAddress(i), spec=ACEII_PROTOTYPE, name=f"inic{i}")
+        for i in range(n)
+    ]
+    build_fattree(sim, [(card.address, card) for card in cards])
+    for card in cards:
+        card.fastpath = True
+    return sim, cards
+
+
+def _card_ledger(card):
+    """Every ``CardStats`` field, then the host bus's ledger and clock."""
+    stats = vars(card.stats)
+    bus = card.host_tx
+    return tuple(stats[name] for name in sorted(stats)) + (
+        bus.stats.bytes_transferred,
+        bus.stats.transfer_count,
+        bus.stats.busy_time,
+        bus._busy_until,
+    )
+
+
+def test_reconfiguring_a_card_drops_its_chunk_rows(monkeypatch):
+    """A card that scattered under one design and was then reconfigured
+    to a design with a slower core scatters exactly like a fresh card
+    configured with the second design: the memoised chunk rows carry
+    the datapath stall, so ``configure`` must drop them."""
+    from repro.inic.card import CardStats
+
+    wire, _ = _record_fast_path(monkeypatch)
+    nbytes = 40_000  # several chunks per block, the last one short
+    fast, slow = _rate_design("fast", FAST_CORE), _rate_design("slow", SLOW_CORE)
+
+    def blocks():
+        return [SendBlock(MacAddress(1), nbytes), SendBlock(MacAddress(0), nbytes)]
+
+    # Reconfigured card: scatter under ``fast``, load ``slow``, scatter again.
+    sim, cards = _fast_cards()
+    card = cards[0]
+    second = {}
+
+    def reconfigured():
+        yield from card.configure(fast)
+        yield card.post_scatter(1, blocks(), train=True).sent
+        assert all(row[2] == 0.0 for row in card._row_cache[(nbytes, card.spec.flow_window)])
+        second["t"] = sim.now
+        yield from card.configure(slow)
+        # Start the second scatter's ledger from zero, like a fresh card's.
+        card.stats = CardStats()
+        for name, value in vars(card.host_tx.stats).items():
+            setattr(card.host_tx.stats, name, type(value)(0))
+        yield card.post_scatter(2, blocks(), train=True).sent
+
+    sim.process(reconfigured())
+    sim.run()
+    assert len(wire) == 2
+    got_train, got_ledger = wire[1], _card_ledger(card)
+
+    # Fresh card: idle until the reconfigured card's second load began.
+    sim, cards = _fast_cards()
+    card = cards[0]
+
+    def fresh():
+        yield sim.timeout(second["t"])
+        yield from card.configure(slow)
+        yield card.post_scatter(2, blocks(), train=True).sent
+
+    sim.process(fresh())
+    sim.run()
+    want_train = wire[2]
+    for column in ("times", "wire_size", "frame_count", "payload_bytes", "last", "total"):
+        assert getattr(got_train, column) == getattr(want_train, column), column
+    assert got_ledger == _card_ledger(card)
+    # The second design's rows differ from the first's: every chunk stalls.
+    assert all(row[2] > 0.0 for row in card._row_cache[(nbytes, card.spec.flow_window)])
+
+
+def _reference_scatter(card, blocks, window):
+    """The fast path's arithmetic written out chunk by chunk, nothing
+    memoised: (wire times, wire sizes, frame counts, local ready times,
+    bus bytes, transfers, busy time, busy-until)."""
+    from repro.net import wire_bytes
+
+    bus = card.host_tx
+    bw, arb = bus.bandwidth, bus.arbitration_latency
+    ingest_rate = card.datapath_rate(bw)
+    proto = card.spec.proto
+    busy = max(bus._busy_until, card.sim.now)
+    times, wire, counts, local = [], [], [], []
+    bus_bytes, n_xfers, busy_add = 0.0, 0, 0.0
+    for block in blocks:
+        for size in card._chunks_of(block.nbytes, window):
+            d_xfer = arb + size / bw
+            fin_i = busy + d_xfer
+            busy = fin_i
+            n_xfers += 1
+            bus_bytes += size
+            busy_add += d_xfer
+            extra = size / ingest_rate - size / bw
+            ready = fin_i + extra if extra > 1e-12 else fin_i
+            if block.dst == card.address:
+                local.append(ready)
+                continue
+            start_e = busy if busy > ready else ready
+            fin_e = start_e + d_xfer
+            busy = fin_e
+            n_xfers += 1
+            bus_bytes += size
+            busy_add += d_xfer
+            n_packets = -(-size // proto.packet_size)
+            times.append(fin_e)
+            wire.append(wire_bytes(size, proto.headers, n_packets))
+            counts.append(n_packets)
+    return times, wire, counts, local, bus_bytes, n_xfers, busy_add, busy
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 64 * 1024), min_size=1, max_size=4),
+    own_size=st.integers(1, 64 * 1024),
+    window=st.sampled_from([None, 4096, 10_000, 64 * 1024]),
+    core=st.sampled_from([FAST_CORE, SLOW_CORE]),
+)
+def test_fast_path_rows_match_per_chunk_arithmetic(sizes, own_size, window, core):
+    """Whatever the block sizes (multi-chunk blocks with a short last
+    chunk included), the flow window (``None``: the card's) and the
+    datapath stall, a scatter through the memoised rows lays down the
+    per-chunk arithmetic's wire train, self-addressed chunks and bus
+    ledger bit for bit, and each row holds that arithmetic's values."""
+    from repro.net import wire_bytes
+
+    sim, cards = _fast_cards(3)
+    card = cards[0]
+    sim.process(card.configure(_rate_design("core", core)))
+    sim.run()
+    blocks = [SendBlock(MacAddress(1 + k % 2), n) for k, n in enumerate(sizes)]
+    blocks.append(SendBlock(MacAddress(0), own_size))
+    resolved = window or card.spec.flow_window
+    want = _reference_scatter(card, blocks, resolved)
+
+    wire, local = [], []
+    card._wire_out = SimpleNamespace(send_train=wire.append)
+    card._fast_local_deliver = lambda train, i: local.append((i, train.times[i]))
+    op = ScatterOp(sim, 1, blocks, window, train=True)
+    now = sim.now
+    sent = []
+
+    def waiter():
+        yield op.sent
+        sent.append(sim.now)
+
+    sim.process(waiter())
+    card._run_scatter_fast(op)
+    sim.run()
+    assert sent == [now + (max(want[0] + want[3]) - now)]
+    bus = card.host_tx
+    times = wire[0].times if wire else []
+    got = (
+        times,
+        wire[0].wire_size if wire else [],
+        wire[0].frame_count if wire else [],
+        # self-addressed chunks are delivered in time order, and a short
+        # last chunk can be ready before a stalled full one
+        [t for _, t in sorted(local)],
+        bus.stats.bytes_transferred,
+        bus.stats.transfer_count,
+        bus.stats.busy_time,
+        bus._busy_until,
+    )
+    assert got == want
+
+    proto = card.spec.proto
+    bw, arb = bus.bandwidth, bus.arbitration_latency
+    ingest_rate = card.datapath_rate(bw)
+    for (nbytes, key_window), rows in card._row_cache.items():
+        assert key_window == resolved
+        chunks = card._chunks_of(nbytes, key_window)
+        assert [row[0] for row in rows] == chunks
+        for k, (size, d_xfer, stall, last, n_packets, wire_size, total) in enumerate(rows):
+            extra = size / ingest_rate - size / bw
+            assert d_xfer == arb + size / bw
+            assert stall == (extra if extra > 1e-12 else 0.0)
+            assert last == (k == len(chunks) - 1)
+            assert n_packets == -(-size // proto.packet_size)
+            assert wire_size == wire_bytes(size, proto.headers, n_packets)
+            assert total == nbytes
+
+
+def test_card_bench_takes_the_fast_path_and_checks_its_panels():
+    """``python -m repro.inic --bench``: every sender's scatter is one
+    fast-path train, every stage is timed, and the panels it assembles
+    are checked (a wrong one raises)."""
+    from repro.inic.__main__ import STAGES, bench_alltoall, main
+
+    row = bench_alltoall(4)
+    assert row["p"] == 4 and row["blocks"] == 16
+    assert row["trains_fast"] == 4
+    assert row["events"] > 0
+    assert set(row["us_per_block"]) == set(STAGES) | {"other"}
+    assert all(row["us_per_block"][stage] > 0 for stage in STAGES)
+    assert main(["--bench", "--p", "2", "--json"]) == 0

@@ -142,22 +142,22 @@ def test_permutation_assemble_reconstructs_transpose():
     full = rng.standard_normal((n, n))
     # Node 0's panel of X^T assembled from blocks sent by all nodes.
     core = FinalPermutationCore()
-    blocks = {
-        src: np.ascontiguousarray(full[src * m : (src + 1) * m, 0:m].T)
+    blocks = [
+        np.ascontiguousarray(full[src * m : (src + 1) * m, 0:m].T)
         for src in range(p)
-    }
-    panel = core.assemble(blocks)
+    ]
+    panel = core.assemble(list(range(p)), blocks)
     assert np.array_equal(panel, full.T[0:m, :])
 
 
 def test_permutation_assemble_validates():
     core = FinalPermutationCore()
     with pytest.raises(OffloadError):
-        core.assemble({})
+        core.assemble([], [])
     with pytest.raises(OffloadError):
-        core.assemble({0: np.zeros((2, 2)), 2: np.zeros((2, 2))})
+        core.assemble([0, 2], [np.zeros((2, 2)), np.zeros((2, 2))])
     with pytest.raises(OffloadError):
-        core.assemble({0: np.zeros((2, 2)), 1: np.zeros((3, 3))})
+        core.assemble([0, 1], [np.zeros((2, 2)), np.zeros((3, 3))])
 
 
 # --- BucketSortCore ----------------------------------------------------------------------

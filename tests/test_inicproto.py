@@ -62,12 +62,22 @@ def test_empty_plan_completes_immediately():
     sim = Simulator()
     plan = TransferPlan(sim, {})
     assert plan.complete.triggered
+    # Peers that owe nothing are complete from the start.
+    plan = TransferPlan(sim, {0: 0, 1: 0})
+    assert plan.complete.triggered
+    assert plan.received == {0: 0, 1: 0} and plan.total_received() == 0
+    plan = TransferPlan(sim, {0: 0, 1: 8})
+    assert not plan.complete.triggered
+    plan.account(MacAddress(1), 8)
+    assert plan.complete.triggered
 
 
 def test_plan_rejects_negative_expectation():
     sim = Simulator()
     with pytest.raises(ProtocolError):
         TransferPlan(sim, {0: -5})
+    with pytest.raises(ProtocolError, match="peer 2"):
+        TransferPlan(sim, {0: 4, 1: 0, 2: -1, 3: 4})
 
 
 # --- INICMemory ----------------------------------------------------------------------------

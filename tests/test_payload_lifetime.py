@@ -301,8 +301,8 @@ def test_send_block_has_no_dict_and_rejects_empty_blocks():
 def test_gather_payloads_keep_per_source_arrival_order():
     seen = {}
 
-    def assemble(payloads):
-        seen["arg"] = payloads
+    def assemble(sources, payloads):
+        seen["arg"] = (sources, payloads)
         return "assembled"
 
     op = _gather([1, 3], assemble=assemble)
@@ -313,7 +313,7 @@ def test_gather_payloads_keep_per_source_arrival_order():
     assert list(op.payloads) == [3, 1], "sources in order of first arrival"
     assert not op.payload_missing(3) and op.payload_missing(2)
     assert op.result() == "assembled"
-    assert seen["arg"] == {3: ["a", "c"], 1: ["b"]}
+    assert seen["arg"] == ([1, 3, 3], ["b", "a", "c"])
 
     # ``payloads`` is read-only: a caller's edit changes nothing stored.
     op.payloads[3].append("z")

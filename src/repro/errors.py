@@ -82,10 +82,6 @@ class ProtocolError(ReproError):
     """Base class for protocol stack errors."""
 
 
-class ConnectionError_(ProtocolError):
-    """Connection setup/teardown failure (named to avoid shadowing builtin)."""
-
-
 class TransferAborted(ProtocolError):
     """A reliable transfer could not complete (too many retransmissions)."""
 

@@ -336,10 +336,8 @@ class INICCard:
         self._design_min_rate: float = float("inf")
         self._chunk_cache: dict[tuple[int, Optional[int]], list[int]] = {}
         #: the fast path's per-chunk constants, per (nbytes, window): one
-        #: row ``(size, bus time, datapath stall, last, packets, wire
-        #: bytes, nbytes)`` per chunk (:meth:`_fast_rows`).  The stall
-        #: depends on the design's slowest core, so :meth:`configure`
-        #: drops the memo.
+        #: row ``(size, bus time, last, packets, wire bytes, nbytes)`` per
+        #: chunk (:meth:`_fast_rows`)
         self._row_cache: dict[tuple[int, Optional[int]], tuple[tuple, ...]] = {}
         self._wire_out: Optional[Wire] = None
         #: opt-in for the exchange-phase bulk fast path (set by the
@@ -375,7 +373,6 @@ class INICCard:
         """Generator: load ``design`` onto the fabric (fit check + time)."""
         yield from self.fabric.configure(design, design.clbs, design.ram_kbits)
         self.design = design
-        self._row_cache.clear()
         return design
 
     def require_core(self, core_name: str):
@@ -695,7 +692,10 @@ class INICCard:
         recovery (``retries``: retention/NACK state must see every frame
         individually), the shared-bus geometry (``bus_geometry``: one
         FCFS clock carries the whole cascade, so it reduces to closed
-        form), a train-capable (``no_train_wire``) fault-free
+        form), a design whose slowest core keeps up with that bus
+        (``stall``: a stalled datapath lets the slow path's ingest and
+        egress interleave, which the closed form does not model), a
+        train-capable (``no_train_wire``) fault-free
         (``fault_armed``) fabric, and a quiescent flow window — no
         ``broadcast`` block, each block within the window (``window``)
         and nothing outstanding toward its destination
@@ -709,6 +709,8 @@ class INICCard:
         bus = self.host_tx
         if bus is not self.net_tx or not isinstance(bus, FCFSBus):
             return "bus_geometry"
+        if self.datapath_rate(bus.bandwidth) < bus.bandwidth:
+            return "stall"
         wire = self._wire_out
         if wire is None or not hasattr(wire, "send_train"):
             return "no_train_wire"
@@ -731,20 +733,15 @@ class INICCard:
         """The fast path's per-chunk constants for a block of ``nbytes``
         under ``window``, memoised per card.
 
-        One row per chunk of :meth:`_chunks_of`: ``(size, d_xfer, stall,
-        last, n_packets, wire_size, nbytes)``, where ``d_xfer`` is one
-        bus crossing (arbitration plus ``size / bandwidth``), ``stall``
-        the datapath's extra time when the design's slowest core is
-        slower than the bus (``0.0`` below the slow path's 1e-12 s
-        threshold), and ``wire_size`` :func:`wire_bytes` of the chunk.
-        Each value is the expression the slow path evaluates for that
-        chunk (:meth:`FCFSBus.transfer`'s duration, :meth:`_ingest_loop`'s
-        stall), so the rows hold the same floats.
+        One row per chunk of :meth:`_chunks_of`: ``(size, d_xfer, last,
+        n_packets, wire_size, nbytes)``, where ``d_xfer`` is one bus
+        crossing (arbitration plus ``size / bandwidth``, the expression
+        :meth:`FCFSBus.transfer` evaluates, so the rows hold the same
+        floats) and ``wire_size`` :func:`wire_bytes` of the chunk.
         """
         bus = self.host_tx
         bw = bus.bandwidth
         arb = bus.arbitration_latency
-        ingest_rate = self.datapath_rate(bw)
         proto = self.spec.proto
         packet_size = proto.packet_size
         overhead = ETHERNET_OVERHEAD + proto.headers
@@ -752,13 +749,11 @@ class INICCard:
         n_last = len(sizes) - 1
         rows = []
         for i, size in enumerate(sizes):
-            extra = size / ingest_rate - size / bw
             n_packets = -(-size // packet_size)
             padded = MIN_FRAME_PAYLOAD * n_packets
             rows.append((
                 size,
                 arb + size / bw,
-                extra if extra > 1e-12 else 0.0,
                 i == n_last,
                 n_packets,
                 (size if size > padded else padded) + n_packets * overhead,
@@ -772,11 +767,10 @@ class INICCard:
         """Whole-scatter datapath in closed form: zero events per chunk.
 
         The slow path's per-chunk event cascade (ingest transfer,
-        datapath stall, egress-queue rendezvous, credit gate, egress
-        transfer) collapses onto the shared bus clock: chunks alternate
-        ingest/egress strictly, each egress starting at its chunk's
-        datapath-ready time (the bus is free by then: the ingest that
-        made the chunk ready was the bus's last transfer).  The bus
+        egress-queue rendezvous, credit gate, egress transfer) collapses
+        onto the shared bus clock: chunks alternate ingest/egress
+        strictly, each egress starting as its chunk's ingest ends (no
+        core stalls the datapath, :meth:`_fast_eligible`).  The bus
         clock and statistics are committed in bulk, the wire chunks
         become one column :class:`~repro.net.packet.Train` handed to the
         fabric's flow clock in one call, and the operation completes
@@ -829,7 +823,7 @@ class INICCard:
             dst = block.dst
             data = block.data
             if dst.value == own:
-                for size, d_xfer, stall, last_chunk, _, _, _ in rows:
+                for size, d_xfer, last_chunk, _, _, _ in rows:
                     busy += d_xfer
                     busy_add += d_xfer
                     mem += size
@@ -837,17 +831,17 @@ class INICCard:
                         peak = mem
                     mem -= size
                     local.append(
-                        addr, size, busy + stall,
+                        addr, size, busy,
                         payload=data if last_chunk else None,
                         last=last_chunk,
                         total=nbytes,
                     )
                 continue
             for row in rows:
-                size, d_xfer, stall, last_chunk, _, _, _ = row
-                # Ingest ends, the stall ends (ready), the egress ends:
-                # three float adds, left to right, in that order.
-                busy = busy + d_xfer + stall + d_xfer
+                size, d_xfer, last_chunk, _, _, _ = row
+                # Ingest ends (ready), the egress ends: two float adds,
+                # left to right, in that order.
+                busy = busy + d_xfer + d_xfer
                 busy_add += d_xfer
                 busy_add += d_xfer
                 mem += size
@@ -866,7 +860,7 @@ class INICCard:
         last_t = now
         if wire_rows:
             (
-                train.payload_bytes, _, _, train.last,
+                train.payload_bytes, _, train.last,
                 train.frame_count, train.wire_size, train.total,
             ) = map(list, zip(*wire_rows))
             egressed = sum(train.payload_bytes)

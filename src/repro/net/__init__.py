@@ -13,7 +13,6 @@ from .batching import (
     BatchPolicy,
     DEFAULT_BATCH,
     PER_FRAME,
-    WIRE_BATCH,
     adaptive_quantum,
 )
 from .fabric import (
@@ -22,7 +21,7 @@ from .fabric import (
     NetworkTechnology,
     build_star,
 )
-from .link import Link, Wire
+from .link import Wire
 from .nic import NICStats, StandardNIC
 from .packet import (
     ETHERNET_MTU,
@@ -65,7 +64,6 @@ __all__ = [
     "PER_FRAME",
     "StarTopology",
     "TorusTopology",
-    "WIRE_BATCH",
     "adaptive_quantum",
     "ETHERNET_MTU",
     "ETHERNET_OVERHEAD",
@@ -73,7 +71,6 @@ __all__ = [
     "Frame",
     "GIGABIT_ETHERNET",
     "IP_TCP_HEADERS",
-    "Link",
     "MIN_FRAME_PAYLOAD",
     "MacAddress",
     "NICStats",

@@ -20,24 +20,14 @@ MTU frame) may batch ~17 frames per event while a Fast Ethernet sender
 (123 us per frame) may batch only ~2 — the *event count* adapts to the
 wire so the *timing error* stays fixed.
 
-Protocol stacks combine this bound with their own structural caps (TCP:
-the congestion/receive window; the INIC protocol: a fraction of the
-flow-control window) so batching never changes windowing arithmetic,
-only event granularity.  ``PER_FRAME`` disables batching entirely — the
-determinism tests compare batched against per-frame runs.
-
-Two default policies exist because latency tolerance is *not* one
-number:
-
-* ``DEFAULT_BATCH`` governs protocol-level chunking (how many segments
-  or packets a sender emits as one frame).  Open-loop senders (raw
-  datagrams, the INIC's planned transfers) absorb the whole tolerance
-  as a one-off pipeline-fill artifact.
-* ``WIRE_BATCH`` governs in-flight train merging at switch output
-  ports and NIC TX rings.  That path sits inside TCP's ACK feedback
-  loop, where per-hop delay compounds (a delayed delivery delays the
-  ACK, which delays the window growth that gates the next burst), so
-  its tolerance is kept well under the fabric's ACK-clock round trip.
+Batching happens at the source only: TCP's chunk quantum and the INIC's
+``_chunks_of`` each emit a train as one frame, and switches and NICs
+forward it unchanged.  Both stacks combine this bound with their own
+structural caps (TCP: a quarter of the congestion/receive window; the
+INIC protocol: a quarter of the flow-control window) so batching never
+changes windowing arithmetic, only event granularity.  ``DEFAULT_BATCH``
+is the stacks' default; ``PER_FRAME`` disables batching entirely — the
+fidelity tests compare batched against per-frame runs.
 """
 
 from __future__ import annotations
@@ -50,7 +40,6 @@ __all__ = [
     "BatchPolicy",
     "DEFAULT_BATCH",
     "PER_FRAME",
-    "WIRE_BATCH",
     "adaptive_quantum",
 ]
 
@@ -99,11 +88,6 @@ class BatchPolicy:
 #: millisecond-scale figure sweeps within a few percent (documented in
 #: docs/performance.md) while letting the INIC reach window/4 chunks
 DEFAULT_BATCH = BatchPolicy()
-
-#: wire-level train merging default (switch ports, NIC TX rings): this
-#: path is inside TCP's ACK feedback loop, so the per-hop delay budget
-#: stays a small fraction of the fabric round trip
-WIRE_BATCH = BatchPolicy(timing_tolerance=30e-6, max_quantum=64)
 
 #: per-frame fidelity: every physical frame is its own event
 PER_FRAME = BatchPolicy(enabled=False)

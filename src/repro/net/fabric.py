@@ -27,7 +27,6 @@ from ..errors import NetworkError
 from ..sim.engine import Simulator
 from ..units import gbps, mbps
 from .addresses import MacAddress
-from .batching import BatchPolicy, WIRE_BATCH
 from .link import Wire
 from .packet import Frame
 from .switch import Switch
@@ -99,17 +98,14 @@ def build_star(
     sim: Simulator,
     stations: Sequence[tuple[MacAddress, FrameDevice]],
     tech: NetworkTechnology = GIGABIT_ETHERNET,
-    batch: BatchPolicy = WIRE_BATCH,
     name: str = "fabric",
     faults: Optional["FaultPlan"] = None,
 ) -> Switch:
     """Wire ``stations`` to a new switch; returns the switch.
 
     Each station gets a dedicated full-duplex link at ``tech.bandwidth``.
-    ``batch`` sets the switch's frame-train coalescing policy (pass
-    ``PER_FRAME`` for per-frame fidelity runs).  A ``faults`` plan
-    installs per-wire link-fault injectors (on matching wire names) and
-    applies forced switch-buffer pressure.
+    A ``faults`` plan installs per-wire link-fault injectors (on matching
+    wire names) and applies forced switch-buffer pressure.
     """
     validate_stations(stations)
 
@@ -121,7 +117,6 @@ def build_star(
         n_ports=len(stations),
         buffer_bytes_per_port=buffer_bytes,
         forwarding_latency=tech.switch_latency,
-        batch=batch,
         name=f"{name}.switch",
     )
     for port, (addr, device) in enumerate(stations):

@@ -1,9 +1,9 @@
-"""Point-to-point wires and full-duplex links.
+"""Point-to-point wires.
 
 A :class:`Wire` is one direction: frames are serialized FIFO at the line
 rate, then delivered to the sink after a propagation delay.  A
-:class:`Link` is a pair of wires (full duplex, as both Fast and Gigabit
-Ethernet are in switched mode).
+full-duplex link (both Fast and Gigabit Ethernet are in switched mode)
+is a pair of wires, one each way.
 
 Sinks implement ``receive_frame(frame)``; anything — NIC, switch port,
 INIC MAC — can terminate a wire.
@@ -19,13 +19,13 @@ pre-fault-subsystem one.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Protocol
+from typing import Optional, Protocol
 
 from ..errors import LinkError
 from ..sim.engine import Simulator
 from .packet import Frame
 
-__all__ = ["FrameSink", "Wire", "Link"]
+__all__ = ["FrameSink", "Wire"]
 
 
 class FrameSink(Protocol):
@@ -130,34 +130,3 @@ class Wire:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Wire {self.name!r} {self.bandwidth:g} B/s>"
-
-
-class Link:
-    """A full-duplex link: two wires between stations A and B."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        bandwidth: float,
-        propagation_delay: float = 0.0,
-        name: str = "link",
-    ):
-        self.sim = sim
-        self.name = name
-        self.a_to_b = Wire(sim, bandwidth, propagation_delay, name=f"{name}.a>b")
-        self.b_to_a = Wire(sim, bandwidth, propagation_delay, name=f"{name}.b>a")
-
-    @property
-    def bandwidth(self) -> float:
-        return self.a_to_b.bandwidth
-
-    def attach_a(self, sink: FrameSink) -> None:
-        """``sink`` receives frames travelling B -> A."""
-        self.b_to_a.attach(sink)
-
-    def attach_b(self, sink: FrameSink) -> None:
-        """``sink`` receives frames travelling A -> B."""
-        self.a_to_b.attach(sink)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Link {self.name!r} {self.bandwidth:g} B/s full-duplex>"

@@ -27,7 +27,6 @@ from ..sim.bus import FCFSBus, FairShareBus
 from ..sim.engine import Simulator
 from ..sim.resources import Store
 from .addresses import MacAddress
-from .batching import BatchPolicy, WIRE_BATCH
 from .link import Wire
 from .packet import Frame
 
@@ -77,14 +76,12 @@ class StandardNIC:
         dma_setup_cost: float = 2e-6,
         irq_handler_cost: float = 8e-6,
         per_frame_handler_cost: float = 1.5e-6,
-        batch: BatchPolicy = WIRE_BATCH,
         name: str = "nic",
     ):
         self.sim = sim
         self.address = address
         self.cpu = cpu
         self.name = name
-        self.batch = batch
         self.stats = NICStats()
         self.irq_handler_cost = float(irq_handler_cost)
         self.per_frame_handler_cost = float(per_frame_handler_cost)
@@ -161,31 +158,13 @@ class StandardNIC:
     # -- datapath processes -----------------------------------------------------------
     def _tx_loop(self):
         ring = self._tx_ring
-        policy = self.batch
         while True:
             # Parked on the next get, this loop must not keep the last
             # frame (and its payload) alive.
-            frame = nxt = None
+            frame = None
             frame = yield ring.get()
             if self._wire_out is None:
                 raise NetworkError(f"{self.name}: transmit with no wire attached")
-            # Coalesce a train of back-to-back continuation frames already
-            # sitting in the ring into one DMA + one wire transfer.  The
-            # tolerance budget bounds how far the train's head is delayed.
-            if policy.enabled and ring.items:
-                budget = policy.timing_tolerance * self._wire_out.bandwidth
-                extra = 0.0
-                while ring.items:
-                    nxt = ring.items[0]
-                    if (
-                        extra + nxt.wire_size > budget
-                        or frame.frame_count + nxt.frame_count > policy.max_quantum
-                        or not frame.can_coalesce(nxt)
-                    ):
-                        break
-                    ring.try_get()
-                    extra += nxt.wire_size
-                    frame = frame.coalesced(nxt)
             # Payload crosses the host PCI bus by DMA before hitting the wire.
             if frame.payload_bytes > 0:
                 yield from self._tx_dma.transfer(frame.payload_bytes)

@@ -110,59 +110,6 @@ class Frame:
             ETHERNET_OVERHEAD + headers
         )
 
-    def can_coalesce(self, other: "Frame") -> bool:
-        """True if ``other`` is the back-to-back continuation of this frame.
-
-        Two frames form a *train* when they belong to the same message
-        stream (same endpoints, kind, headers, message id) and ``other``
-        starts exactly where this frame ends — so merging them into one
-        ``frame_count``-weighted frame changes event granularity but not
-        on-wire bytes (``wire_bytes`` is additive for MTU trains) or the
-        delivery time of the train's tail.
-
-        A frame tagged ``meta["no_merge"]`` never joins a train: senders
-        whose traffic sits inside a feedback loop (TCP's ACK clock) mark
-        their frames so in-fabric merging cannot delay the deliveries
-        that gate the sender's own window growth — such stacks batch at
-        the source, where the window arithmetic can account for it.
-        """
-        return (
-            self.payload_bytes > 0
-            and other.payload_bytes > 0
-            and not self.meta.get("no_merge", False)
-            and not other.meta.get("no_merge", False)
-            and self.src == other.src
-            and self.dst == other.dst
-            and self.kind == other.kind
-            and self.headers == other.headers
-            and self.meta.get("msg") is not None
-            and self.meta.get("msg") == other.meta.get("msg")
-            and not self.meta.get("last", False)
-            and other.seq == self.seq + self.payload_bytes
-        )
-
-    def coalesced(self, other: "Frame") -> "Frame":
-        """The single frame standing for this train followed by ``other``.
-
-        Caller must have checked :meth:`can_coalesce`.  The merged frame
-        keeps this frame's sequence origin and takes the tail's payload
-        object and ``last`` marker (only the final physical frame of a
-        message carries the functional payload).
-        """
-        meta = dict(other.meta)
-        meta["offset"] = self.meta.get("offset", self.seq)
-        return Frame(
-            src=self.src,
-            dst=self.dst,
-            payload_bytes=self.payload_bytes + other.payload_bytes,
-            headers=self.headers,
-            frame_count=self.frame_count + other.frame_count,
-            kind=self.kind,
-            seq=self.seq,
-            payload=other.payload,
-            meta=meta,
-        )
-
     def clone_for(self, dst: MacAddress) -> "Frame":
         """Copy addressed to a different station (for broadcast fan-out)."""
         return Frame(

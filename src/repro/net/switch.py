@@ -18,11 +18,10 @@ Ports are event-driven state machines, not generator processes: a frame
 through an idle port costs two pooled timed callbacks (transmit start at
 lookup-latency, transmit done at serialization end) plus the wire's
 delivery — no process spawn per busy period and no separate
-forwarding-latency event.  While draining, the port also **coalesces
-frame trains**: consecutive queued frames of the same message stream are
-merged into one ``frame_count``-weighted frame within the switch's
-:class:`~repro.net.batching.BatchPolicy` timing tolerance, so a backlog
-of back-to-back MTU frames costs O(trains) events instead of O(frames).
+forwarding-latency event.  The port forwards each queued frame as it
+arrived: frame trains are formed at the source (a ``frame_count``-weighted
+frame from TCP's chunk quantum or the INIC's chunking, see
+:mod:`repro.net.batching`), never merged in the fabric.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from typing import Optional
 from ..errors import SwitchError
 from ..sim.engine import Simulator
 from .addresses import MacAddress
-from .batching import BatchPolicy, WIRE_BATCH
 from .link import Wire
 from .packet import Frame
 
@@ -106,36 +104,17 @@ class _OutputPort:
         if self.wire is None:
             raise SwitchError(f"switch port {self.index} has no wire attached")
         frame, _ready = self.queue.popleft()
-        # Byte-accounting must free exactly what enqueue charged, which can
-        # exceed the coalesced frame's wire size when a padded runt merges
-        # into a train.
-        acct_bytes = frame.wire_size
-        policy = self.switch.batch
-        if policy.enabled and self.queue:
-            budget = policy.timing_tolerance * self.wire.bandwidth
-            extra = 0.0
-            while self.queue:
-                nxt, nxt_ready = self.queue[0]
-                if (
-                    nxt_ready > sim.now
-                    or extra + nxt.wire_size > budget
-                    or frame.frame_count + nxt.frame_count > policy.max_quantum
-                    or not frame.can_coalesce(nxt)
-                ):
-                    break
-                self.queue.popleft()
-                extra += nxt.wire_size
-                acct_bytes += nxt.wire_size
-                frame = frame.coalesced(nxt)
-        tx_time = frame.wire_size / self.wire.bandwidth
+        wire_size = frame.wire_size
         self.wire.send(frame)
-        sim.call_after(tx_time, self._tx_done, acct_bytes, frame.frame_count)
+        sim.call_after(
+            wire_size / self.wire.bandwidth, self._tx_done, wire_size, frame.frame_count
+        )
 
-    def _tx_done(self, acct_bytes: float, frame_count: int) -> None:
+    def _tx_done(self, wire_size: int, frame_count: int) -> None:
         # Buffer space is freed once the frame has left the port.
-        self.queued_bytes -= acct_bytes
+        self.queued_bytes -= wire_size
         self.stats.frames_forwarded += frame_count
-        self.stats.bytes_forwarded += acct_bytes
+        self.stats.bytes_forwarded += wire_size
         if self.queue:
             self._arm(self.queue[0][1])
         else:
@@ -151,7 +130,6 @@ class Switch:
         n_ports: int,
         buffer_bytes_per_port: float = 512 * 1024,
         forwarding_latency: float = 4e-6,
-        batch: BatchPolicy = WIRE_BATCH,
         name: str = "switch",
     ):
         if n_ports < 1:
@@ -165,7 +143,6 @@ class Switch:
         self.n_ports = n_ports
         self.buffer_bytes_per_port = float(buffer_bytes_per_port)
         self.forwarding_latency = float(forwarding_latency)
-        self.batch = batch
         self._outputs = [_OutputPort(self, i) for i in range(n_ports)]
         self._table: dict[MacAddress, int] = {}
         self._frames_in = 0

@@ -592,10 +592,9 @@ class HierarchicalFabric:
       switch's byte-accounted FIFO.
 
     Delivery is a single pooled ``call_after`` at ``done +
-    propagation``.  Frame trains arrive pre-coalesced by the sending
-    NIC's batch policy; the wire switch's in-switch train merging is
-    deliberately absent (it exists to cut event count, and here a frame
-    already costs one event).
+    propagation``.  Frame trains arrive formed by the sender's chunking
+    (:mod:`repro.net.batching`); like the wire switch, the fabric
+    forwards each one as it arrived.
 
     The statistics surface matches :class:`~repro.net.switch.Switch`
     (``total_dropped``/``port_stats``/``<prefix>.port<i>.*``

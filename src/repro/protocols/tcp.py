@@ -174,7 +174,6 @@ class _SendConn:
     def _build_frame(self, seq: int, size: int) -> Frame:
         cfg = self.stack.config
         msg = self._msg_at(seq)
-        offset = seq - msg.start
         nframes = -(-size // cfg.mss)
         last = seq + size == msg.end
         return Frame(
@@ -190,14 +189,7 @@ class _SendConn:
                 "msg": msg.msg_id,
                 "tag": msg.tag,
                 "total": msg.nbytes,
-                "offset": offset,
                 "last": last,
-                # ACK-clocked traffic must not be merged in the fabric:
-                # per-hop train delay compounds through the feedback loop
-                # (delayed delivery -> delayed ACK -> delayed window
-                # growth).  TCP batches at the source instead, via the
-                # chunk quantum above.
-                "no_merge": True,
             },
         )
 

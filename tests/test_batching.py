@@ -1,15 +1,10 @@
-"""Determinism under frame-train batching (DESIGN.md §7, docs/performance.md).
+"""Frame-train batching (DESIGN.md §7, docs/performance.md).
 
-Batching changes event *granularity*, not what the simulation computes:
-
-* a switch output port merging a backlog of back-to-back MTU frames
-  into ``frame_count``-weighted trains must deliver the train's tail at
-  exactly the per-frame schedule's time, with identical wire byte/frame
-  counters;
-* batched runs are deterministic: two identical runs produce identical
-  delivery schedules and event counts;
-* end-to-end (NIC TX-ring merging included), message delivery may shift
-  by at most the policy's timing tolerance per store-and-forward hop.
+Senders batch at the source: :func:`adaptive_quantum` sizes a train
+within the policy's timing tolerance, and the fabric forwards each
+``frame_count``-weighted frame as it arrived.  Batched runs are
+deterministic: two identical runs produce identical delivery schedules
+and event counts.
 """
 
 import pytest
@@ -20,14 +15,12 @@ from repro.net import (
     Frame,
     MacAddress,
     PER_FRAME,
-    StandardNIC,
     Switch,
     Wire,
     adaptive_quantum,
-    build_star,
 )
 from repro.net.packet import ETHERNET_MTU
-from repro.sim import FairShareBus, Simulator
+from repro.sim import Simulator
 
 MTU = ETHERNET_MTU
 
@@ -61,7 +54,7 @@ def test_adaptive_quantum_disabled_and_errors():
         BatchPolicy(max_quantum=0)
 
 
-# -- switch-level train merging is timing-exact at the tail --------------------------
+# -- source-batched trains through a switch port ------------------------------------
 
 
 class _Collector:
@@ -77,11 +70,11 @@ class _Collector:
         )
 
 
-def _run_switch_burst(batch, n_frames=24):
-    """Burst of contiguous MTU frames through a fast-in/slow-out switch
-    port (the backlog is what gives the port trains to merge)."""
+def _run_switch_burst(quantum, n_frames=24):
+    """One message of ``n_frames`` MTU frames, sent as ``quantum``-frame
+    trains through a fast-in/slow-out switch port (so a backlog forms)."""
     sim = Simulator()
-    switch = Switch(sim, 2, forwarding_latency=4e-6, batch=batch)
+    switch = Switch(sim, 2, forwarding_latency=4e-6)
     up = Wire(sim, 125e6, 1e-6, name="up")
     up.attach(switch.ingress_sink(0))
     down = Wire(sim, 12.5e6, 1e-6, name="down")
@@ -89,133 +82,49 @@ def _run_switch_burst(batch, n_frames=24):
     down.attach(collector)
     switch.attach_output(1, down)
     switch.learn(MacAddress(1), 1)
-    total = n_frames * MTU
-    for i in range(n_frames):
+    for first in range(0, n_frames, quantum):
+        count = min(quantum, n_frames - first)
         up.send(
             Frame(
                 src=MacAddress(0),
                 dst=MacAddress(1),
-                payload_bytes=MTU,
+                payload_bytes=count * MTU,
                 headers=8,
+                frame_count=count,
                 kind="raw",
-                seq=i * MTU,
-                meta={"msg": 7, "total": total, "last": i == n_frames - 1},
+                seq=first * MTU,
             )
         )
     sim.run()
     return sim, collector, down, switch
 
 
-def test_switch_merge_preserves_tail_time_and_wire_counters():
-    sim_pf, col_pf, down_pf, _ = _run_switch_burst(PER_FRAME)
-    batched = BatchPolicy(timing_tolerance=5e-3, max_quantum=64)
-    sim_b, col_b, down_b, _ = _run_switch_burst(batched)
-
-    # Trains actually formed: fewer deliveries, fewer events.
-    assert len(col_b.deliveries) < len(col_pf.deliveries)
-    assert sim_b.event_count < sim_pf.event_count
-    assert any(count > 1 for _, _, count, _ in col_b.deliveries)
-
-    # The tail of the burst arrives at the per-frame schedule's time
-    # (wire FIFO + store-and-forward: merging reorders nothing and the
-    # train's last byte hits the sink when the last frame's would have).
-    assert col_b.deliveries[-1][0] == pytest.approx(
-        col_pf.deliveries[-1][0], rel=1e-12
-    )
-
-    # Conservation: identical physical frame and on-wire byte counts.
-    assert down_b.frames_sent == down_pf.frames_sent
-    assert down_b.bytes_sent == down_pf.bytes_sent
-    assert sum(c for _, _, c, _ in col_b.deliveries) == sum(
-        c for _, _, c, _ in col_pf.deliveries
-    )
-    assert sum(b for _, _, _, b in col_b.deliveries) == sum(
-        b for _, _, _, b in col_pf.deliveries
-    )
-
-    # Byte-contiguity of merged trains: seq + payload chain covers the
-    # stream exactly once.
-    expect = 0
-    for _, seq, _, nbytes in sorted(col_b.deliveries, key=lambda d: d[1]):
-        assert seq == expect
-        expect += nbytes
-
-
 def test_batched_runs_are_deterministic():
-    batched = BatchPolicy(timing_tolerance=5e-3, max_quantum=64)
-    sim_a, col_a, _, _ = _run_switch_burst(batched)
-    sim_b, col_b, _, _ = _run_switch_burst(batched)
+    sim_a, col_a, down_a, switch = _run_switch_burst(quantum=5)
+    sim_b, col_b, _, _ = _run_switch_burst(quantum=5)
     assert col_a.deliveries == col_b.deliveries
     assert sim_a.event_count == sim_b.event_count
-
-
-def test_switch_merge_respects_max_quantum_and_buffer_accounting():
-    batched = BatchPolicy(timing_tolerance=1.0, max_quantum=4)
-    _, col, _, switch = _run_switch_burst(batched)
-    assert all(count <= 4 for _, _, count, _ in col.deliveries)
-    # All buffer bytes were freed (enqueue charge == tx_done release).
+    # The port forwards each train as it arrived, in order, and frees
+    # every buffer byte it charged.
+    assert [count for _, _, count, _ in col_a.deliveries] == [5, 5, 5, 5, 4]
+    assert [seq for _, seq, _, _ in col_a.deliveries] == [
+        k * 5 * MTU for k in range(5)
+    ]
+    assert down_a.frames_sent == 24
     assert switch._outputs[1].queued_bytes == 0
     assert switch.total_dropped() == 0
 
 
-# -- end-to-end: NIC ring merging stays within the policy tolerance ------------------
-
-
-def _run_nic_transfer(wire_batch, n_frames=120):
-    """One ``n_frames``-MTU message across a 2-node star, handed to the
-    sending NIC one frame at a time (so all batching happens in the NIC
-    ring and the fabric)."""
-    sim = Simulator()
-    nics = []
-    for i in range(2):
-        bus = FairShareBus(sim, bandwidth=112e6)
-        nics.append(
-            StandardNIC(
-                sim, MacAddress(i), host_bus=bus, batch=wire_batch, name=f"nic{i}"
-            )
-        )
-    build_star(sim, [(MacAddress(i), nics[i]) for i in range(2)], batch=wire_batch)
-    total = n_frames * MTU
-    got = [0]
-    t = {}
-
-    def on_frame(frame):
-        got[0] += frame.payload_bytes
-        if got[0] == total:
-            t["done"] = sim.now
-
-    nics[1].bind_receiver(on_frame)
-
-    def sender():
-        for i in range(n_frames):
-            yield from nics[0].transmit(
-                Frame(
-                    src=MacAddress(0),
-                    dst=MacAddress(1),
-                    payload_bytes=MTU,
-                    headers=8,
-                    kind="raw",
-                    seq=i * MTU,
-                    meta={"msg": 7, "total": total, "last": i == n_frames - 1},
-                )
-            )
-
-    sim.process(sender())
-    sim.run()
-    assert got[0] == total
-    return sim, t["done"], nics
-
-
-def test_nic_ring_merge_bounded_by_tolerance():
-    tol = 200e-6
-    sim_pf, t_pf, _ = _run_nic_transfer(PER_FRAME)
-    sim_b, t_b, nics = _run_nic_transfer(
-        BatchPolicy(timing_tolerance=tol, max_quantum=64)
-    )
-    assert sim_b.event_count < sim_pf.event_count
-    # Same physical frames on the wire either way.
-    assert nics[0].stats.tx_frames == 120
-    assert nics[1].stats.rx_frames == 120
-    # Three store-and-forward stages may each add up to the tolerance
-    # (NIC TX ring, switch port, and the receive-side DMA of a train).
-    assert abs(t_b - t_pf) <= 3 * tol
+def test_switch_merge_respects_max_quantum_and_buffer_accounting():
+    # The port merges nothing: trains sized at the source under the
+    # policy's max_quantum reach the sink no larger than that cap.
+    batched = BatchPolicy(timing_tolerance=1.0, max_quantum=4)
+    quantum = adaptive_quantum(24, MTU / 125e6, batched)
+    assert quantum == 4
+    _, col, down, switch = _run_switch_burst(quantum)
+    assert all(count <= 4 for _, _, count, _ in col.deliveries)
+    assert sum(count for _, _, count, _ in col.deliveries) == 24
+    assert down.frames_sent == 24
+    # All buffer bytes were freed (enqueue charge == tx_done release).
+    assert switch._outputs[1].queued_bytes == 0
+    assert switch.total_dropped() == 0

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.hw import CPU, CacheLevel, MemoryHierarchy
 from repro.net import (
-    DEFAULT_BATCH,
     Frame,
     GIGABIT_ETHERNET,
     MacAddress,
@@ -21,31 +20,27 @@ from repro.protocols import TCPConfig, TCPStack
 from repro.sim import FairShareBus, Simulator
 
 
-def build_pair(tcp_config, batch=DEFAULT_BATCH):
+def build_pair(tcp_config):
     sim = Simulator()
     nics, stacks = [], []
     for i in range(2):
         mh = MemoryHierarchy([CacheLevel("DRAM", float("inf"), 0.6e9, 0.12e9)])
         cpu = CPU(sim, mh)
         bus = FairShareBus(sim, bandwidth=112e6)
-        nic = StandardNIC(
-            sim, MacAddress(i), host_bus=bus, cpu=cpu, batch=batch, name=f"nic{i}"
-        )
+        nic = StandardNIC(sim, MacAddress(i), host_bus=bus, cpu=cpu, name=f"nic{i}")
         stacks.append(TCPStack(sim, nic, cpu, config=tcp_config, name=f"tcp{i}"))
         nics.append(nic)
-    switch = build_star(
-        sim, [(MacAddress(i), nics[i]) for i in range(2)], batch=batch
-    )
+    switch = build_star(sim, [(MacAddress(i), nics[i]) for i in range(2)])
     return sim, stacks, nics, switch
 
 
 def per_frame_config():
-    """PACKET fidelity: quantum 1 everywhere, no train coalescing."""
+    """Per-frame fidelity: quantum 1, no source batching."""
     return TCPConfig(max_quantum=1, quantum_target_events=10**9, batch=PER_FRAME)
 
 
-def transfer_time(tcp_config, nbytes, batch=DEFAULT_BATCH):
-    sim, stacks, _, _ = build_pair(tcp_config, batch)
+def transfer_time(tcp_config, nbytes):
+    sim, stacks, _, _ = build_pair(tcp_config)
     t = {}
 
     def sender():
@@ -67,13 +62,13 @@ def test_quantum_batching_preserves_transfer_time():
     agree on bulk-transfer time within a tolerance — the justification
     for running paper-scale sweeps at CHUNK fidelity."""
     nbytes = 2_000_000
-    t_packet = transfer_time(per_frame_config(), nbytes, batch=PER_FRAME)
+    t_packet = transfer_time(per_frame_config(), nbytes)
     t_chunk = transfer_time(TCPConfig(max_quantum=16), nbytes)
     assert t_chunk == pytest.approx(t_packet, rel=0.25)
 
 
 def test_quantum_batching_reduces_event_count():
-    sim1, stacks1, _, _ = build_pair(per_frame_config(), batch=PER_FRAME)
+    sim1, stacks1, _, _ = build_pair(per_frame_config())
     sim16, stacks16, _, _ = build_pair(TCPConfig(max_quantum=16))
     for sim, stacks in ((sim1, stacks1), (sim16, stacks16)):
         def sender(s=stacks):

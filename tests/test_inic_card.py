@@ -568,59 +568,39 @@ def _card_ledger(card):
     )
 
 
-def test_reconfiguring_a_card_drops_its_chunk_rows(monkeypatch):
-    """A card that scattered under one design and was then reconfigured
-    to a design with a slower core scatters exactly like a fresh card
-    configured with the second design: the memoised chunk rows carry
-    the datapath stall, so ``configure`` must drop them."""
-    from repro.inic.card import CardStats
-
-    wire, _ = _record_fast_path(monkeypatch)
+def test_a_slow_core_scatter_falls_back_under_stall():
+    """A design whose slowest core is slower than the card bus stalls
+    the datapath, which the fast path's closed form does not model: a
+    train scatter under it takes the frame-level path, counted under
+    ``stall``, and matches a card with the fast path off exactly."""
     nbytes = 40_000  # several chunks per block, the last one short
-    fast, slow = _rate_design("fast", FAST_CORE), _rate_design("slow", SLOW_CORE)
 
-    def blocks():
-        return [SendBlock(MacAddress(1), nbytes), SendBlock(MacAddress(0), nbytes)]
+    def run(fastpath):
+        sim, cards = _fast_cards()
+        card = cards[0]
+        card.fastpath = fastpath
+        times = {}
 
-    # Reconfigured card: scatter under ``fast``, load ``slow``, scatter again.
-    sim, cards = _fast_cards()
-    card = cards[0]
-    second = {}
+        def timed(key, event):
+            yield event
+            times[key] = sim.now
 
-    def reconfigured():
-        yield from card.configure(fast)
-        yield card.post_scatter(1, blocks(), train=True).sent
-        assert all(row[2] == 0.0 for row in card._row_cache[(nbytes, card.spec.flow_window)])
-        second["t"] = sim.now
-        yield from card.configure(slow)
-        # Start the second scatter's ledger from zero, like a fresh card's.
-        card.stats = CardStats()
-        for name, value in vars(card.host_tx.stats).items():
-            setattr(card.host_tx.stats, name, type(value)(0))
-        yield card.post_scatter(2, blocks(), train=True).sent
+        def scatter():
+            yield from card.configure(_rate_design("slow", SLOW_CORE))
+            for rank, c in enumerate(cards):
+                op = c.post_gather(1, TransferPlan(sim, {0: nbytes}))
+                sim.process(timed(rank, op.done))
+            blocks = [SendBlock(MacAddress(dst), nbytes) for dst in (1, 0)]
+            yield from timed("sent", card.post_scatter(1, blocks, train=True).sent)
 
-    sim.process(reconfigured())
-    sim.run()
-    assert len(wire) == 2
-    got_train, got_ledger = wire[1], _card_ledger(card)
+        sim.process(scatter())
+        sim.run()
+        assert len(times) == 3
+        return card.fastpath_fallbacks, times, _card_ledger(card)
 
-    # Fresh card: idle until the reconfigured card's second load began.
-    sim, cards = _fast_cards()
-    card = cards[0]
-
-    def fresh():
-        yield sim.timeout(second["t"])
-        yield from card.configure(slow)
-        yield card.post_scatter(2, blocks(), train=True).sent
-
-    sim.process(fresh())
-    sim.run()
-    want_train = wire[2]
-    for column in ("times", "wire_size", "frame_count", "payload_bytes", "last", "total"):
-        assert getattr(got_train, column) == getattr(want_train, column), column
-    assert got_ledger == _card_ledger(card)
-    # The second design's rows differ from the first's: every chunk stalls.
-    assert all(row[2] > 0.0 for row in card._row_cache[(nbytes, card.spec.flow_window)])
+    fallbacks, times, ledger = run(fastpath=True)
+    assert fallbacks == {"stall": 1}
+    assert run(fastpath=False) == ({"fastpath_off": 1}, times, ledger)
 
 
 def _reference_scatter(card, blocks, window):
@@ -631,7 +611,6 @@ def _reference_scatter(card, blocks, window):
 
     bus = card.host_tx
     bw, arb = bus.bandwidth, bus.arbitration_latency
-    ingest_rate = card.datapath_rate(bw)
     proto = card.spec.proto
     busy = max(bus._busy_until, card.sim.now)
     times, wire, counts, local = [], [], [], []
@@ -644,13 +623,10 @@ def _reference_scatter(card, blocks, window):
             n_xfers += 1
             bus_bytes += size
             busy_add += d_xfer
-            extra = size / ingest_rate - size / bw
-            ready = fin_i + extra if extra > 1e-12 else fin_i
             if block.dst == card.address:
-                local.append(ready)
+                local.append(fin_i)
                 continue
-            start_e = busy if busy > ready else ready
-            fin_e = start_e + d_xfer
+            fin_e = fin_i + d_xfer
             busy = fin_e
             n_xfers += 1
             bus_bytes += size
@@ -667,19 +643,20 @@ def _reference_scatter(card, blocks, window):
     sizes=st.lists(st.integers(1, 64 * 1024), min_size=1, max_size=4),
     own_size=st.integers(1, 64 * 1024),
     window=st.sampled_from([None, 4096, 10_000, 64 * 1024]),
-    core=st.sampled_from([FAST_CORE, SLOW_CORE]),
 )
-def test_fast_path_rows_match_per_chunk_arithmetic(sizes, own_size, window, core):
+def test_fast_path_rows_match_per_chunk_arithmetic(sizes, own_size, window):
     """Whatever the block sizes (multi-chunk blocks with a short last
-    chunk included), the flow window (``None``: the card's) and the
-    datapath stall, a scatter through the memoised rows lays down the
+    chunk included) and the flow window (``None``: the card's), a
+    scatter under a design that keeps up with the bus (no datapath
+    stall, :func:`test_a_slow_core_scatter_falls_back_under_stall`)
+    through the memoised rows lays down the
     per-chunk arithmetic's wire train, self-addressed chunks and bus
     ledger bit for bit, and each row holds that arithmetic's values."""
     from repro.net import wire_bytes
 
     sim, cards = _fast_cards(3)
     card = cards[0]
-    sim.process(card.configure(_rate_design("core", core)))
+    sim.process(card.configure(_rate_design("core", FAST_CORE)))
     sim.run()
     blocks = [SendBlock(MacAddress(1 + k % 2), n) for k, n in enumerate(sizes)]
     blocks.append(SendBlock(MacAddress(0), own_size))
@@ -707,8 +684,7 @@ def test_fast_path_rows_match_per_chunk_arithmetic(sizes, own_size, window, core
         times,
         wire[0].wire_size if wire else [],
         wire[0].frame_count if wire else [],
-        # self-addressed chunks are delivered in time order, and a short
-        # last chunk can be ready before a stalled full one
+        # self-addressed chunks, in chunk order
         [t for _, t in sorted(local)],
         bus.stats.bytes_transferred,
         bus.stats.transfer_count,
@@ -719,15 +695,12 @@ def test_fast_path_rows_match_per_chunk_arithmetic(sizes, own_size, window, core
 
     proto = card.spec.proto
     bw, arb = bus.bandwidth, bus.arbitration_latency
-    ingest_rate = card.datapath_rate(bw)
     for (nbytes, key_window), rows in card._row_cache.items():
         assert key_window == resolved
         chunks = card._chunks_of(nbytes, key_window)
         assert [row[0] for row in rows] == chunks
-        for k, (size, d_xfer, stall, last, n_packets, wire_size, total) in enumerate(rows):
-            extra = size / ingest_rate - size / bw
+        for k, (size, d_xfer, last, n_packets, wire_size, total) in enumerate(rows):
             assert d_xfer == arb + size / bw
-            assert stall == (extra if extra > 1e-12 else 0.0)
             assert last == (k == len(chunks) - 1)
             assert n_packets == -(-size // proto.packet_size)
             assert wire_size == wire_bytes(size, proto.headers, n_packets)

@@ -514,7 +514,7 @@ def test_experiment_facade_builds_hierarchical_cluster():
 
 @pytest.mark.parametrize("kind", ["fattree", "torus"])
 def test_hierarchical_fabrics_reject_batch_option(kind):
-    # The hierarchical fabrics merge no trains in the fabric, so a batch
+    # No fabric merges trains (senders batch at the source), so a batch
     # policy would be silently ignored: the build must refuse it.
     from repro.core.api import Experiment
     from repro.net import PER_FRAME

@@ -1,11 +1,13 @@
 """Config JSON round-trips.
 
 The protocol/fault configs (:class:`~repro.protocols.inicproto.INICProtoConfig`,
-:class:`~repro.net.batching.BatchPolicy`, :class:`~repro.faults.FaultSpec`)
+:class:`~repro.faults.FaultSpec`, :class:`~repro.faults.campaign.CampaignSpec`)
 share field conventions — ``max_retries``, ``timeout``, ``seed`` — and a
 ``to_json``/``from_json`` round-trip.  This module provides the plumbing:
-:func:`config_to_json` / :func:`config_from_json`, a recursive
-dataclass <-> plain-JSON-dict conversion with unknown-key rejection.
+:func:`config_to_json`, a recursive dataclass -> plain-JSON-dict
+conversion, and :func:`config_from_json`, which rebuilds the flat
+configs with unknown-key rejection (``FaultSpec`` nests component
+specs and tuples, so it rebuilds itself through ``from_params``).
 
 :class:`~repro.errors.ConfigError` (re-exported here) roots the error
 family: domain-specific config errors such as
@@ -50,36 +52,14 @@ def config_to_json(obj: Any) -> dict[str, Any]:
 
 
 def config_from_json(cls: Type[T], doc: dict[str, Any]) -> T:
-    """Rebuild a dataclass config from :func:`config_to_json` output.
+    """Rebuild a flat (scalar-field) dataclass config from
+    :func:`config_to_json` output.
 
-    Unknown keys are rejected (catching typos and stale documents);
-    nested dataclass fields are rebuilt recursively; lists are restored
-    to tuples where the field was a tuple.
+    Unknown keys are rejected, catching typos and stale documents.
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"{cls.__name__}: config document must be a dict")
-    known = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(doc) - set(known)
+    unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"{cls.__name__}: unknown config fields {sorted(unknown)}")
-    kwargs: dict[str, Any] = {}
-    for name, value in doc.items():
-        f = known[name]
-        if isinstance(value, dict):
-            # Nested dataclass: infer the class from the field's default
-            # (the configs here always default their nested policies).
-            nested = None
-            if f.default is not dataclasses.MISSING and dataclasses.is_dataclass(
-                f.default
-            ):
-                nested = type(f.default)
-            elif f.default_factory is not dataclasses.MISSING:  # type: ignore[misc]
-                probe = f.default_factory()  # type: ignore[misc]
-                if dataclasses.is_dataclass(probe):
-                    nested = type(probe)
-            if nested is not None:
-                value = config_from_json(nested, value)
-        elif isinstance(value, list) and isinstance(f.default, tuple):
-            value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
-        kwargs[name] = value
-    return cls(**kwargs)
+    return cls(**doc)

@@ -108,8 +108,8 @@ class ConfigError(ReproError):
     """A malformed config document or unknown config field.
 
     The root of the config-convention hierarchy: every
-    ``to_json``/``from_json`` surface (protocol configs,
-    ``BatchPolicy``, fault and campaign specs) rejects unknown keys
+    ``to_json``/``from_json`` surface (the INIC protocol config,
+    fault and campaign specs) rejects unknown keys
     with a :class:`ConfigError` subclass, so callers can catch the
     whole family here.
     """

@@ -34,7 +34,7 @@ from ..errors import ConfigurationError, OffloadError, TransferAborted
 from ..hw.cpu import CPU
 from ..hw.pci import DEFAULT_ARBITRATION
 from ..net.addresses import BROADCAST, MacAddress
-from ..net.batching import adaptive_quantum
+from ..net.batching import adaptive_quantum, choose_quantum
 from ..net.link import Wire
 from ..net.packet import (
     ETHERNET_OVERHEAD,
@@ -43,7 +43,6 @@ from ..net.packet import (
     Train,
     wire_bytes,
 )
-from ..protocols.base import choose_quantum
 from ..protocols.inicproto import INICProtoConfig, TransferPlan
 from ..sim.bus import FCFSBus, FairShareBus
 from ..sim.engine import Event, Simulator
@@ -93,6 +92,9 @@ class CardSpec:
             raise ConfigurationError(f"{self.name}: bad DMA threshold")
 
 
+#: static cap on packets per chunk (:func:`~repro.net.batching.choose_quantum`)
+QUANTUM_CAP = 64
+
 #: Section 4's next-generation single-chip INIC: dedicated pipelined
 #: paths at the measured-derated 80/90 MiB/s of Eqs. (6)-(9).
 IDEAL_INIC = CardSpec(
@@ -126,16 +128,13 @@ class SendBlock:
     (the application applies the design's core, mirroring the hardware
     doing it inline); ``nbytes`` is its logical size.  An all-to-all
     posts p of these per rank, so the class has slots, not a
-    ``__dict__``.
+    ``__dict__``, and :meth:`INICCard.post_scatter` checks the sizes
+    in one pass rather than a ``__post_init__`` per block.
     """
 
     dst: MacAddress
     nbytes: int
     data: Any = None
-
-    def __post_init__(self) -> None:
-        if self.nbytes < 1:
-            raise OffloadError(f"send block of {self.nbytes} bytes")
 
 
 class ScatterOp:
@@ -502,6 +501,9 @@ class INICCard:
         """
         if not blocks:
             raise OffloadError("scatter with no blocks")
+        for block in blocks:
+            if block.nbytes < 1:
+                raise OffloadError(f"send block of {block.nbytes} bytes")
         op = ScatterOp(self.sim, tag, blocks, window_bytes, train=train)
         if self.spec.proto.max_retries > 0:
             # Retain each destination's block so a NACK can be served.
@@ -556,17 +558,12 @@ class INICCard:
         proto = self.spec.proto
         pkt = proto.packet_size
         n_packets = -(-nbytes // pkt)
-        q = choose_quantum(
-            n_packets,
-            proto.quantum_target_events,
-            proto.max_quantum,
-        )
+        q = choose_quantum(n_packets, QUANTUM_CAP)
         # Adaptive batching: grow the quantum to the largest packet train
         # whose serialization stays within the timing tolerance (the
-        # window/4 cap below still preserves the credit pipeline).  With
-        # batching disabled this falls back to the target-events quantum.
+        # window/4 cap below still preserves the credit pipeline).
         packet_time = wire_bytes(pkt, proto.headers) / self.spec.net_rate
-        q = max(q, adaptive_quantum(n_packets, packet_time, proto.batch))
+        q = max(q, adaptive_quantum(n_packets, packet_time))
         chunk = q * pkt
         if window is not None:
             # Keep several chunks in flight inside one window so the
@@ -801,7 +798,7 @@ class INICCard:
         addr = self.address
         own = addr.value
         tag = op.tag
-        train = Train(addr, self.spec.proto.headers, kind="inic", op=tag, nocredit=True)
+        train = Train(addr, self.spec.proto.headers, kind="inic", op=tag)
         local = Train(addr, 0, kind="inic-local", op=tag)
         # The wire train's per-chunk columns come from the rows, taken
         # apart once at the end; the loop appends a row, the
@@ -904,31 +901,18 @@ class INICCard:
         One card-bus reservation covers the whole group's payload
         crossing (one back-to-back transfer per frame, exactly the slow
         path's per-frame bus occupancy), and one callback at its
-        completion accounts every frame.  Frames of other kinds than
-        ``inic`` (credits, NACKs) fall through to :meth:`receive_frame`
-        unchanged.
+        completion accounts every frame.  Every train a card receives
+        is another card's scatter train (kind ``inic``, credit-free),
+        and only the shared-bus geometry sends trains
+        (:meth:`_fast_eligible`), so the receiver's bus is that FCFS bus
+        too: a cluster's cards share one spec.
         """
-        inic_trains: list[Train] = []
-        inic_idx: list[int] = []
         total = 0
         for train, i in zip(trains, idx):
-            if train.kind == "inic":
-                inic_trains.append(train)
-                inic_idx.append(i)
-                total += train.payload_bytes[i]
-            else:
-                self.receive_frame(train.frame(i))
-        if not inic_idx:
-            return
-        bus = self.net_rx
-        reserve = getattr(bus, "reserve", None)
-        if reserve is None:
-            for train, i in zip(inic_trains, inic_idx):
-                self._rx_q.put(train.frame(i))
-            return
-        _start, finish = reserve(total, len(inic_idx))
+            total += train.payload_bytes[i]
+        _start, finish = self.net_rx.reserve(total, len(idx))
         self.sim.call_after(
-            finish - self.sim.now, self._finish_rx_train, inic_trains, inic_idx
+            finish - self.sim.now, self._finish_rx_train, trains, idx
         )
 
     def _finish_rx_train(self, trains: list[Train], idx: list[int]) -> None:
@@ -945,7 +929,6 @@ class INICCard:
         replays.
         """
         stats = self.stats
-        wire = self._wire_out
         gathers = self._gathers
         mem = self._mem_in_use
         peak = stats.peak_memory_bytes
@@ -959,21 +942,6 @@ class INICCard:
             if mem > peak:
                 peak = mem
             src = train.src
-            if (
-                not train.nocredit
-                and train.dst[i].value != -1
-                and wire is not None
-            ):
-                wire.send(
-                    Frame(
-                        src=self.address,
-                        dst=src,
-                        payload_bytes=0,
-                        headers=self.spec.proto.headers,
-                        kind="inic-credit",
-                        meta={"credit": nbytes},
-                    )
-                )
             tag = train.op
             gather = gathers.get(tag)
             if gather is None:

@@ -9,12 +9,7 @@ here would put it in ``sys.modules`` before ``runpy`` executes it as
 from importlib import import_module
 
 from .addresses import BROADCAST, MacAddress
-from .batching import (
-    BatchPolicy,
-    DEFAULT_BATCH,
-    PER_FRAME,
-    adaptive_quantum,
-)
+from .batching import adaptive_quantum, choose_quantum
 from .fabric import (
     FAST_ETHERNET,
     GIGABIT_ETHERNET,
@@ -57,14 +52,12 @@ def __getattr__(name: str):
 
 __all__ = [
     "BROADCAST",
-    "BatchPolicy",
-    "DEFAULT_BATCH",
     "FatTreeTopology",
     "HierarchicalFabric",
-    "PER_FRAME",
     "StarTopology",
     "TorusTopology",
     "adaptive_quantum",
+    "choose_quantum",
     "ETHERNET_MTU",
     "ETHERNET_OVERHEAD",
     "FAST_ETHERNET",

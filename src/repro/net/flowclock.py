@@ -91,8 +91,8 @@ from .packet import Frame, Train
 __all__ = ["admit_train", "DeliveryBatcher", "TRAIN_TOLERANCE", "TRAIN_CAP"]
 
 #: delivery grouping window, seconds — arrivals within this span of a
-#: group's opener ride one pooled event (same scale as the NIC batch
-#: policies in :mod:`repro.net.batching`)
+#: group's opener ride one pooled event (same scale as the source
+#: batching tolerance, :data:`repro.net.batching.TIMING_TOLERANCE`)
 TRAIN_TOLERANCE = 200e-6
 #: frames per delivery group before a new one is opened
 TRAIN_CAP = 256

@@ -118,8 +118,9 @@ class StandardNIC:
     def wire_bandwidth(self) -> float:
         """Bytes/s of the attached TX wire (0.0 before attachment).
 
-        Protocol stacks use this to convert a batching policy's timing
-        tolerance into a frames-per-event quantum.
+        Protocol stacks use this to convert the batching timing
+        tolerance (:mod:`repro.net.batching`) into a frames-per-event
+        quantum.
         """
         return 0.0 if self._wire_out is None else self._wire_out.bandwidth
 

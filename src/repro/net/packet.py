@@ -136,11 +136,13 @@ class Train:
     unit of transfer (:mod:`repro.net.flowclock`).
 
     Every frame of a train shares its source, protocol tag (``op``),
-    per-frame ``headers``, ``kind`` and ``nocredit`` marker, so those
-    are set once.  Frame ``i`` is the ``i``-th entry of the parallel
-    per-frame columns: ``dst``, ``payload_bytes``, ``wire_size``,
-    ``frame_count``, ``payload``, ``last``, ``total`` (its message's
-    byte count) and ``times`` (its logical send time, non-decreasing).
+    per-frame ``headers`` and ``kind``, so those are set once.  Trains
+    are credit-free: a card sends one only when its flow window cannot
+    overrun, so every :meth:`frame` carries ``meta["nocredit"]``.
+    Frame ``i`` is the ``i``-th entry of the parallel per-frame columns:
+    ``dst``, ``payload_bytes``, ``wire_size``, ``frame_count``,
+    ``payload``, ``last``, ``total`` (its message's byte count) and
+    ``times`` (its logical send time, non-decreasing).
     The fabric, its delivery batcher and the receiving card read the
     columns directly; :meth:`frame` builds the equivalent :class:`Frame`
     for the consumers that need one.
@@ -155,7 +157,6 @@ class Train:
         "op",
         "headers",
         "kind",
-        "nocredit",
         "dst",
         "payload_bytes",
         "wire_size",
@@ -184,7 +185,6 @@ class Train:
         headers: int,
         kind: str = "raw",
         op: Any = None,
-        nocredit: bool = False,
     ):
         if headers < 0:
             raise PacketError(f"negative header size {headers}")
@@ -192,7 +192,6 @@ class Train:
         self.op = op
         self.headers = headers
         self.kind = kind
-        self.nocredit = nocredit
         self.dst: list[MacAddress] = []
         self.payload_bytes: list[int] = []
         self.wire_size: list[int] = []
@@ -227,9 +226,12 @@ class Train:
 
     def frame(self, i: int) -> Frame:
         """Frame ``i`` as a :class:`Frame` (a fresh object per call)."""
-        meta = {"op": self.op, "last": self.last[i], "total": self.total[i]}
-        if self.nocredit:
-            meta["nocredit"] = True
+        meta = {
+            "op": self.op,
+            "last": self.last[i],
+            "total": self.total[i],
+            "nocredit": True,
+        }
         return Frame(
             src=self.src,
             dst=self.dst[i],

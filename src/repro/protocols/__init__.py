@@ -1,6 +1,6 @@
 """Protocol stacks: the host TCP baseline and the INIC custom protocol."""
 
-from .base import Mailbox, MessageView, choose_quantum, next_message_id
+from .base import Mailbox, MessageView, next_message_id
 from .inicproto import INICProtoConfig, TransferPlan
 from .tcp import TCPConfig, TCPStack, TCPStats
 
@@ -12,6 +12,5 @@ __all__ = [
     "TCPStack",
     "TCPStats",
     "TransferPlan",
-    "choose_quantum",
     "next_message_id",
 ]

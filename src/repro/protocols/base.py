@@ -17,11 +17,10 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from ..errors import ProtocolError
 from ..net.addresses import MacAddress
 from ..sim.engine import Event, Simulator
 
-__all__ = ["MessageView", "Mailbox", "next_message_id", "choose_quantum"]
+__all__ = ["MessageView", "Mailbox", "next_message_id"]
 
 _message_ids = [0]
 
@@ -94,20 +93,3 @@ class Mailbox:
             f"{len(self._waiters)} waiting>"
         )
 
-
-def choose_quantum(
-    total_units: int, target_events: int = 64, max_quantum: int = 64
-) -> int:
-    """Pick a frame-batching quantum (DESIGN.md §7, CHUNK fidelity).
-
-    Returns how many physical frames to batch per simulation event so a
-    transfer of ``total_units`` frames costs about ``target_events``
-    events, capped at ``max_quantum`` to keep windowing math honest.
-    """
-    if total_units < 0:
-        raise ProtocolError(f"negative unit count {total_units}")
-    if target_events < 1 or max_quantum < 1:
-        raise ProtocolError("target_events and max_quantum must be >= 1")
-    if total_units <= target_events:
-        return 1
-    return min(max_quantum, -(-total_units // target_events))

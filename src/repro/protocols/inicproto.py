@@ -25,12 +25,11 @@ again by one small ``inic-credit`` frame per chunk (docs/protocol.md §2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..config import config_from_json, config_to_json
 from ..errors import ProtocolError
 from ..net.addresses import MacAddress
-from ..net.batching import BatchPolicy, DEFAULT_BATCH
 from ..sim.engine import Event, Simulator
 
 __all__ = ["INICProtoConfig", "TransferPlan"]
@@ -46,12 +45,6 @@ class INICProtoConfig:
 
     packet_size: int = 1024  # paper, Section 4.2
     headers: int = 8  # built directly on Ethernet; minimal header
-    quantum_target_events: int = 48
-    max_quantum: int = 64
-    #: adaptive packet-train batching: the card's chunk quantum grows to
-    #: the largest train whose serialization fits the policy's timing
-    #: tolerance (the flow window still caps each chunk at window/4).
-    batch: BatchPolicy = field(default_factory=lambda: DEFAULT_BATCH)
     #: loss recovery: NACK/retransmit rounds per gather before the
     #: operation aborts with :class:`~repro.errors.TransferAborted`.
     #: ``0`` keeps the paper's pure no-loss protocol (a stalled plan

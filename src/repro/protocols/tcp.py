@@ -30,13 +30,19 @@ from typing import Any, Optional
 from ..errors import ProtocolError
 from ..hw.cpu import CPU
 from ..net.addresses import MacAddress
-from ..net.batching import BatchPolicy, DEFAULT_BATCH, adaptive_quantum
+from ..net.batching import adaptive_quantum, choose_quantum
 from ..net.nic import StandardNIC
 from ..net.packet import ETHERNET_MTU, IP_TCP_HEADERS, Frame, wire_bytes
 from ..sim.engine import Event, Simulator
-from .base import Mailbox, MessageView, choose_quantum, next_message_id
+from .base import Mailbox, MessageView, next_message_id
 
 __all__ = ["TCPConfig", "TCPStack", "TCPStats"]
+
+#: static cap on segments per chunk: quantum batching adds
+#: store-and-forward latency per pipeline stage, which inflates the RTT
+#: that cwnd must cover; 16 frames (~23 KiB) keeps that artifact below
+#: the real window dynamics
+QUANTUM_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -53,16 +59,10 @@ class TCPConfig:
     send_cost_per_segment: float = 4.0e-6  # host TX path CPU (copy+checksum)
     recv_cost_per_segment: float = 4.0e-6  # host RX path CPU (above NIC irq)
     ack_cost: float = 1.0e-6  # generating/processing an ACK
-    quantum_target_events: int = 48  # CHUNK fidelity: events per message
-    # Quantum batching adds store-and-forward latency per pipeline stage,
-    # which inflates the RTT that cwnd must cover; 16 frames (~23 KiB) keeps
-    # that artifact below the real window dynamics.
-    max_quantum: int = 16
-    #: adaptive segment-train batching on top of the static quantum: the
-    #: sender may grow a chunk to the largest train within the policy's
-    #: timing tolerance, but never past a quarter of the effective window
-    #: (so the flight always holds >= 4 chunks and stays ACK-clocked).
-    batch: BatchPolicy = DEFAULT_BATCH
+    #: per-frame fidelity: every segment is its own event (quantum 1 in
+    #: both batching rules); the reference the fidelity tests compare
+    #: batched runs against
+    per_frame: bool = False
 
     def __post_init__(self) -> None:
         if self.mss < 1 or self.init_cwnd < 1 or self.init_ssthresh < 1:
@@ -152,9 +152,7 @@ class _SendConn:
                 self.cwnd = float(cfg.init_cwnd)
         done = sim.event(name="tcp.msg.done")
         segments = -(-nbytes // cfg.mss)
-        quantum = choose_quantum(
-            segments, cfg.quantum_target_events, cfg.max_quantum
-        )
+        quantum = choose_quantum(segments, 1 if cfg.per_frame else QUANTUM_CAP)
         msg = _OutMsg(
             self.stream_end, nbytes, tag, payload, done, next_message_id(), quantum
         )
@@ -219,7 +217,7 @@ class _SendConn:
                 yield ev
             window_free = self.effective_window() - self.flight
             quantum = msg.quantum
-            if cfg.batch.enabled:
+            if not cfg.per_frame:
                 # Grow the chunk to the largest segment train the timing
                 # tolerance allows, but keep >= 4 chunks per window so the
                 # flight stays ACK-clocked (never stop-and-wait).
@@ -228,7 +226,6 @@ class _SendConn:
                 q_tol = adaptive_quantum(
                     remaining,
                     wire_bytes(cfg.mss, IP_TCP_HEADERS) / bw if bw > 0 else 0.0,
-                    cfg.batch,
                 )
                 q_win = max(1, self.effective_window() // (4 * cfg.mss))
                 quantum = max(quantum, min(q_tol, q_win))

@@ -23,7 +23,7 @@ from repro.config import ConfigError
 from repro.core.manager import INICManager
 from repro.errors import FaultConfigError
 from repro.faults import ComponentFaultSpec
-from repro.net.batching import BatchPolicy
+from repro.faults.campaign import CampaignSpec
 from repro.protocols import INICProtoConfig
 
 
@@ -162,7 +162,7 @@ def test_session_spawn_generator_and_coroutine():
     [
         INICProtoConfig(packet_size=2048, max_retries=3, timeout=0.01),
         ComponentFaultSpec("spine1", windows=((0.01, 0.02),)),
-        BatchPolicy(timing_tolerance=50e-6, max_quantum=32),
+        CampaignSpec(seed=3, horizon=0.02, max_concurrent=2),
         FaultSpec(seed=9, loss_rate=0.02, outages=((0.1, 0.05),)),
     ],
 )
@@ -176,7 +176,7 @@ def test_config_round_trips_through_json(cfg):
 
 def test_config_from_json_rejects_unknown_keys():
     with pytest.raises(ConfigError):
-        BatchPolicy.from_json({"enabled": True, "warp_factor": 9})
+        INICProtoConfig.from_json({"packet_size": 1024, "warp_factor": 9})
     with pytest.raises(FaultConfigError):
         FaultSpec.from_json({"seed": 1, "warp_factor": 9})
 

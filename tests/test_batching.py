@@ -1,57 +1,81 @@
 """Frame-train batching (DESIGN.md §7, docs/performance.md).
 
-Senders batch at the source: :func:`adaptive_quantum` sizes a train
-within the policy's timing tolerance, and the fabric forwards each
-``frame_count``-weighted frame as it arrived.  Batched runs are
-deterministic: two identical runs produce identical delivery schedules
-and event counts.
+Senders batch at the source: :func:`choose_quantum` and
+:func:`adaptive_quantum` size a train from the module's constants, and
+the fabric forwards each ``frame_count``-weighted frame as it arrived.
+Batched runs are deterministic: two identical runs produce identical
+delivery schedules and event counts.
 """
 
 import pytest
 
 from repro.errors import PacketError
 from repro.net import (
-    BatchPolicy,
     Frame,
     MacAddress,
-    PER_FRAME,
     Switch,
     Wire,
     adaptive_quantum,
+    choose_quantum,
 )
+from repro.net.batching import MAX_TRAIN, TARGET_EVENTS, TIMING_TOLERANCE
 from repro.net.packet import ETHERNET_MTU
 from repro.sim import Simulator
 
 MTU = ETHERNET_MTU
 
 
+# -- choose_quantum arithmetic ------------------------------------------------------
+
+
+def test_choose_quantum_small_transfers_are_per_frame():
+    assert TARGET_EVENTS == 48
+    assert choose_quantum(10, max_quantum=64) == 1
+    assert choose_quantum(TARGET_EVENTS, max_quantum=64) == 1
+
+
+def test_choose_quantum_scales_and_caps():
+    assert choose_quantum(480, max_quantum=64) == 10
+    assert choose_quantum(481, max_quantum=64) == 11  # rounds up
+    assert choose_quantum(10**6, max_quantum=32) == 32
+    # a cap of 1 is the per-frame rule
+    assert choose_quantum(10**6, max_quantum=1) == 1
+
+
+def test_choose_quantum_validation():
+    with pytest.raises(PacketError):
+        choose_quantum(-1, max_quantum=16)
+    with pytest.raises(PacketError):
+        choose_quantum(10, max_quantum=0)
+
+
 # -- adaptive_quantum arithmetic ----------------------------------------------------
 
 
 def test_adaptive_quantum_tolerance_bound():
-    policy = BatchPolicy(timing_tolerance=100e-6, max_quantum=512)
-    # (q - 1) * unit_time <= tolerance  ->  q = 1 + 10 at 10 us/frame
-    assert adaptive_quantum(1000, 10e-6, policy) == 11
+    assert TIMING_TOLERANCE == 200e-6
+    # (q - 1) * unit_time <= tolerance  ->  q = 1 + 20 at 10 us/frame
+    assert adaptive_quantum(1000, 10e-6) == 21
     # the bound adapts to the wire: slower frames, smaller quantum
-    assert adaptive_quantum(1000, 50e-6, policy) == 3
+    assert adaptive_quantum(1000, 50e-6) == 5
+    assert adaptive_quantum(1000, 150e-6) == 2
 
 
 def test_adaptive_quantum_caps():
-    policy = BatchPolicy(timing_tolerance=1.0, max_quantum=32)
-    assert adaptive_quantum(1000, 10e-6, policy) == 32  # max_quantum cap
-    assert adaptive_quantum(7, 10e-6, policy) == 7  # never exceeds total
-    assert adaptive_quantum(1, 10e-6, policy) == 1
-    assert adaptive_quantum(0, 10e-6, policy) == 1
+    assert MAX_TRAIN == 256
+    assert adaptive_quantum(1000, 0.1e-6) == MAX_TRAIN  # hard cap
+    assert adaptive_quantum(7, 10e-6) == 7  # never exceeds total
+    assert adaptive_quantum(1, 10e-6) == 1
+    assert adaptive_quantum(0, 10e-6) == 1
 
 
 def test_adaptive_quantum_disabled_and_errors():
-    assert adaptive_quantum(1000, 10e-6, PER_FRAME) == 1
+    # An unknown wire rate (0) disables the tolerance bound: only the
+    # hard cap and the unit count apply.
+    assert adaptive_quantum(1000, 0.0) == MAX_TRAIN
+    assert adaptive_quantum(100, 0.0) == 100
     with pytest.raises(PacketError):
         adaptive_quantum(-1, 10e-6)
-    with pytest.raises(PacketError):
-        BatchPolicy(timing_tolerance=-1.0)
-    with pytest.raises(PacketError):
-        BatchPolicy(max_quantum=0)
 
 
 # -- source-batched trains through a switch port ------------------------------------
@@ -116,13 +140,13 @@ def test_batched_runs_are_deterministic():
 
 
 def test_switch_merge_respects_max_quantum_and_buffer_accounting():
-    # The port merges nothing: trains sized at the source under the
-    # policy's max_quantum reach the sink no larger than that cap.
-    batched = BatchPolicy(timing_tolerance=1.0, max_quantum=4)
-    quantum = adaptive_quantum(24, MTU / 125e6, batched)
-    assert quantum == 4
+    # The port merges nothing: trains sized at the source by the
+    # tolerance rule on the 125 MB/s ingress wire (12 us per frame)
+    # reach the sink no larger than that quantum.
+    quantum = adaptive_quantum(24, MTU / 125e6)
+    assert quantum == 17
     _, col, down, switch = _run_switch_burst(quantum)
-    assert all(count <= 4 for _, _, count, _ in col.deliveries)
+    assert [count for _, _, count, _ in col.deliveries] == [17, 7]
     assert sum(count for _, _, count, _ in col.deliveries) == 24
     assert down.frames_sent == 24
     # All buffer bytes were freed (enqueue charge == tx_done release).

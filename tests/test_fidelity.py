@@ -12,7 +12,6 @@ from repro.net import (
     Frame,
     GIGABIT_ETHERNET,
     MacAddress,
-    PER_FRAME,
     StandardNIC,
     build_star,
 )
@@ -32,11 +31,6 @@ def build_pair(tcp_config):
         nics.append(nic)
     switch = build_star(sim, [(MacAddress(i), nics[i]) for i in range(2)])
     return sim, stacks, nics, switch
-
-
-def per_frame_config():
-    """Per-frame fidelity: quantum 1, no source batching."""
-    return TCPConfig(max_quantum=1, quantum_target_events=10**9, batch=PER_FRAME)
 
 
 def transfer_time(tcp_config, nbytes):
@@ -62,14 +56,14 @@ def test_quantum_batching_preserves_transfer_time():
     agree on bulk-transfer time within a tolerance — the justification
     for running paper-scale sweeps at CHUNK fidelity."""
     nbytes = 2_000_000
-    t_packet = transfer_time(per_frame_config(), nbytes)
-    t_chunk = transfer_time(TCPConfig(max_quantum=16), nbytes)
+    t_packet = transfer_time(TCPConfig(per_frame=True), nbytes)
+    t_chunk = transfer_time(TCPConfig(), nbytes)
     assert t_chunk == pytest.approx(t_packet, rel=0.25)
 
 
 def test_quantum_batching_reduces_event_count():
-    sim1, stacks1, _, _ = build_pair(per_frame_config())
-    sim16, stacks16, _, _ = build_pair(TCPConfig(max_quantum=16))
+    sim1, stacks1, _, _ = build_pair(TCPConfig(per_frame=True))
+    sim16, stacks16, _, _ = build_pair(TCPConfig())
     for sim, stacks in ((sim1, stacks1), (sim16, stacks16)):
         def sender(s=stacks):
             yield s[0].send(MacAddress(1), 1_000_000)
@@ -81,6 +75,48 @@ def test_quantum_batching_reduces_event_count():
         sim.process(receiver())
         sim.run()
     assert sim16.event_count < sim1.event_count / 3
+
+
+#: the chunk sizes (payload bytes, run-length encoded as (size, runs))
+#: a default-config sender emits for one 300,000 B message on the
+#: Gigabit pair: 7,300 B is the static rule's 5 segments for 206, the
+#: smaller chunks are what the window leaves free, and the larger ones
+#: the tolerance rule under the window/4 cap
+TCP_CHUNK_PINS = [
+    (2920, 1), (5840, 1), (7300, 1), (4380, 1), (7300, 3), (1460, 1),
+    (7300, 2), (8760, 1), (5840, 1), (10220, 1), (7300, 1), (13140, 1),
+    (1460, 1), (14600, 1), (17520, 1), (11680, 1), (20440, 1), (14600, 1),
+    (13140, 1), (1460, 1), (14600, 1), (17520, 1), (11680, 1), (20440, 1),
+    (14600, 2), (1460, 1), (6540, 1),
+]
+
+
+def test_default_chunk_sizes_are_pinned(monkeypatch):
+    from itertools import groupby
+
+    from repro.protocols import tcp
+
+    sizes = []
+    build_frame = tcp._SendConn._build_frame
+
+    def record(conn, seq, size):
+        sizes.append(size)
+        return build_frame(conn, seq, size)
+
+    monkeypatch.setattr(tcp._SendConn, "_build_frame", record)
+    sim, stacks, _, _ = build_pair(TCPConfig())
+
+    def sender():
+        yield stacks[0].send(MacAddress(1), 300_000)
+
+    def receiver():
+        yield stacks[1].recv()
+
+    sim.process(sender())
+    sim.process(receiver())
+    sim.run()
+    assert [(k, len(list(g))) for k, g in groupby(sizes)] == TCP_CHUNK_PINS
+    assert stacks[0].stats.retransmitted_frames == 0
 
 
 @settings(max_examples=15, deadline=None)

@@ -256,8 +256,68 @@ def test_scatter_validation():
     sim, cards, _ = make_cards()
     with pytest.raises(OffloadError):
         cards[0].post_scatter(1, [])
-    with pytest.raises(OffloadError):
-        SendBlock(MacAddress(1), 0)
+    # post_scatter checks every block's size before queueing anything.
+    blocks = [SendBlock(MacAddress(1), 100), SendBlock(MacAddress(2), 0)]
+    with pytest.raises(OffloadError, match="send block of 0 bytes"):
+        cards[0].post_scatter(1, blocks)
+    assert cards[0]._scatter_q.total_puts == 0
+
+
+#: ``_chunks_of`` pinned: for each (card, packet size), one row per
+#: window (None, 16 KiB, 64 KiB) of the chunk size it picks for blocks
+#: of 1,000 / 40,000 / 131,072 / 1,000,000 bytes.  Every chunk but the
+#: last has that size, so the row fixes the whole chunk list.  Under a
+#: window at 1024 B packets the tolerance rule and window/4 decide
+#: alone; without a window, and at 256 B packets under 64 KiB, the
+#: static rule (``choose_quantum``) sets the 1,000,000 B block's chunks.
+CHUNK_PINS = {
+    ("ideal", 256): (
+        (1000, 16128, 16128, 16384),
+        (1000, 4096, 4096, 4096),
+        (1000, 16128, 16128, 16384),
+    ),
+    ("ideal", 1024): (
+        (1000, 18432, 18432, 21504),
+        (1000, 4096, 4096, 4096),
+        (1000, 16384, 16384, 16384),
+    ),
+    ("ideal", 4096): (
+        (1000, 20480, 20480, 24576),
+        (1000, 4096, 4096, 4096),
+        (1000, 16384, 16384, 16384),
+    ),
+    ("proto", 256): (
+        (1000, 19200, 19200, 19200),
+        (1000, 4096, 4096, 4096),
+        (1000, 16384, 16384, 16384),
+    ),
+    ("proto", 1024): (
+        (1000, 21504, 21504, 21504),
+        (1000, 4096, 4096, 4096),
+        (1000, 16384, 16384, 16384),
+    ),
+    ("proto", 4096): (
+        (1000, 24576, 24576, 24576),
+        (1000, 4096, 4096, 4096),
+        (1000, 16384, 16384, 16384),
+    ),
+}
+
+
+@pytest.mark.parametrize("card_name, packet", sorted(CHUNK_PINS))
+def test_chunk_sizes_are_pinned(card_name, packet):
+    from repro.protocols import INICProtoConfig
+
+    spec = {"ideal": IDEAL_INIC, "proto": ACEII_PROTOTYPE}[card_name]
+    spec = replace(spec, proto=INICProtoConfig(packet_size=packet))
+    card = INICCard(Simulator(), MacAddress(0), spec=spec)
+    rows = CHUNK_PINS[card_name, packet]
+    for window, row in zip((None, 16 * 1024, 64 * 1024), rows):
+        for nbytes, chunk in zip((1000, 40_000, 131_072, 1_000_000), row):
+            sizes = card._chunks_of(nbytes, window)
+            assert sum(sizes) == nbytes
+            assert sizes[:-1] == [chunk] * (len(sizes) - 1)
+            assert sizes[0] == chunk
 
 
 def test_compute_mode_runs_kernel():
@@ -458,7 +518,12 @@ def test_train_frames_match_per_chunk_frames(monkeypatch):
             headers=0,
             kind="inic-local",
             payload=blocks[3].data if k == len(sizes) - 1 else None,
-            meta={"op": tag, "last": k == len(sizes) - 1, "total": nbytes},
+            meta={
+                "op": tag,
+                "last": k == len(sizes) - 1,
+                "total": nbytes,
+                "nocredit": True,
+            },
         )
         for k, size in enumerate(sizes)
     ]

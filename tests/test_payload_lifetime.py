@@ -293,9 +293,14 @@ def test_send_block_has_no_dict_and_rejects_empty_blocks():
     assert not hasattr(block, "__dict__")
     with pytest.raises(AttributeError):
         block.extra = 1
+    # The size check runs once per scatter in post_scatter, not per
+    # block construction.
+    from repro.inic import INICCard
+
+    card = INICCard(Simulator(), MacAddress(0))
     for nbytes in (0, -1):
         with pytest.raises(OffloadError):
-            SendBlock(MacAddress(1), nbytes)
+            card.post_scatter(1, [block, SendBlock(MacAddress(1), nbytes)])
 
 
 def test_gather_payloads_keep_per_source_arrival_order():

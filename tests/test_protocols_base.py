@@ -1,10 +1,7 @@
-"""Unit tests for Mailbox / quantum selection (repro.protocols.base)."""
+"""Unit tests for Mailbox (repro.protocols.base)."""
 
-import pytest
-
-from repro.errors import ProtocolError
 from repro.net import MacAddress
-from repro.protocols import Mailbox, MessageView, choose_quantum
+from repro.protocols import Mailbox, MessageView
 from repro.sim import Simulator
 
 A, B = MacAddress(0), MacAddress(1)
@@ -106,19 +103,3 @@ def test_mailbox_multiple_waiters_matched_in_order():
     sim.run()
     assert sorted(got) == [(5, 50), (6, 60)]
 
-
-def test_choose_quantum_small_transfers_are_per_frame():
-    assert choose_quantum(10, target_events=64) == 1
-    assert choose_quantum(64, target_events=64) == 1
-
-
-def test_choose_quantum_scales_and_caps():
-    assert choose_quantum(640, target_events=64) == 10
-    assert choose_quantum(10**6, target_events=64, max_quantum=32) == 32
-
-
-def test_choose_quantum_validation():
-    with pytest.raises(ProtocolError):
-        choose_quantum(-1)
-    with pytest.raises(ProtocolError):
-        choose_quantum(10, target_events=0)

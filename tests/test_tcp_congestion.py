@@ -107,7 +107,7 @@ def test_fast_retransmit_triggers_under_incast():
     """Several flows converging on one port lose frames while later
     frames keep arriving — the duplicate-ACK stream triggers fast
     retransmit, and everything still delivers."""
-    cfg = TCPConfig(max_quantum=4)
+    cfg = TCPConfig(per_frame=True)
     sim, stacks, switch = _build_incast(4, cfg, buffer_bytes=48 * 1024)
     got = []
 

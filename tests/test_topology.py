@@ -515,11 +515,11 @@ def test_experiment_facade_builds_hierarchical_cluster():
 @pytest.mark.parametrize("kind", ["fattree", "torus"])
 def test_hierarchical_fabrics_reject_batch_option(kind):
     # No fabric merges trains (senders batch at the source), so a batch
-    # policy would be silently ignored: the build must refuse it.
+    # option, whatever its value, would be silently ignored: the build
+    # must refuse it.
     from repro.core.api import Experiment
-    from repro.net import PER_FRAME
 
-    exp = Experiment().nodes(8).fabric(kind, batch=PER_FRAME)
+    exp = Experiment().nodes(8).fabric(kind, batch=False)
     with pytest.raises(TypeError, match="batch"):
         exp.build()
 
@@ -582,9 +582,9 @@ def test_bulk_train_faulted_uplink_falls_back_bit_identically():
 
 
 def _card_train(addrs, src, dsts, times, size=1000, tag=0x51):
-    """A card scatter's column train: kind, op and ``nocredit`` as
+    """A card scatter's column train: kind and op as
     ``INICCard._run_scatter_fast`` sets them, one chunk per block."""
-    train = Train(addrs[src], headers=8, kind="inic", op=tag, nocredit=True)
+    train = Train(addrs[src], headers=8, kind="inic", op=tag)
     for dst, t in zip(dsts, times):
         train.append(addrs[dst], size, t, last=True, total=size)
     return train

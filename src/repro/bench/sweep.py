@@ -30,8 +30,9 @@ front end, :mod:`repro.bench.figures`::
 :func:`main` is the home of every ``--check`` gate.  For the perf and
 scale suites, :func:`compare` fails a run whose event counts grow past
 ``--tolerance`` over the committed reference
-(``benchmarks/perf_reference.json`` or ``scale_reference.json``).
-Event counts are deterministic; wall seconds are recorded, never gated.
+(``benchmarks/perf_reference.json`` or ``scale_reference.json``), or
+whose makespans differ from it at all.  Event counts and makespans are
+deterministic; wall seconds are recorded, never gated.
 The faults and chaos suites gate their recovery and invariant checks.
 """
 
@@ -1266,9 +1267,12 @@ def compare(
 ) -> list[str]:
     """Regression report: list of failures (empty means pass).
 
-    Only machine-independent fields are gated (event counts); rows are
-    passed through :func:`_gateable` first, so wall-derived fields of
-    cached rows are structurally invisible to every check here.
+    Only machine-independent fields are gated: a row's event count may
+    grow by at most ``tolerance``, and its makespan must equal the
+    reference's exactly (a speed-up that moves simulated time is a model
+    change, not an optimisation).  Rows are passed through
+    :func:`_gateable` first, so wall-derived fields of cached rows are
+    structurally invisible to every check here.
     """
     failures = []
     if current.get("scale") != reference.get("scale"):
@@ -1290,6 +1294,11 @@ def compare(
                 f"{name}: event_count regressed {r['events']} -> {c['events']} "
                 f"(+{(c['events'] / r['events'] - 1) * 100:.1f}%, "
                 f"tolerance {tolerance * 100:.0f}%)"
+            )
+        if "makespan" in r and c.get("makespan") != r["makespan"]:
+            failures.append(
+                f"{name}: makespan changed {r['makespan']!r} -> "
+                f"{c.get('makespan')!r} (must be identical)"
             )
     return failures
 
@@ -1376,12 +1385,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     parser.add_argument(
         "--check", action="store_true",
-        help="(perf suite) fail if event counts regress vs the reference",
+        help="(perf/scale suites) fail if event counts regress or any "
+        "makespan changes vs the reference",
     )
     parser.add_argument("--tolerance", type=float, default=0.10)
     parser.add_argument(
         "--reference", default=None,
-        help="event-count reference (default: benchmarks/perf_reference.json, "
+        help="event-count and makespan reference (default: "
+        "benchmarks/perf_reference.json, "
         "or benchmarks/scale_reference.json for --suite scale)",
     )
     parser.add_argument("--update-reference", action="store_true")
@@ -1560,7 +1571,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             return 1
         print(
             f"PASS all {len(reference['scenarios'])} scenarios within "
-            f"{args.tolerance * 100:.0f}% of reference event counts"
+            f"{args.tolerance * 100:.0f}% of reference event counts, "
+            f"makespans identical"
         )
 
     if args.assert_cache_hits is not None:

@@ -21,7 +21,7 @@ from ..errors import ApplicationError
 from ..hw.memory import AccessPattern
 from ..net.addresses import MacAddress
 from ..protocols.base import MessageView
-from ..sim.engine import Event
+from ..sim.engine import Event, Process
 from .builder import Cluster
 from .node import Node
 
@@ -69,6 +69,7 @@ class RankContext:
         #: SPMD collective-phase counter (advanced in lock-step by usage)
         self._phase = 0
         self._rdv_tokens = 0
+        self._send_name = f"mpi.snd.{rank}"
         if self.node.tcp is not None:
             self.sim.process(
                 self._rendezvous_responder(), name=f"mpi.ctl.{rank}"
@@ -90,25 +91,28 @@ class RankContext:
     # -- point to point ------------------------------------------------------------
     def send(
         self, dst: int, nbytes: int, payload: Any = None, tag: int = 0
-    ) -> Event:
-        """Start an MPI send; the returned event fires at completion.
+    ) -> Process:
+        """Start an MPI send; returns the send process, which finishes
+        (value ``None``) at completion.
 
         Small messages go eagerly; messages above the MPI eager limit
         first exchange an RTS/CTS handshake with the receiver's library
         (rendezvous), as era MPI implementations over TCP did.
+
+        The process is the completion event itself, so a send costs one
+        schedule entry at its end, and an error raised inside the send
+        (say a :class:`~repro.errors.ProtocolError`) is thrown into
+        whoever waits on it.
         """
         if not 0 <= dst < self.size:
             raise ApplicationError(f"bad destination rank {dst}")
         if dst == self.rank:
             return self._self_send(nbytes, payload, tag)
-        done = self.sim.event(name=f"mpi.send.{self.rank}->{dst}")
-        self.sim.process(
-            self._send_proc(dst, nbytes, payload, tag, done),
-            name=f"mpi.snd.{self.rank}",
+        return self.sim.process(
+            self._send_proc(dst, nbytes, payload, tag), name=self._send_name
         )
-        return done
 
-    def _send_proc(self, dst: int, nbytes: int, payload: Any, tag: int, done: Event):
+    def _send_proc(self, dst: int, nbytes: int, payload: Any, tag: int):
         cfg = self.mpi_config
         tcp = self.node.require_tcp()
         yield from self.node.cpu.busy(cfg.send_cost)
@@ -124,7 +128,6 @@ class RankContext:
             )
             yield tcp.recv(src=MacAddress(dst), tag=_CTS_TAG_BASE + token)
         yield tcp.send(MacAddress(dst), nbytes, payload=payload, tag=tag)
-        done.succeed(None)
 
     def _rendezvous_responder(self):
         """Library-side progress loop answering RTS with CTS."""
@@ -140,9 +143,8 @@ class RankContext:
                 tag=_CTS_TAG_BASE + int(msg.payload),
             )
 
-    def _self_send(self, nbytes: int, payload: Any, tag: int) -> Event:
-        """MPI self-send: one memcpy, no wire."""
-        done = self.sim.event(name="self-send")
+    def _self_send(self, nbytes: int, payload: Any, tag: int) -> Process:
+        """MPI self-send: one memcpy, no wire; returns the copy process."""
         copy_time = self.node.hierarchy.touch_time(
             2 * nbytes, pattern=AccessPattern.STREAM
         )
@@ -154,10 +156,8 @@ class RankContext:
                     src=MacAddress(self.rank), tag=tag, nbytes=nbytes, payload=payload
                 )
             )
-            done.succeed(None)
 
-        self.sim.process(proc(), name=f"selfsend.{self.rank}")
-        return done
+        return self.sim.process(proc(), name=f"selfsend.{self.rank}")
 
     def recv(self, src: Optional[int] = None, tag: Optional[int] = None) -> Event:
         """Event yielding the next matching :class:`MessageView`.

@@ -49,6 +49,7 @@ class DMAEngine:
         self.setup_cost = float(setup_cost)
         self.burst_size = int(burst_size)
         self.name = name
+        self._fair = isinstance(bus, FairShareBus)
         # -- statistics ----------------------------------------------------
         self.transfers = 0
         self.bytes_moved = 0.0
@@ -64,20 +65,24 @@ class DMAEngine:
         Pays one setup cost, then streams the payload over the bus.
         Returns the byte count.
 
-        On a serialized (FCFS) bus the payload is broken into
-        ``burst_size`` transactions so independent traffic can
-        interleave between bursts.  On a fair-share bus the sharing is
-        modelled continuously by the bus itself, so bursting would only
-        multiply simulation events without changing any completion time
-        — the whole payload goes as one transfer.
+        On a fair-share bus the sharing is modelled continuously by the
+        bus itself, so bursting would only multiply simulation events
+        without changing any completion time — the whole payload goes as
+        one transfer, and the setup cost rides along as the transfer's
+        lead time: the flow joins the bus at ``(now + setup_cost) +
+        arbitration`` from one schedule entry, and the engine sleeps
+        through neither.  On a serialized (FCFS) bus the engine sleeps
+        the setup cost, then breaks the payload into ``burst_size``
+        transactions so independent traffic can interleave between
+        bursts.
         """
         if nbytes <= 0:
             raise DMAError(f"DMA transfer of {nbytes} bytes")
-        if self.setup_cost > 0:
-            yield self.sim.sleep(self.setup_cost)
-        if isinstance(self.bus, FairShareBus):
-            yield self.bus.transfer(float(nbytes))
+        if self._fair:
+            yield self.bus.transfer(float(nbytes), lead=self.setup_cost)
         else:
+            if self.setup_cost > 0:
+                yield self.sim.sleep(self.setup_cost)
             remaining = float(nbytes)
             while remaining > 0:
                 burst = min(remaining, float(self.burst_size))

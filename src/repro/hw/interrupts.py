@@ -52,10 +52,6 @@ class CoalescePolicy:
         if self.max_frames < 1:
             raise ValueError("max_frames must be >= 1")
 
-    @property
-    def disabled(self) -> bool:
-        return self.delay == 0.0 and self.max_frames == 1
-
 
 #: no mitigation: one interrupt per cause
 IMMEDIATE = CoalescePolicy(delay=0.0, max_frames=1)
@@ -78,6 +74,9 @@ class InterruptController:
     ):
         self.sim = sim
         self.policy = policy
+        #: pending causes that deliver at once (with ``max_frames == 1``,
+        #: coalescing off, every cause delivers)
+        self._threshold = policy.max_frames
         self.handler = handler
         self.name = name
         self._pending = 0
@@ -105,7 +104,7 @@ class InterruptController:
         self._pending += causes
         self.causes_raised += causes
 
-        if self.policy.disabled or self._pending >= self.policy.max_frames:
+        if self._pending >= self._threshold:
             self._deliver()
             return
         if first_pending:

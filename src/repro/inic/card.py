@@ -546,8 +546,16 @@ class INICCard:
                 self._account_rx(op, frame)
         return op
 
+    def _park_early(self, tag: int, frame: Frame) -> None:
+        """Keep ``frame`` for the gather ``tag`` that is not posted yet
+        (:meth:`post_gather` replays it)."""
+        backlog = self._pending_rx.get(tag)
+        if backlog is None:
+            backlog = self._pending_rx[tag] = deque()
+        backlog.append(frame)
+
     # -- send datapath ------------------------------------------------------------------
-    def _chunks_of(self, nbytes: int, window: Optional[int] = None) -> list[int]:
+    def _chunks_of(self, nbytes: int, window: int) -> list[int]:
         # Chunking is a pure function of (nbytes, window) for a given
         # card spec, and an alltoall posts p blocks per node drawn from a
         # handful of distinct sizes — memoize per card.  Callers iterate
@@ -564,12 +572,10 @@ class INICCard:
         # window/4 cap below still preserves the credit pipeline).
         packet_time = wire_bytes(pkt, proto.headers) / self.spec.net_rate
         q = max(q, adaptive_quantum(n_packets, packet_time))
-        chunk = q * pkt
-        if window is not None:
-            # Keep several chunks in flight inside one window so the
-            # credit round trip (which returns per chunk) never drains
-            # the pipeline: chunk <= window/4.
-            chunk = max(pkt, min(chunk, window // 4))
+        # Keep several chunks in flight inside one window so the credit
+        # round trip (which returns per chunk) never drains the pipeline:
+        # chunk <= window/4.
+        chunk = max(pkt, min(q * pkt, window // 4))
         sizes = []
         left = nbytes
         while left > 0:
@@ -674,7 +680,7 @@ class INICCard:
             meta={"op": op.tag, "last": chunk.last, "total": block.nbytes},
         )
         if gather is None:
-            self._pending_rx.setdefault(op.tag, deque()).append(frame)
+            self._park_early(op.tag, frame)
         else:
             self._account_rx(gather, frame)
         if chunk.last and block is op.blocks[-1]:
@@ -726,7 +732,7 @@ class INICCard:
                 return "outstanding_credit"
         return None
 
-    def _fast_rows(self, nbytes: int, window: Optional[int]) -> tuple[tuple, ...]:
+    def _fast_rows(self, nbytes: int, window: int) -> tuple[tuple, ...]:
         """The fast path's per-chunk constants for a block of ``nbytes``
         under ``window``, memoised per card.
 
@@ -884,7 +890,7 @@ class INICCard:
         separately)."""
         gather = self._gathers.get(local.op)
         if gather is None:
-            self._pending_rx.setdefault(local.op, deque()).append(local.frame(i))
+            self._park_early(local.op, local.frame(i))
             return
         nbytes = local.payload_bytes[i]
         gather.plan.account(local.src, nbytes)
@@ -945,7 +951,7 @@ class INICCard:
             tag = train.op
             gather = gathers.get(tag)
             if gather is None:
-                self._pending_rx.setdefault(tag, deque()).append(train.frame(i))
+                self._park_early(tag, train.frame(i))
                 continue
             gather.plan.account(src, nbytes)
             gather.pending_delivery += nbytes
@@ -993,7 +999,7 @@ class INICCard:
             tag = frame.meta["op"]
             gather = self._gathers.get(tag)
             if gather is None:
-                self._pending_rx.setdefault(tag, deque()).append(frame)
+                self._park_early(tag, frame)
             else:
                 self._account_rx(gather, frame)
 

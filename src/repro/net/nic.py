@@ -95,6 +95,8 @@ class StandardNIC:
         self._tx_ring: Store = Store(sim, capacity=tx_ring, name=f"{name}.txring")
         self._rx_ring: Store = Store(sim, capacity=rx_ring, name=f"{name}.rxring")
         self._ready: deque[Frame] = deque()
+        #: physical frames (``frame_count`` summed) waiting in ``_ready``
+        self._ready_frames = 0
 
         self.irq = InterruptController(
             sim, policy=coalesce, handler=self._irq_handler, name=f"{name}.irq"
@@ -192,12 +194,13 @@ class StandardNIC:
             self.stats.rx_frames += frame.frame_count
             self.stats.rx_bytes += frame.wire_size
             self._ready.append(frame)
+            self._ready_frames += frame.frame_count
             self.irq.raise_irq(frame.frame_count)
 
     def _irq_handler(self, n_causes: int) -> None:
-        frames, self._ready = list(self._ready), deque()
+        frames, self._ready = self._ready, deque()
+        n_frames, self._ready_frames = self._ready_frames, 0
         if self.cpu is not None:
-            n_frames = sum(f.frame_count for f in frames)
             self.cpu.steal(self.irq_handler_cost + n_frames * self.per_frame_handler_cost)
         if self._on_receive is not None:
             for f in frames:

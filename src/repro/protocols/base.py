@@ -52,6 +52,7 @@ class Mailbox:
     def __init__(self, sim: Simulator, name: str = "mailbox"):
         self.sim = sim
         self.name = name
+        self._recv_name = f"{name}.recv"
         self._messages: deque[MessageView] = deque()
         self._waiters: deque[tuple[Optional[MacAddress], Optional[int], Event]] = deque()
 
@@ -77,10 +78,10 @@ class Mailbox:
         for i, m in enumerate(self._messages):
             if self._matches(m, src, tag):
                 del self._messages[i]
-                ev = self.sim.event(name=f"{self.name}.recv")
+                ev = self.sim.event(name=self._recv_name)
                 ev.succeed(m)
                 return ev
-        ev = self.sim.event(name=f"{self.name}.recv")
+        ev = self.sim.event(name=self._recv_name)
         self._waiters.append((src, tag, ev))
         return ev
 

@@ -224,8 +224,7 @@ class _SendConn:
                 bw = self.stack.nic.wire_bandwidth
                 remaining = -(-(msg.end - self.snd_nxt) // cfg.mss)
                 q_tol = adaptive_quantum(
-                    remaining,
-                    wire_bytes(cfg.mss, IP_TCP_HEADERS) / bw if bw > 0 else 0.0,
+                    remaining, self.stack._segment_wire_bytes / bw if bw > 0 else 0.0
                 )
                 q_win = max(1, self.effective_window() // (4 * cfg.mss))
                 quantum = max(quantum, min(q_tol, q_win))
@@ -341,6 +340,8 @@ class TCPStack:
         self.config = config
         self.name = name
         self.stats = TCPStats()
+        #: on-wire bytes of one full segment (the adaptive quantum's unit)
+        self._segment_wire_bytes = wire_bytes(config.mss, IP_TCP_HEADERS)
         self.mailbox = Mailbox(sim, name=f"{name}.mbox")
         self._send_conns: dict[int, _SendConn] = {}
         self._recv_states: dict[int, _RecvState] = {}
@@ -399,7 +400,9 @@ class TCPStack:
 
     def _on_data(self, frame: Frame) -> None:
         cfg = self.config
-        state = self._recv_states.setdefault(frame.src.value, _RecvState())
+        state = self._recv_states.get(frame.src.value)
+        if state is None:
+            state = self._recv_states[frame.src.value] = _RecvState()
         if self.cpu is not None:
             self.cpu.steal(cfg.recv_cost_per_segment * frame.frame_count)
         if frame.seq == state.rcv_nxt:

@@ -176,6 +176,14 @@ class FairShareBus:
     elapsed interval at the old rate, rates are recomputed, and the next
     completion is rescheduled.  Water-filling honours per-flow caps:
     capped flows take their cap and the surplus is split among the rest.
+
+    A flow admitted to an idle bus (the common case on a NIC's DMA
+    path) completes as its own event: its ``done`` is scheduled
+    directly for ``remaining / rate``, with a bookkeeping callback
+    first in its callbacks that settles the bus before any waiter
+    resumes.  If a second flow joins first, that ``done`` is withdrawn
+    and both flows go on the tick path: a pooled completion tick per
+    membership change, and a ``done.succeed`` per finished flow.
     """
 
     def __init__(
@@ -198,6 +206,9 @@ class FairShareBus:
         self._last_update: float = 0.0
         #: pending completion tick (``call_after`` handle), if any
         self._tick: Optional[list] = None
+        #: the flow whose ``done`` is scheduled as its own completion
+        #: (admitted to an idle bus, nothing joined since), if any
+        self._lone: Optional[_Flow] = None
         self._busy_since: Optional[float] = None
         self._xfer_name = f"{name}.xfer"
 
@@ -210,16 +221,28 @@ class FairShareBus:
         n = len(self._flows) if flow_count is None else flow_count
         return self.bandwidth / max(1, n)
 
-    def transfer(self, nbytes: float, rate_cap: float = float("inf")) -> Event:
-        """Start a transfer of ``nbytes`` (optionally capped at ``rate_cap``)."""
+    def transfer(
+        self, nbytes: float, rate_cap: float = float("inf"), lead: float = 0.0
+    ) -> Event:
+        """Start a transfer of ``nbytes`` (optionally capped at ``rate_cap``).
+
+        The flow joins the bus after ``lead`` seconds (a DMA engine's
+        descriptor set-up, say) plus the arbitration latency, at
+        ``(now + lead) + arbitration_latency``: the float a caller gets
+        by sleeping ``lead`` and then calling ``transfer``, from one
+        schedule entry instead of two.  With neither, it joins at once.
+        """
         if nbytes <= 0:
             raise BusError(f"bus transfer of {nbytes} bytes on {self.name!r}")
         if rate_cap <= 0:
             raise BusError(f"non-positive rate cap {rate_cap}")
-        done = self.sim.event(name=self._xfer_name)
+        if lead < 0:
+            raise BusError(f"negative lead time {lead}")
+        sim = self.sim
+        done = sim.event(name=self._xfer_name)
         flow = _Flow(nbytes, rate_cap, done)
-        if self.arbitration_latency > 0:
-            self.sim.call_after(self.arbitration_latency, self._admit, flow)
+        if lead > 0 or self.arbitration_latency > 0:
+            sim.call_at((sim.now + lead) + self.arbitration_latency, self._admit, flow)
         else:
             self._admit(flow)
         return done
@@ -251,12 +274,40 @@ class FairShareBus:
 
     # -- internals --------------------------------------------------------------
     def _admit(self, flow: _Flow) -> None:
+        lone = self._lone
+        if lone is not None:
+            # A second flow joins before the lone flow finished: withdraw
+            # its direct completion (and the bookkeeping callback heading
+            # its callbacks); the tick path takes both from here.
+            self._lone = None
+            self.sim.cancel(lone.done)
+            del lone.done.callbacks[0]
         self._advance()
-        if not self._flows:
-            self._busy_since = self.sim.now
-        self._flows.append(flow)
         self.stats.transfer_count += 1
-        self._reschedule()
+        if self._flows:
+            self._flows.append(flow)
+            self._reschedule()
+            return
+        self._busy_since = self.sim.now
+        self._flows.append(flow)
+        self._lone = flow
+        cap = flow.rate_cap
+        rate = cap if cap <= self.bandwidth else self.bandwidth
+        done = flow.done
+        # First in line: a waiter that yielded ``done`` before the
+        # arbitration delay ran out has already subscribed.
+        done.callbacks.insert(0, self._finish_lone)
+        self.sim.succeed_later(done, flow.remaining / rate, flow.nbytes)
+
+    def _finish_lone(self, _done: Event) -> None:
+        """The lone flow's ``done`` fires: settle the bus before its
+        waiters run (what ``_on_tick`` and ``_reschedule`` do for a
+        finished last flow)."""
+        self._lone = None
+        self._advance()
+        self._flows = []
+        self.stats.busy_time += self.sim.now - self._busy_since
+        self._busy_since = None
 
     def _rates(self) -> list[float]:
         """Water-filling allocation honouring per-flow caps."""

@@ -613,6 +613,25 @@ class Simulator:
         cb.args = args
         return self._push(self._now + delay, NORMAL, next(self._seq), cb)
 
+    def call_at(self, when: float, fn: Callable[..., None], *args: Any) -> list:
+        """Run ``fn(*args)`` at absolute time ``when`` (closure-free).
+
+        The absolute-time twin of :meth:`call_after`, for a caller that
+        has summed several delays itself and wants the entry at exactly
+        that float (``now + delay`` would round once more).  Returns a
+        :meth:`cancel_callback` handle.
+        """
+        if when < self._now:
+            raise SimTimeError(
+                f"cannot schedule callback in the past (at {when!r}, "
+                f"clock at {self._now!r})"
+            )
+        pool = self._callback_pool
+        cb = pool.pop() if pool else _Callback()
+        cb.fn = fn
+        cb.args = args
+        return self._push(when, NORMAL, next(self._seq), cb)
+
     def call_group(self, delay: float, calls: list) -> list:
         """Run a list of ``(fn, args)`` pairs after ``delay`` seconds.
 

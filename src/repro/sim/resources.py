@@ -32,7 +32,7 @@ from collections import deque
 from typing import Any, Deque, Optional
 
 from ..errors import SimulationError
-from .engine import Event, Simulator, _PENDING
+from .engine import NORMAL, Event, Simulator, _PENDING
 
 __all__ = ["Resource", "Request", "Store", "Container"]
 
@@ -103,11 +103,21 @@ class Resource:
         return len(self._queue)
 
     def request(self) -> Request:
-        """Claim a slot; the returned event fires when granted."""
+        """Claim a slot; the returned event fires when granted.
+
+        A free slot is granted inline: the same single schedule entry
+        :meth:`_grant` makes through ``req.succeed()``, without the two
+        calls, and with no wait to account (the request was issued now).
+        """
         req = Request(self)
         self.total_requests += 1
-        if len(self._users) < self.capacity:
-            self._grant(req)
+        users = self._users
+        if len(users) < self.capacity:
+            users.add(req)
+            req._value = None
+            req._scheduled = True
+            sim = req.sim
+            req._entry = sim._push(sim._now, NORMAL, next(sim._seq), req)
         else:
             self._queue.append(req)
         return req

@@ -7,7 +7,9 @@ callbacks, or schedule — including when an ``interrupt()`` detaches a
 process from a pooled timeout that later fires with no waiters.
 """
 
-from repro.errors import Interrupt
+import pytest
+
+from repro.errors import Interrupt, SimTimeError
 from repro.sim import Simulator
 
 
@@ -121,6 +123,21 @@ def test_call_after_fifo_order_and_argument_isolation():
     sim.run()
     assert order == ["a", "b", (1, 2)]
     assert order2 == ["c"]
+
+
+def test_call_at_fires_at_the_exact_absolute_time_and_rejects_the_past():
+    """``call_at`` lands on exactly the float it is given (reusing a
+    pooled entry here) and refuses a time before the clock."""
+    sim = Simulator()
+    seen = []
+    sim.call_after(0.1, lambda: None)
+    sim.run()
+    when = (sim.now + 2e-6) + 0.3e-6
+    sim.call_at(when, lambda: seen.append(sim.now))
+    sim.run()
+    assert seen == [when]
+    with pytest.raises(SimTimeError):
+        sim.call_at(sim.now - 1e-9, lambda: None)
 
 
 def test_pool_is_bounded():

@@ -20,6 +20,30 @@ def test_dma_transfer_time_includes_setup():
     assert sim.run(until=p) == pytest.approx(1.5)
 
 
+@pytest.mark.parametrize(
+    "t0, setup, nbytes", [(0.1, 2e-6, 1460), (0.0, 0.0, 84), (3.7e-3, 5e-6, 9000)]
+)
+def test_dma_on_fair_share_bus_completes_bit_for_bit(t0, setup, nbytes):
+    """On a fair-share bus the set-up cost rides along as the transfer's
+    lead time; an uncontended transfer started at ``t0`` completes at
+    exactly ``((t0 + setup) + arbitration) + n / bandwidth``, the float
+    the sleep-then-transfer sequence gave."""
+    sim = Simulator()
+    bus = pci_32_33(sim)
+    dma = DMAEngine(sim, bus, setup_cost=setup)
+
+    def proc():
+        yield sim.timeout(t0)
+        yield from dma.transfer(nbytes)
+        return sim.now
+
+    p = sim.process(proc())
+    finish = sim.run(until=p)
+    assert finish == ((t0 + setup) + bus.arbitration_latency) + nbytes / bus.bandwidth
+    assert bus.stats.bytes_transferred == pytest.approx(nbytes)
+    assert dma.transfers == 1
+
+
 def test_dma_chunks_into_bursts():
     sim = Simulator()
     bus = FCFSBus(sim, bandwidth=1e6)

@@ -264,40 +264,34 @@ def test_scatter_validation():
 
 
 #: ``_chunks_of`` pinned: for each (card, packet size), one row per
-#: window (None, 16 KiB, 64 KiB) of the chunk size it picks for blocks
-#: of 1,000 / 40,000 / 131,072 / 1,000,000 bytes.  Every chunk but the
-#: last has that size, so the row fixes the whole chunk list.  Under a
-#: window at 1024 B packets the tolerance rule and window/4 decide
-#: alone; without a window, and at 256 B packets under 64 KiB, the
-#: static rule (``choose_quantum``) sets the 1,000,000 B block's chunks.
+#: window (16 KiB, 64 KiB) of the chunk size it picks for blocks of
+#: 1,000 / 40,000 / 131,072 / 1,000,000 bytes.  Every chunk but the
+#: last has that size, so the row fixes the whole chunk list.  At 1024 B
+#: packets the tolerance rule and window/4 decide alone; at 256 B
+#: packets under 64 KiB, the static rule (``choose_quantum``) sets the
+#: 1,000,000 B block's chunks.
 CHUNK_PINS = {
     ("ideal", 256): (
-        (1000, 16128, 16128, 16384),
         (1000, 4096, 4096, 4096),
         (1000, 16128, 16128, 16384),
     ),
     ("ideal", 1024): (
-        (1000, 18432, 18432, 21504),
         (1000, 4096, 4096, 4096),
         (1000, 16384, 16384, 16384),
     ),
     ("ideal", 4096): (
-        (1000, 20480, 20480, 24576),
         (1000, 4096, 4096, 4096),
         (1000, 16384, 16384, 16384),
     ),
     ("proto", 256): (
-        (1000, 19200, 19200, 19200),
         (1000, 4096, 4096, 4096),
         (1000, 16384, 16384, 16384),
     ),
     ("proto", 1024): (
-        (1000, 21504, 21504, 21504),
         (1000, 4096, 4096, 4096),
         (1000, 16384, 16384, 16384),
     ),
     ("proto", 4096): (
-        (1000, 24576, 24576, 24576),
         (1000, 4096, 4096, 4096),
         (1000, 16384, 16384, 16384),
     ),
@@ -312,7 +306,7 @@ def test_chunk_sizes_are_pinned(card_name, packet):
     spec = replace(spec, proto=INICProtoConfig(packet_size=packet))
     card = INICCard(Simulator(), MacAddress(0), spec=spec)
     rows = CHUNK_PINS[card_name, packet]
-    for window, row in zip((None, 16 * 1024, 64 * 1024), rows):
+    for window, row in zip((16 * 1024, 64 * 1024), rows):
         for nbytes, chunk in zip((1000, 40_000, 131_072, 1_000_000), row):
             sizes = card._chunks_of(nbytes, window)
             assert sum(sizes) == nbytes

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.cluster import Cluster, ClusterSpec, Communicator, MPIConfig, ParallelApp
-from repro.errors import ApplicationError
+from repro.errors import ApplicationError, ProtocolError
+from repro.sim import Process
 
 
 def run_pingpong(nbytes, mpi_config=None):
@@ -101,3 +102,43 @@ def test_concurrent_rendezvous_sends_do_not_cross_match():
 
     result = app.run(program)
     assert result.rank_results[1] == ("first", "second")
+
+
+def test_send_returns_the_send_process():
+    """``send`` (and a self-send) hands back the process doing the send:
+    it is the completion event, with value ``None``."""
+    cluster = Cluster.build(ClusterSpec(n_nodes=2))
+    app = ParallelApp(cluster)
+    seen = []
+
+    def program(ctx):
+        if ctx.rank == 0:
+            for ev in (ctx.send(1, 1000, tag=1), ctx.send(0, 1000, tag=2)):
+                seen.append(isinstance(ev, Process))
+                seen.append((yield ev))
+            yield ctx.recv(src=0, tag=2)
+        else:
+            yield ctx.recv(src=0, tag=1)
+        return None
+
+    app.run(program)
+    assert seen == [True, None, True, None]
+
+
+def test_failing_send_reaches_its_waiter():
+    """An error inside a send is thrown into the rank waiting on it, not
+    out of the event loop."""
+    cluster = Cluster.build(ClusterSpec(n_nodes=2))
+    app = ParallelApp(cluster)
+
+    def program(ctx):
+        if ctx.rank == 0:
+            try:
+                yield ctx.send(1, 0)  # TCP refuses an empty message
+            except ProtocolError as exc:
+                return str(exc)
+        return None
+        yield
+
+    result = app.run(program)
+    assert result.rank_results[0] == "cannot send 0 bytes"

@@ -1,6 +1,7 @@
 """Tests for the parallel sweep engine and its content-addressed cache."""
 
 import json
+import math
 import os
 
 import pytest
@@ -243,6 +244,21 @@ def test_perf_check_fails_against_halved_reference(tmp_path):
     out = str(tmp_path / "BENCH_perf.json")
     argv = [*PERF_CLI, "--out", out, "--check", "--reference", str(halved)]
     assert sweep.main(argv) == 1
+
+
+def test_perf_check_fails_on_a_one_ulp_makespan_change(tmp_path):
+    """Makespans are gated exactly: a reference whose one makespan is one
+    ulp off fails ``--check``, and the one failure names that scenario."""
+    reference = _load(PERF_REFERENCE)
+    row = reference["scenarios"]["sort-gige-p4"]
+    row["makespan"] = math.nextafter(row["makespan"], math.inf)
+    nudged = tmp_path / "nudged.json"
+    nudged.write_text(json.dumps(reference))
+    out = str(tmp_path / "BENCH_perf.json")
+    argv = [*PERF_CLI, "--out", out, "--check", "--reference", str(nudged)]
+    assert sweep.main(argv) == 1
+    failures = compare(_load(out), reference, tolerance=0.10)
+    assert len(failures) == 1 and failures[0].startswith("sort-gige-p4: makespan")
 
 
 def test_wall_cached_row_wall_fields_are_invisible_to_compare(perf_doc):

@@ -21,11 +21,11 @@ modelled:
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Optional
 
 from ..errors import HardwareError
-from ..sim.engine import Simulator
-from ..sim.resources import Resource
+from ..sim.engine import NORMAL, Event, Simulator
 from .memory import AccessPattern, MemoryHierarchy
 
 __all__ = ["CPU"]
@@ -55,8 +55,19 @@ class CPU:
         self.flops_per_cycle = float(flops_per_cycle)
         self.interrupt_cost = float(interrupt_cost)
         self.name = name
-        self.core = Resource(sim, capacity=1, name=f"{name}.core")
+        #: the core is held by a task (granted, running or handed over)
+        self._held = False
+        #: tasks queued for the core, FIFO: each waits on its grant event
+        self._waiters: deque[Event] = deque()
+        self._grant_name = f"{name}.grant"
         self._steal_backlog = 0.0
+        # -- the fold window of an inline grant (see ``busy``) ---------------
+        #: the task's first sleep while its window is open, else None
+        self._first: Optional[Event] = None
+        self._first_at = 0.0
+        self._first_seq = 0
+        self._first_seconds = 0.0
+        self._first_backlog = 0.0
         # -- statistics ----------------------------------------------------
         self.busy_time = 0.0
         self.interrupt_time = 0.0
@@ -77,8 +88,22 @@ class CPU:
         """
         if seconds < 0:
             raise HardwareError("negative steal")
-        self._steal_backlog += seconds
         self.interrupt_time += seconds
+        first = self._first
+        if first is not None:
+            sim = self.sim
+            firing = sim._firing
+            if sim._now == self._first_at and (
+                (firing[1], firing[2]) < (NORMAL, self._first_seq)
+            ):
+                # Charged before the grant entry would have fired: the
+                # task reads it at its start, so it joins the first sleep.
+                self._first_backlog += seconds
+                sim.cancel(first)
+                sim.succeed_later(first, self._first_seconds + self._first_backlog)
+                return
+            self._first = None
+        self._steal_backlog += seconds
 
     def charge_interrupt(self, count: int = 1) -> None:
         """Convenience: steal ``count`` interrupt-handler costs."""
@@ -94,22 +119,60 @@ class CPU:
 
         The actual elapsed time is ``seconds`` plus any interrupt time
         stolen while the task held the core.
+
+        A free core is taken inline, with no grant entry.  A grant entry
+        would fire at this time with the next sequence number, and the
+        task would read the steal backlog there; so the first sleep
+        takes that sequence number, and a steal charged before that
+        point in the same-time order (an URGENT entry, or a NORMAL one
+        queued before this call) joins the first sleep: it is withdrawn
+        and pushed again for ``start + (seconds + backlog)``, the float
+        a granted task computes.  Any later steal goes to the backlog,
+        which the task drains when a sleep ends.  A busy core queues the
+        task; the release hands the core over with one same-time grant
+        entry.
         """
         if seconds < 0:
             raise HardwareError(f"negative compute time {seconds!r}")
-        req = self.core.request()
-        yield req
+        sim = self.sim
+        if self._held:
+            grant = sim.event(self._grant_name)
+            self._waiters.append(grant)
+            yield grant
+        else:
+            grant = None
+            self._held = True
+        first = None
         try:
-            start = self.sim.now
-            remaining = seconds + self._consume_backlog()
+            start = sim._now
+            backlog = self._consume_backlog()
+            remaining = seconds + backlog
+            if grant is None:
+                # The grant's place in the order: a zero-length task waits
+                # there (a steal in between gives it work); any other
+                # task's first sleep takes it and opens the fold window.
+                first = sim.sleep(remaining)
+                if remaining > 0:
+                    self._first = first
+                    self._first_at = start
+                    self._first_seq = first._entry[2]
+                    self._first_seconds = seconds
+                    self._first_backlog = backlog
+                yield first
+                remaining = self._consume_backlog()
             while remaining > 0:
-                yield self.sim.sleep(remaining)
+                yield sim.sleep(remaining)
                 # Interrupts may have stolen time while we "ran".
                 remaining = self._consume_backlog()
-            self.busy_time += self.sim.now - start
+            self.busy_time += sim._now - start
             self.tasks_run += 1
         finally:
-            self.core.release(req)
+            if first is not None and self._first is first:
+                self._first = None
+            if self._waiters:
+                self._waiters.popleft().succeed()
+            else:
+                self._held = False
 
     def _consume_backlog(self) -> float:
         stolen, self._steal_backlog = self._steal_backlog, 0.0

@@ -22,7 +22,7 @@ from typing import Union
 
 from ..errors import DMAError
 from ..sim.bus import FCFSBus, FairShareBus
-from ..sim.engine import Simulator
+from ..sim.engine import Event, Simulator
 
 __all__ = ["DMAEngine"]
 
@@ -59,35 +59,57 @@ class DMAEngine:
         registry.counter(f"{prefix}.transfers", lambda: self.transfers)
         registry.counter(f"{prefix}.bytes", lambda: self.bytes_moved, unit="B")
 
+    def start(self, nbytes: float) -> Event:
+        """Issue a transfer of ``nbytes``; returns its completion event.
+
+        The non-generator entry: a caller (the NIC's rings) hangs its own
+        callback on the event instead of running a process.  On a
+        fair-share bus the sharing is modelled continuously by the bus
+        itself, so bursting would only multiply simulation events
+        without changing any completion time — the whole payload goes as
+        one transfer, and the setup cost rides along as the transfer's
+        lead time: the flow joins the bus at ``(now + setup_cost) +
+        arbitration`` from one schedule entry, and the event returned is
+        the bus's ``done``, whose first own callback counts the
+        transfer.  On a serialized (FCFS) bus the burst sequence of
+        :meth:`transfer` runs as a process, and the process is the
+        event.
+        """
+        if nbytes <= 0:
+            raise DMAError(f"DMA transfer of {nbytes} bytes")
+        if not self._fair:
+            return self.sim.process(self.transfer(nbytes), name=self.name)
+        done = self.bus.transfer(float(nbytes), lead=self.setup_cost)
+        done.callbacks.append(self._count)
+        return done
+
+    def _count(self, done: Event) -> None:
+        self.transfers += 1
+        self.bytes_moved += done._value
+
     def transfer(self, nbytes: float):
         """Generator: move ``nbytes``; use as ``yield from dma.transfer(n)``.
 
         Pays one setup cost, then streams the payload over the bus.
-        Returns the byte count.
-
-        On a fair-share bus the sharing is modelled continuously by the
-        bus itself, so bursting would only multiply simulation events
-        without changing any completion time — the whole payload goes as
-        one transfer, and the setup cost rides along as the transfer's
-        lead time: the flow joins the bus at ``(now + setup_cost) +
-        arbitration`` from one schedule entry, and the engine sleeps
-        through neither.  On a serialized (FCFS) bus the engine sleeps
-        the setup cost, then breaks the payload into ``burst_size``
-        transactions so independent traffic can interleave between
-        bursts.
+        Returns the byte count.  On a fair-share bus this is
+        ``yield dma.start(n)`` (one transfer with the set-up as lead
+        time, see :meth:`start`).  On a serialized (FCFS) bus the engine
+        sleeps the setup cost, then breaks the payload into
+        ``burst_size`` transactions so independent traffic can
+        interleave between bursts.
         """
         if nbytes <= 0:
             raise DMAError(f"DMA transfer of {nbytes} bytes")
         if self._fair:
-            yield self.bus.transfer(float(nbytes), lead=self.setup_cost)
-        else:
-            if self.setup_cost > 0:
-                yield self.sim.sleep(self.setup_cost)
-            remaining = float(nbytes)
-            while remaining > 0:
-                burst = min(remaining, float(self.burst_size))
-                yield self.bus.transfer(burst)
-                remaining -= burst
+            yield self.start(nbytes)
+            return nbytes
+        if self.setup_cost > 0:
+            yield self.sim.sleep(self.setup_cost)
+        remaining = float(nbytes)
+        while remaining > 0:
+            burst = min(remaining, float(self.burst_size))
+            yield self.bus.transfer(burst)
+            remaining -= burst
         self.transfers += 1
         self.bytes_moved += nbytes
         return nbytes

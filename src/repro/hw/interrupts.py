@@ -37,7 +37,8 @@ class CoalescePolicy:
 
     ``delay``
         seconds to wait after the first pending cause before firing
-        (0 disables the timer: fire immediately).
+        (0 disables the timer: fire immediately, whatever
+        ``max_frames`` says).
     ``max_frames``
         fire as soon as this many causes are pending (1 disables
         coalescing entirely).
@@ -75,8 +76,9 @@ class InterruptController:
         self.sim = sim
         self.policy = policy
         #: pending causes that deliver at once (with ``max_frames == 1``,
-        #: coalescing off, every cause delivers)
-        self._threshold = policy.max_frames
+        #: coalescing off, every cause delivers; with no timer,
+        #: ``delay == 0``, every cause fires immediately too)
+        self._threshold = policy.max_frames if policy.delay > 0 else 1
         self.handler = handler
         self.name = name
         self._pending = 0

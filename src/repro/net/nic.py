@@ -24,8 +24,7 @@ from ..hw.cpu import CPU
 from ..hw.dma import DMAEngine
 from ..hw.interrupts import CoalescePolicy, InterruptController, IMMEDIATE
 from ..sim.bus import FCFSBus, FairShareBus
-from ..sim.engine import Simulator
-from ..sim.resources import Store
+from ..sim.engine import URGENT, Event, Simulator
 from .addresses import MacAddress
 from .link import Wire
 from .packet import Frame
@@ -43,6 +42,102 @@ class NICStats:
         self.rx_bytes = 0.0
         self.rx_ring_drops = 0
         self.rx_ring_drop_bytes = 0.0
+
+
+class _Ring:
+    """A descriptor ring drained by a callback state machine.
+
+    The DMA side of a NIC ring, without a process: a frame that reaches
+    an idle ring is handed over by one pooled ``call_after(0.0, ...)``
+    entry (where a parked getter's event fired), each payload crosses
+    the host bus by ``DMAEngine.start`` with the drain step hung on the
+    bus's ``done``, and frames without payload go on in the same step.
+    ``deliver(frame)`` runs once the frame has crossed.
+
+    Until the NIC's first event fires (:meth:`start`) nothing drains:
+    frames queue, up to ``capacity``, exactly as they queued in front
+    of a process that had not started yet.  ``frames`` holds the queued
+    frames only — the one being handed over or DMA'd is outside it, so
+    it does not count against ``capacity``.
+    """
+
+    __slots__ = ("sim", "capacity", "dma", "deliver", "frames", "putters", "frame", "idle")
+
+    def __init__(
+        self,
+        sim: Simulator,
+        capacity: int,
+        dma: DMAEngine,
+        deliver: Callable[[Frame], None],
+    ):
+        if capacity < 1:
+            raise NetworkError(f"ring capacity must be >= 1, got {capacity}")
+        self.sim = sim
+        self.capacity = capacity
+        self.dma = dma
+        self.deliver = deliver
+        self.frames: deque[Frame] = deque()
+        #: ``(frame, event or None)`` waiting for room, FIFO
+        self.putters: deque[tuple[Frame, Optional[Event]]] = deque()
+        #: the frame being handed over or DMA'd
+        self.frame: Optional[Frame] = None
+        #: the drain waits for a frame
+        self.idle = False
+
+    @property
+    def is_full(self) -> bool:
+        return len(self.frames) >= self.capacity
+
+    def put(self, frame: Frame, waiter: Optional[Event] = None) -> None:
+        """Queue ``frame``; a full ring keeps it in line for the next free
+        slot, and succeeds ``waiter`` (if any) once it is in."""
+        if len(self.frames) >= self.capacity:
+            self.putters.append((frame, waiter))
+        elif self.idle:
+            self.idle = False
+            self.frame = frame
+            self.sim.call_after(0.0, self._run)
+        else:
+            self.frames.append(frame)
+
+    def start(self) -> None:
+        """The NIC's first event: begin draining."""
+        if self._pull():
+            self._run()
+
+    def _pull(self) -> bool:
+        """Take the next queued frame (admitting a blocked putter into
+        the room it leaves); go idle if there is none."""
+        frames = self.frames
+        if not frames:
+            self.idle = True
+            return False
+        self.frame = frames.popleft()
+        putters = self.putters
+        while putters and len(frames) < self.capacity:
+            frame, ev = putters.popleft()
+            frames.append(frame)
+            if ev is not None:
+                ev.succeed()
+        return True
+
+    def _run(self) -> None:
+        """Drain until a frame waits on its DMA or the ring is empty."""
+        while True:
+            frame = self.frame
+            if frame.payload_bytes > 0:
+                self.dma.start(frame.payload_bytes).callbacks.append(self._dma_done)
+                return
+            self.frame = None
+            self.deliver(frame)
+            if not self._pull():
+                return
+
+    def _dma_done(self, _done: Event) -> None:
+        frame, self.frame = self.frame, None
+        self.deliver(frame)
+        if self._pull():
+            self._run()
 
 
 class StandardNIC:
@@ -92,8 +187,8 @@ class StandardNIC:
         self._tx_dma = DMAEngine(sim, host_bus, setup_cost=dma_setup_cost, name=f"{name}.txdma")
         self._rx_dma = DMAEngine(sim, host_bus, setup_cost=dma_setup_cost, name=f"{name}.rxdma")
 
-        self._tx_ring: Store = Store(sim, capacity=tx_ring, name=f"{name}.txring")
-        self._rx_ring: Store = Store(sim, capacity=rx_ring, name=f"{name}.rxring")
+        self._tx_ring = _Ring(sim, tx_ring, self._tx_dma, self._tx_deliver)
+        self._rx_ring = _Ring(sim, rx_ring, self._rx_dma, self._rx_deliver)
         self._ready: deque[Frame] = deque()
         #: physical frames (``frame_count`` summed) waiting in ``_ready``
         self._ready_frames = 0
@@ -102,8 +197,11 @@ class StandardNIC:
             sim, policy=coalesce, handler=self._irq_handler, name=f"{name}.irq"
         )
 
-        sim.process(self._tx_loop(), name=f"{name}.tx")
-        sim.process(self._rx_loop(), name=f"{name}.rx")
+        # The NIC's first event opens both rings; until it fires, frames
+        # only queue.
+        start = sim.event(name=f"{name}.start")
+        start.callbacks.append(self._start)
+        start.succeed(priority=URGENT)
 
     # -- wiring -----------------------------------------------------------------
     def attach_wire(self, wire: Wire) -> None:
@@ -152,50 +250,48 @@ class StandardNIC:
         Use as ``yield from nic.transmit(frame)``; returns once the frame
         sits in the ring (actual wire departure is asynchronous).
         """
-        yield self._tx_ring.put(frame)
+        ring = self._tx_ring
+        if ring.is_full:
+            ev = self.sim.event(name=f"{self.name}.txring.put")
+            ring.put(frame, ev)
+            yield ev
+        else:
+            ring.put(frame)
 
     def transmit_nowait(self, frame: Frame) -> None:
         """Ring-put without backpressure (tests, simple senders)."""
         self._tx_ring.put(frame)
 
-    # -- datapath processes -----------------------------------------------------------
-    def _tx_loop(self):
-        ring = self._tx_ring
-        while True:
-            # Parked on the next get, this loop must not keep the last
-            # frame (and its payload) alive.
-            frame = None
-            frame = yield ring.get()
-            if self._wire_out is None:
-                raise NetworkError(f"{self.name}: transmit with no wire attached")
-            # Payload crosses the host PCI bus by DMA before hitting the wire.
-            if frame.payload_bytes > 0:
-                yield from self._tx_dma.transfer(frame.payload_bytes)
-            self._wire_out.send(frame)
-            self.stats.tx_frames += frame.frame_count
-            self.stats.tx_bytes += frame.wire_size
+    # -- datapath -----------------------------------------------------------------
+    def _start(self, _ev: Event) -> None:
+        self._tx_ring.start()
+        self._rx_ring.start()
+
+    def _tx_deliver(self, frame: Frame) -> None:
+        """A TX frame's payload has crossed the host bus: onto the wire."""
+        if self._wire_out is None:
+            raise NetworkError(f"{self.name}: transmit with no wire attached")
+        self._wire_out.send(frame)
+        self.stats.tx_frames += frame.frame_count
+        self.stats.tx_bytes += frame.wire_size
 
     def receive_frame(self, frame: Frame) -> None:
         """Wire-side entry point (FrameSink interface)."""
-        if self._rx_ring.is_full:
+        ring = self._rx_ring
+        if ring.is_full:
             self.stats.rx_ring_drops += frame.frame_count
             self.stats.rx_ring_drop_bytes += frame.wire_size
             return
-        self._rx_ring.put(frame)
+        ring.put(frame)
 
-    def _rx_loop(self):
-        while True:
-            frame = None  # drop the last frame while parked
-            frame = yield self._rx_ring.get()
-            # DMA the payload into host memory, then raise an interrupt
-            # cause per physical frame (coalescing may batch them).
-            if frame.payload_bytes > 0:
-                yield from self._rx_dma.transfer(frame.payload_bytes)
-            self.stats.rx_frames += frame.frame_count
-            self.stats.rx_bytes += frame.wire_size
-            self._ready.append(frame)
-            self._ready_frames += frame.frame_count
-            self.irq.raise_irq(frame.frame_count)
+    def _rx_deliver(self, frame: Frame) -> None:
+        """An RX frame is in host memory: raise an interrupt cause per
+        physical frame (coalescing may batch them)."""
+        self.stats.rx_frames += frame.frame_count
+        self.stats.rx_bytes += frame.wire_size
+        self._ready.append(frame)
+        self._ready_frames += frame.frame_count
+        self.irq.raise_irq(frame.frame_count)
 
     def _irq_handler(self, n_causes: int) -> None:
         frames, self._ready = self._ready, deque()

@@ -74,12 +74,19 @@ class Mailbox:
     def recv(
         self, src: Optional[MacAddress] = None, tag: Optional[int] = None
     ) -> Event:
-        """Event that fires with the next matching :class:`MessageView`."""
+        """Event that fires with the next matching :class:`MessageView`.
+
+        A message that has already arrived resolves the event inline.
+        """
         for i, m in enumerate(self._messages):
             if self._matches(m, src, tag):
                 del self._messages[i]
-                ev = self.sim.event(name=self._recv_name)
-                ev.succeed(m)
+                # Already here: the event is born processed (as
+                # ``Store.get`` resolves a ready item), so a waiting
+                # process continues inline, with no schedule entry.
+                ev = Event(self.sim, self._recv_name)
+                ev.callbacks = None
+                ev._value = m
                 return ev
         ev = self.sim.event(name=self._recv_name)
         self._waiters.append((src, tag, ev))

@@ -124,9 +124,9 @@ class _SendConn:
         self.last_activity = stack.sim.now
         self._send_wakeup: Optional[Event] = None
         self._window_wakeup: Optional[Event] = None
-        self._timer_wakeup: Optional[Event] = None
+        #: the armed retransmission deadline (``call_after`` handle)
+        self._rto: Optional[list] = None
         stack.sim.process(self._sender(), name=f"tcp.snd.{remote}")
-        stack.sim.process(self._timer(), name=f"tcp.rtx.{remote}")
 
     # -- window helpers ------------------------------------------------------------
     @property
@@ -239,7 +239,8 @@ class _SendConn:
             self.last_activity = sim.now
             if was_idle:
                 self.last_progress = sim.now
-                self._wake("_timer_wakeup")
+                if self._rto is None:
+                    self._check_rto()
             yield from self.stack.nic.transmit(frame)
             self.stack.stats.data_frames_sent += frame.frame_count
             self.stack.stats.bytes_sent += frame.payload_bytes
@@ -286,30 +287,36 @@ class _SendConn:
         self._wake("_window_wakeup")
 
     # -- retransmission timer ----------------------------------------------------------------
-    def _timer(self):
+    def _check_rto(self) -> None:
+        """Arm the timer for the deadline, or time out if it has passed.
+
+        Runs when the connection goes from idle to busy with no timer
+        armed, and whenever an armed deadline comes due.  An idle
+        connection leaves the timer disarmed.
+        """
+        if self.flight == 0:
+            return
         sim = self.stack.sim
         cfg = self.stack.config
-        while True:
-            if self.flight == 0:
-                ev = sim.event(name="tcp.timer.arm")
-                self._timer_wakeup = ev
-                yield ev
-                continue
-            deadline = self.last_progress + cfg.rto
-            if sim.now < deadline:
-                yield sim.timeout(deadline - sim.now)
-                continue
-            # Timeout: go-back-N and collapse the window.
-            self.stack.stats.timeouts += 1
-            flight_segments = max(self.flight / cfg.mss, 1.0)
-            self.ssthresh = max(flight_segments / 2.0, 2.0)
-            self.cwnd = float(cfg.init_cwnd)
-            lost = self.snd_nxt - self.snd_una
-            self.snd_nxt = self.snd_una
-            self.stack.stats.retransmitted_frames += -(-lost // cfg.mss)
-            self.last_progress = sim.now
-            self._wake("_window_wakeup")
-            self._wake("_send_wakeup")
+        deadline = self.last_progress + cfg.rto
+        if sim.now < deadline:
+            self._rto = sim.call_after(deadline - sim.now, self._on_rto)
+            return
+        # Timeout: go-back-N and collapse the window.
+        self.stack.stats.timeouts += 1
+        flight_segments = max(self.flight / cfg.mss, 1.0)
+        self.ssthresh = max(flight_segments / 2.0, 2.0)
+        self.cwnd = float(cfg.init_cwnd)
+        lost = self.snd_nxt - self.snd_una
+        self.snd_nxt = self.snd_una
+        self.stack.stats.retransmitted_frames += -(-lost // cfg.mss)
+        self.last_progress = sim.now
+        self._wake("_window_wakeup")
+        self._wake("_send_wakeup")
+
+    def _on_rto(self) -> None:
+        self._rto = None
+        self._check_rto()
 
 
 class _RecvState:

@@ -502,6 +502,10 @@ class Simulator:
         self.event_count: int = 0
         #: event-trace sink for the A/B ordering harness (usually None)
         self._trace = _TRACE_SINK
+        #: the scheduler entry being dispatched (``[when, prio, seq,
+        #: None]`` once detached), so a model can tell where in the
+        #: same-time order it runs (``CPU.steal``'s fold rule)
+        self._firing: Optional[list] = None
 
     # -- clock ------------------------------------------------------------------
     @property
@@ -736,6 +740,7 @@ class Simulator:
         if when < self._now:  # pragma: no cover - scheduler order guarantee
             raise SimTimeError("event schedule time went backwards")
         self._now = when
+        self._firing = entry
         self.event_count += 1
         item = entry[3]
         entry[3] = None  # detach: stale cancel handles become no-ops
@@ -818,6 +823,7 @@ class Simulator:
                 if entry is None:
                     break
                 self._now = entry[0]
+                self._firing = entry
                 processed += 1
                 item = entry[3]
                 entry[3] = None  # detach: stale cancel handles become no-ops

@@ -4,12 +4,12 @@ These are the queueing building blocks the hardware models are made of:
 
 ``Resource``
     ``capacity`` identical servers with a FIFO wait queue (a mutex when
-    ``capacity == 1``).  Used for DMA channels, CPU cores, switch ports.
+    ``capacity == 1``).
 
 ``Store``
     An unbounded-or-bounded FIFO of Python objects with blocking ``put``
-    and ``get``.  Used for NIC rings, FIFOs between INIC cores, mailbox
-    queues between simulated processes.
+    and ``get``.  Used for the INIC card's queues and FIFOs between
+    simulated processes.
 
 ``Container``
     A continuous quantity with blocking ``put``/``get`` of amounts.  Used

@@ -392,7 +392,7 @@ def _fastpath_card_ledger(app):
 FASTPATH_LEDGERS = {
     "fft": (
         0.005194755436720322,
-        1440,
+        1344,
         32,
         (
             131072.0, 122880.0, 131072.0, 122880.0, 2, 120, 120, 0, 0,
@@ -403,7 +403,7 @@ FASTPATH_LEDGERS = {
     ),
     "sort": (
         0.003155607967914309,
-        1090,
+        1010,
         32,
         (
             66972.0, 62324.0, 66560.0, 62736.0, 2, 83, 81, 0, 0,

@@ -142,3 +142,27 @@ def test_failing_send_reaches_its_waiter():
 
     result = app.run(program)
     assert result.rank_results[0] == "cannot send 0 bytes"
+
+
+def test_recv_of_arrived_message_charges_match_cost_once():
+    """A receive posted after its message arrived resolves inline (the
+    event comes back processed) and steals the MPI match cost exactly
+    once."""
+    cfg = MPIConfig(recv_match_cost=1e-3)
+    cluster = Cluster.build(ClusterSpec(n_nodes=2))
+    app = ParallelApp(cluster)
+    app.comm = Communicator(cluster, cfg)
+    seen = []
+
+    def program(ctx):
+        if ctx.rank == 0:
+            yield ctx.send(0, 100, tag=5)  # self-send: delivered when done
+            ev = ctx.recv(src=0, tag=5)
+            seen.append(ev.processed)
+            msg = yield ev
+            seen.append(msg.nbytes)
+        return None
+
+    app.run(program)
+    assert seen == [True, 100]
+    assert cluster.nodes[0].cpu.interrupt_time == cfg.recv_match_cost

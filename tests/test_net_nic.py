@@ -4,7 +4,7 @@ import pytest
 
 from repro.hw import CPU, CacheLevel, CoalescePolicy, MemoryHierarchy
 from repro.net import Frame, GIGABIT_ETHERNET, MacAddress, StandardNIC, build_star
-from repro.sim import FairShareBus, Simulator
+from repro.sim import FCFSBus, FairShareBus, Simulator
 
 
 def make_cpu(sim):
@@ -17,12 +17,12 @@ def make_cpu(sim):
     return CPU(sim, mh, interrupt_cost=10e-6)
 
 
-def make_pair(sim, coalesce=CoalescePolicy()):
+def make_pair(sim, coalesce=CoalescePolicy(), bus_cls=FairShareBus):
     """Two NICs behind a gigabit switch; returns (nics, cpus, addrs)."""
     nics, cpus, addrs = [], [], []
     for i in range(2):
         cpu = make_cpu(sim)
-        bus = FairShareBus(sim, bandwidth=112e6, name=f"pci{i}")
+        bus = bus_cls(sim, bandwidth=112e6, name=f"pci{i}")
         nic = StandardNIC(
             sim,
             MacAddress(i),
@@ -58,6 +58,22 @@ def test_payload_crosses_host_pci_both_sides():
     sim.run()
     assert nics[0]._tx_dma.bytes_moved == pytest.approx(4000)
     assert nics[1]._rx_dma.bytes_moved == pytest.approx(4000)
+
+
+def test_payload_crosses_a_serialized_host_bus():
+    """On an FCFS host bus the rings' DMA runs the engine's burst
+    sequence; frames still arrive and each DMA counts once."""
+    sim = Simulator()
+    nics, _, addrs = make_pair(sim, bus_cls=FCFSBus)
+    got = []
+    nics[1].bind_receiver(got.append)
+    for _ in range(3):
+        nics[0].transmit_nowait(Frame(addrs[0], addrs[1], payload_bytes=9000))
+    sim.run()
+    assert len(got) == 3
+    assert nics[0]._tx_dma.bytes_moved == pytest.approx(27000)
+    assert nics[0]._tx_dma.transfers == nics[1]._rx_dma.transfers == 3
+    assert nics[0]._tx_dma.bus.stats.transfer_count == 3 * 3  # 4 KiB bursts
 
 
 def test_interrupt_per_frame_without_coalescing():
@@ -139,6 +155,32 @@ def test_rx_ring_overflow_accounts_frame_trains():
     # Ring holds 2 trains; the other 3 tail-drop whole.
     assert nic.stats.rx_ring_drops == 3 * 4
     assert nic.stats.rx_ring_drop_bytes == pytest.approx(3 * frames[0].wire_size)
+
+
+def test_tx_ring_backpressure_blocks_until_a_slot_frees():
+    """``transmit`` returns at once while the TX ring has room; the
+    frame being DMA'd does not count against it, and a sender blocked on
+    a full ring resumes when the drain takes the next frame."""
+    sim = Simulator()
+    nics, _, addrs = make_pair(sim)
+    nic = nics[0]
+    nic._tx_dma.bus.bandwidth = 1e3  # pathological PCI: one DMA per second
+    nics[1].bind_receiver(lambda f: None)
+    nic_tx = nic._tx_ring
+    nic_tx.capacity = 2
+    returned = []
+
+    def sender():
+        for _ in range(5):
+            yield from nic.transmit(Frame(addrs[0], addrs[1], payload_bytes=1000))
+            returned.append((sim.now, nic.stats.tx_frames))
+
+    sim.process(sender())
+    sim.run()
+    assert [r[1] for r in returned] == [0, 0, 0, 1, 2]
+    assert returned[0][0] == returned[2][0] == 0.0
+    assert 0.0 < returned[3][0] < returned[4][0]
+    assert nic.stats.tx_frames == 5
 
 
 def test_quantum_frames_count_as_many():

@@ -261,6 +261,31 @@ def test_perf_check_fails_on_a_one_ulp_makespan_change(tmp_path):
     assert len(failures) == 1 and failures[0].startswith("sort-gige-p4: makespan")
 
 
+FAULTS_CLI = ["--suite", "faults", "--jobs", "1", "--no-cache", "--repeats", "1"]
+
+
+def test_faults_check_pins_makespans_to_reference(tmp_path):
+    """``--suite faults --check`` gates the committed
+    ``faults_reference.json`` as well as recovery: it passes as
+    committed, and a reference whose lossy row is one ulp off fails."""
+    out = str(tmp_path / "BENCH_faults.json")
+    assert sweep.main([*FAULTS_CLI, "--out", out, "--check"]) == 0
+    reference = _load(os.path.join("benchmarks", "faults_reference.json"))
+    row = reference["scenarios"]["sort-faults-loss0.01"]
+    assert row["faults"]["frames_dropped"] > 0
+    row["makespan"] = math.nextafter(row["makespan"], math.inf)
+    nudged = tmp_path / "nudged.json"
+    nudged.write_text(json.dumps(reference))
+    argv = [*FAULTS_CLI, "--out", out, "--check", "--reference", str(nudged)]
+    assert sweep.main(argv) == 1
+    failures = compare(_load(out), reference, tolerance=0.10)
+    assert failures == [
+        f"sort-faults-loss0.01: makespan changed {row['makespan']!r} -> "
+        f"{_load(out)['scenarios']['sort-faults-loss0.01']['makespan']!r} "
+        "(must be identical)"
+    ]
+
+
 def test_wall_cached_row_wall_fields_are_invisible_to_compare(perf_doc):
     """A cached row's wall was measured by whichever host filled the
     cache: its wall-derived fields never reach the gate, whatever they

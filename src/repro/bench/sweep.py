@@ -66,6 +66,7 @@ __all__ = [
     "canonical_json",
     "perf_points",
     "fault_points",
+    "fault_check_failures",
     "chaos_points",
     "scale_points",
     "scheduler_kind",
@@ -332,6 +333,28 @@ def _recovery_card(card, retries: int):
     return dataclasses.replace(
         card, proto=dataclasses.replace(card.proto, max_retries=retries)
     )
+
+
+def fault_check_failures(scenarios: dict) -> list[str]:
+    """The fault suite's recovery checks over report rows by name: the
+    FPGA scenario fell back to host TCP exactly once, and every run that
+    dropped frames and did not abort recovered them, by INIC
+    retransmission or by host TCP's."""
+    failures = []
+    fpga = scenarios.get("sort-faults-fpga")
+    if fpga is not None and fpga.get("fallbacks") != 1:
+        failures.append("sort-faults-fpga: expected exactly one host-TCP fallback")
+    for name, r in scenarios.items():
+        f = r.get("faults")
+        if (
+            f
+            and f["frames_dropped"] > 0
+            and f["retransmits"] == 0
+            and f["tcp_retransmitted_frames"] == 0
+            and not r.get("aborted")
+        ):
+            failures.append(f"{name}: frames were dropped but no recovery ran")
+    return failures
 
 
 def _merge_counters(a: dict, b: dict) -> dict:
@@ -1525,23 +1548,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0
 
     if args.check and args.suite == "faults":
-        failures = []
-        fpga = doc["scenarios"].get("sort-faults-fpga")
-        if fpga is not None and fpga.get("fallbacks") != 1:
-            failures.append(
-                "sort-faults-fpga: expected exactly one host-TCP fallback"
-            )
-        for name, r in doc["scenarios"].items():
-            f = r.get("faults")
-            if (
-                f
-                and f["frames_dropped"] > 0
-                and f["retransmits"] == 0
-                and not r.get("aborted")
-            ):
-                failures.append(
-                    f"{name}: frames were dropped but no recovery ran"
-                )
+        failures = fault_check_failures(doc["scenarios"])
         if failures:
             for msg in failures:
                 print(f"FAIL {msg}")

@@ -27,18 +27,6 @@ class ProcessError(SimulationError):
     """A simulated process misbehaved (e.g. yielded a non-event)."""
 
 
-class Interrupt(Exception):
-    """Thrown *into* a simulated process when it is interrupted.
-
-    Deliberately not a :class:`ReproError`: processes are expected to catch
-    it as part of normal control flow (like ``simpy.Interrupt``).
-    """
-
-    def __init__(self, cause: object = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 # --- hardware models ---------------------------------------------------------
 class HardwareError(ReproError):
     """Base class for node-hardware model errors."""

@@ -452,10 +452,13 @@ def robustness_counters(cluster) -> dict:
 
     The single aggregation every surface shares: fault-suite report rows,
     the chaos campaign's invariant checks, and ``Session.report()``'s
-    outcome table all read this.  When the scenario schedules component
-    faults the payload gains ``components`` (reroute/failover/partition
-    accounting) and ``conservation`` (the frame ledger) sub-dicts;
-    link-fault-only payloads keep their historical flat shape.
+    outcome table all read this.  Recovery is counted per stack: the
+    INIC protocol's ``retransmits``/``nacks_sent`` and host TCP's
+    ``tcp_timeouts``/``tcp_fast_retransmits``/``tcp_retransmitted_frames``.
+    When the scenario schedules component faults the payload gains
+    ``components`` (reroute/failover/partition accounting) and
+    ``conservation`` (the frame ledger) sub-dicts; link-fault-only
+    payloads keep their flat shape.
     """
     out: dict = {
         "frames_dropped": 0,
@@ -471,10 +474,16 @@ def robustness_counters(cluster) -> dict:
     rx_drop_bytes = 0.0
     retransmits = nacks = aborts = config_failures = 0
     retransmitted_bytes = 0.0
+    tcp_timeouts = tcp_fast = tcp_frames = 0
     for node in cluster.nodes:
         if node.nic is not None:
             rx_drops += node.nic.stats.rx_ring_drops
             rx_drop_bytes += node.nic.stats.rx_ring_drop_bytes
+        if node.tcp is not None:
+            s = node.tcp.stats
+            tcp_timeouts += s.timeouts
+            tcp_fast += s.fast_retransmits
+            tcp_frames += s.retransmitted_frames
         if node.inic is not None:
             s = node.inic.stats
             retransmits += s.retransmits
@@ -490,6 +499,9 @@ def robustness_counters(cluster) -> dict:
         nacks_sent=nacks,
         transfer_aborts=aborts,
         config_failures=config_failures,
+        tcp_timeouts=tcp_timeouts,
+        tcp_fast_retransmits=tcp_fast,
+        tcp_retransmitted_frames=tcp_frames,
     )
     if plan is not None and plan.spec.components:
         component_counters = getattr(

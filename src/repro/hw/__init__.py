@@ -4,15 +4,7 @@ from .cpu import CPU
 from .dma import DMAEngine
 from .interrupts import IMMEDIATE, CoalescePolicy, InterruptController
 from .memory import AccessPattern, CacheLevel, MemoryHierarchy
-from .pci import (
-    PCI_32_33_RATE,
-    PCI_64_66_RATE,
-    PCIX_133_RATE,
-    card_local_bus,
-    pci_32_33,
-    pci_64_66,
-    pcix_133,
-)
+from .pci import PCI_32_33_RATE, pci_32_33
 
 __all__ = [
     "AccessPattern",
@@ -24,10 +16,5 @@ __all__ = [
     "InterruptController",
     "MemoryHierarchy",
     "PCI_32_33_RATE",
-    "PCI_64_66_RATE",
-    "PCIX_133_RATE",
-    "card_local_bus",
     "pci_32_33",
-    "pci_64_66",
-    "pcix_133",
 ]

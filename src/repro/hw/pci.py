@@ -1,127 +1,45 @@
-"""PCI bus flavours of the paper's era.
+"""The node's system PCI bus.
 
 The prototype's weaknesses are explicitly bus-shaped (Section 5):
 "a single bus on the card for all data traffic, a 32-bit 33 MHz PCI
 bus" — versus the ideal single-chip INIC which assumes "the system PCI
 bus would be sufficient (64-bit 66 MHz or, in the future, PCI-X)".
 
-Factory helpers build appropriately parameterized buses:
+Every node's host system bus is a 32-bit 33 MHz PCI bus: 132 MB/s raw,
+decimal MB/s as PCI is conventionally quoted.  Real PCI achieves
+roughly 80-90% of raw on long bursts, so :func:`pci_32_33` derates it
+to 85% (the paper's own models use "a conservative 80%-90% of measured
+results", Section 4).  The card's buses are built in
+:mod:`repro.inic.card` from the card spec's rates, with the same
+:data:`DEFAULT_ARBITRATION`.
 
-=================  ===========  =====================================
-bus                raw rate     used for
-=================  ===========  =====================================
-PCI 32-bit/33MHz   132 MB/s     host system bus of every node; the
-                                ACEII card's single shared local bus
-PCI 64-bit/66MHz   528 MB/s     ideal INIC's assumed system bus
-PCI-X 133MHz       1064 MB/s    "in the future" (ablation studies)
-=================  ===========  =====================================
-
-Raw rates are decimal MB/s as PCI is conventionally quoted.  Real PCI
-achieves roughly 80-90% of raw on long bursts; that derating is applied
-by callers via ``efficiency`` (the paper's own models use "a
-conservative 80%-90% of measured results", Section 4).
-
-Telemetry: every bus built here inherits ``register_telemetry`` from
-its :mod:`repro.sim.bus` class; the cluster instrumenter names the
-node's system bus ``node{r}.pci``.  On INIC nodes the datapath crosses
-the *card's* host-side bus instead, so ``node{r}.pci`` reads that bus
-(see :mod:`repro.telemetry.instruments`).
+Telemetry: the bus inherits ``register_telemetry`` from
+:class:`~repro.sim.bus.FairShareBus`; the cluster instrumenter names
+the node's system bus ``node{r}.pci``.  On INIC nodes the datapath
+crosses the *card's* host-side bus instead, so ``node{r}.pci`` reads
+that bus (see :mod:`repro.telemetry.instruments`).
 """
 
 from __future__ import annotations
 
-from ..sim.bus import FCFSBus, FairShareBus
+from ..sim.bus import FairShareBus
 from ..sim.engine import Simulator
 from ..units import mb_per_s
 
-__all__ = [
-    "PCI_32_33_RATE",
-    "PCI_64_66_RATE",
-    "PCIX_133_RATE",
-    "pci_32_33",
-    "pci_64_66",
-    "pcix_133",
-    "card_local_bus",
-]
+__all__ = ["PCI_32_33_RATE", "pci_32_33"]
 
-#: raw burst rates in bytes/s
+#: raw burst rate in bytes/s
 PCI_32_33_RATE: float = mb_per_s(132.0)
-PCI_64_66_RATE: float = mb_per_s(528.0)
-PCIX_133_RATE: float = mb_per_s(1064.0)
 
 #: typical PCI arbitration/latency per transaction (address phase, turnaround)
 DEFAULT_ARBITRATION: float = 0.3e-6
 
 
-def _make(
-    sim: Simulator,
-    raw_rate: float,
-    efficiency: float,
-    shared: bool,
-    name: str,
-    arbitration: float,
-):
-    if not 0 < efficiency <= 1:
-        raise ValueError(f"efficiency must be in (0, 1], got {efficiency}")
-    cls = FCFSBus if shared else FairShareBus
-    return cls(
+def pci_32_33(sim: Simulator, name: str = "pci32/33") -> FairShareBus:
+    """The node's 32-bit 33 MHz system PCI bus (fair-share), 85% of raw."""
+    return FairShareBus(
         sim,
-        bandwidth=raw_rate * efficiency,
-        arbitration_latency=arbitration,
-        name=name,
-    )
-
-
-def pci_32_33(
-    sim: Simulator,
-    efficiency: float = 0.85,
-    shared: bool = False,
-    name: str = "pci32/33",
-    arbitration: float = DEFAULT_ARBITRATION,
-):
-    """The node's 32-bit 33 MHz system PCI bus (fair-share by default)."""
-    return _make(sim, PCI_32_33_RATE, efficiency, shared, name, arbitration)
-
-
-def pci_64_66(
-    sim: Simulator,
-    efficiency: float = 0.85,
-    shared: bool = False,
-    name: str = "pci64/66",
-    arbitration: float = DEFAULT_ARBITRATION,
-):
-    """The ideal INIC's assumed 64-bit 66 MHz system bus."""
-    return _make(sim, PCI_64_66_RATE, efficiency, shared, name, arbitration)
-
-
-def pcix_133(
-    sim: Simulator,
-    efficiency: float = 0.85,
-    shared: bool = False,
-    name: str = "pcix133",
-    arbitration: float = DEFAULT_ARBITRATION,
-):
-    """PCI-X, the paper's "in the future" bus (for ablations)."""
-    return _make(sim, PCIX_133_RATE, efficiency, shared, name, arbitration)
-
-
-def card_local_bus(
-    sim: Simulator,
-    efficiency: float = 1.0,
-    name: str = "acex-bus",
-    arbitration: float = DEFAULT_ARBITRATION,
-) -> FCFSBus:
-    """The ACEII card's single 132 MB/s local bus.
-
-    Serialized (FCFS): the paper calls out that *all* card traffic —
-    host DMA and Gigabit Ethernet PMC traffic — crosses this one bus,
-    which is the prototype's main bottleneck (Section 6: "a single
-    132 MB/s bus used to access both the Gigabit Ethernet and host
-    memory").
-    """
-    return FCFSBus(
-        sim,
-        bandwidth=PCI_32_33_RATE * efficiency,
-        arbitration_latency=arbitration,
+        bandwidth=PCI_32_33_RATE * 0.85,
+        arbitration_latency=DEFAULT_ARBITRATION,
         name=name,
     )

@@ -2,8 +2,8 @@
 
 The ACEII card has "limited memory attached to the FPGAs" (Section 5);
 the ideal INIC is "a single chip with external RAM" (Section 5).  The
-model is a byte-budget (:class:`~repro.sim.resources.Container`) plus a
-bandwidth number used by cores whose work is memory-bound — the paper's
+model is a capacity plus a bandwidth number used by cores whose work is
+memory-bound — the paper's
 reason to *keep count sort on the host*: "cache memory bandwidth on a
 commodity processor is much higher than the comparable memory bandwidth
 for an INIC" (Section 3.2.2).
@@ -13,13 +13,12 @@ from __future__ import annotations
 
 from ..errors import INICError
 from ..sim.engine import Simulator
-from ..sim.resources import Container
 
 __all__ = ["INICMemory"]
 
 
 class INICMemory:
-    """Byte-accounted card SRAM/SDRAM."""
+    """Card SRAM/SDRAM: its size and its bandwidth."""
 
     def __init__(
         self,
@@ -36,32 +35,6 @@ class INICMemory:
         self.capacity = int(capacity)
         self.bandwidth = float(bandwidth)
         self.name = name
-        self._space = Container(
-            sim, capacity=float(capacity), init=float(capacity), name=f"{name}.space"
-        )
-
-    @property
-    def free_bytes(self) -> float:
-        return self._space.level
-
-    @property
-    def used_bytes(self) -> float:
-        return self.capacity - self._space.level
-
-    def allocate(self, nbytes: float):
-        """Generator: reserve ``nbytes`` (blocks until available)."""
-        if nbytes <= 0:
-            raise INICError(f"allocate of {nbytes} bytes")
-        if nbytes > self.capacity:
-            raise INICError(
-                f"allocation of {nbytes} B exceeds card memory ({self.capacity} B)"
-            )
-        yield self._space.get(nbytes)
-
-    def release(self, nbytes: float) -> None:
-        if nbytes <= 0:
-            raise INICError(f"release of {nbytes} bytes")
-        self._space.put(nbytes)
 
     def touch_time(self, nbytes: float) -> float:
         """Seconds for a memory-bound pass over ``nbytes`` on the card."""
@@ -70,4 +43,4 @@ class INICMemory:
         return nbytes / self.bandwidth
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<INICMemory {self.name!r} {self.used_bytes:g}/{self.capacity} B used>"
+        return f"<INICMemory {self.name!r} {self.capacity} B>"

@@ -20,11 +20,9 @@ whenever the set of active transfers changes — an event-driven
 implementation of generalized processor sharing.
 
 ``transfer()`` returns the completion :class:`~repro.sim.engine.Event`,
-which is directly awaitable from a coroutine process (``await
-bus.transfer(n)``) and yieldable from a generator one — the same single
-schedule entry either way.  ``transfer_proc`` remains the ``yield
-from`` helper for generator bodies that want the byte count returned
-(coroutines get it as the event's value).
+whose value is the byte count.  It is directly awaitable from a
+coroutine process (``await bus.transfer(n)``) and yieldable from a
+generator one — the same single schedule entry either way.
 """
 
 from __future__ import annotations
@@ -122,11 +120,6 @@ class FCFSBus:
         done = self.sim.event(name=self._xfer_name)
         self.sim.succeed_later(done, finish - now, nbytes)
         return done
-
-    def transfer_proc(self, nbytes: float):
-        """Generator form: ``yield from bus.transfer_proc(n)``."""
-        yield self.transfer(nbytes)
-        return nbytes
 
     def reserve(self, nbytes: float, transactions: int = 1) -> tuple[float, float]:
         """Claim bus time for ``transactions`` back-to-back transfers.
@@ -246,11 +239,6 @@ class FairShareBus:
         else:
             self._admit(flow)
         return done
-
-    def transfer_proc(self, nbytes: float, rate_cap: float = float("inf")):
-        """Generator form: ``yield from bus.transfer_proc(n)``."""
-        yield self.transfer(nbytes, rate_cap)
-        return nbytes
 
     def busy_snapshot(self) -> float:
         """Busy seconds so far, including the still-open busy period.

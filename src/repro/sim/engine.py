@@ -46,9 +46,9 @@ events, most of which are one of two shapes:
   represented by a free-list-pooled :class:`Timeout` that the run loop
   recycles once its callbacks have fired.
 
-``run()`` inlines the per-event work (no ``step()`` call per event) and
-``Timeout`` builds its display name lazily — the f-string only exists if
-someone actually prints the event.
+``run()`` does the per-event work inline, and ``Timeout`` builds its
+display name lazily — the f-string only exists if someone actually
+prints the event.
 
 Determinism
 -----------
@@ -65,7 +65,7 @@ import os
 import sys
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from ..errors import Interrupt, ProcessError, SimTimeError
+from ..errors import ProcessError, SimTimeError
 from .sched import make_scheduler
 
 __all__ = [
@@ -203,10 +203,6 @@ class Event:
         else:
             self.callbacks.append(fn)
 
-    def cancel(self) -> bool:
-        """Withdraw a scheduled-but-unprocessed event; see ``Simulator.cancel``."""
-        return self.sim.cancel(self)
-
     def __await__(self):
         """Awaitable protocol: ``await event`` inside a coroutine process.
 
@@ -276,12 +272,6 @@ class _Callback:
         self.args: tuple = ()
 
 
-def _run_group(calls: list) -> None:
-    """Fire a :meth:`Simulator.call_group` batch (list order)."""
-    for fn, args in calls:
-        fn(*args)
-
-
 class Initialize(Event):
     """Internal: kicks off a newly created process."""
 
@@ -305,7 +295,7 @@ class Process(Event):
     two styles are event-for-event identical.
     """
 
-    __slots__ = ("_generator", "_target", "is_alive")
+    __slots__ = ("_generator",)
 
     def __init__(self, sim: "Simulator", generator: Generator, name: str = ""):
         if not hasattr(generator, "throw"):
@@ -314,90 +304,45 @@ class Process(Event):
             )
         super().__init__(sim, name=name or getattr(generator, "__name__", "process"))
         self._generator = generator
-        #: the event this process is currently waiting on (None if running)
-        self._target: Optional[Event] = None
-        self.is_alive = True
         Initialize(sim, self)
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`~repro.errors.Interrupt` into the process.
-
-        The process may catch it and continue; the event it was waiting
-        on stays pending and is simply no longer awaited by this process.
-        """
-        if not self.is_alive:
-            raise ProcessError(f"cannot interrupt finished process {self.name!r}")
-        if self._target is None:
-            if self.sim._active_process is self:
-                raise ProcessError(
-                    f"process {self.name!r} cannot interrupt itself"
-                )
-            raise ProcessError(
-                f"cannot interrupt process {self.name!r} before its first "
-                f"suspension (it has not started yet)"
-            )
-        # Detach from the awaited event and resume with the interrupt at
-        # the current time, ahead of same-time ordinary events.
-        target, self._target = self._target, None
-        if target.callbacks is not None:
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        wakeup = Event(self.sim, name="interrupt")
-        wakeup.callbacks.append(self._resume)
-        wakeup._ok = False
-        wakeup._value = Interrupt(cause)
-        self.sim._schedule(wakeup, URGENT)
 
     # -- engine plumbing --------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        self.sim._active_process = self
-        try:
-            while True:
-                try:
-                    if event._ok:
-                        target = self._generator.send(event._value)
-                    else:
-                        target = self._generator.throw(event._value)
-                except StopIteration as stop:
-                    self.is_alive = False
-                    self._target = None
-                    self.succeed(stop.value)
-                    return
-                except BaseException as exc:
-                    self.is_alive = False
-                    self._target = None
-                    self.fail(exc)
-                    return
+        while True:
+            try:
+                if event._ok:
+                    target = self._generator.send(event._value)
+                else:
+                    target = self._generator.throw(event._value)
+            except StopIteration as stop:
+                self.succeed(stop.value)
+                return
+            except BaseException as exc:
+                self.fail(exc)
+                return
 
-                if not isinstance(target, Event):
-                    exc = ProcessError(
+            if not isinstance(target, Event):
+                self.fail(
+                    ProcessError(
                         f"process {self.name!r} yielded/awaited non-event "
                         f"{target!r}"
                     )
-                    self.is_alive = False
-                    self._target = None
-                    self.fail(exc)
-                    return
-                if target.sim is not self.sim:
-                    exc = ProcessError(
+                )
+                return
+            if target.sim is not self.sim:
+                self.fail(
+                    ProcessError(
                         f"process {self.name!r} yielded event of another simulator"
                     )
-                    self.is_alive = False
-                    self._target = None
-                    self.fail(exc)
-                    return
+                )
+                return
 
-                if target.callbacks is not None:
-                    # Target still pending: subscribe and suspend.
-                    target.callbacks.append(self._resume)
-                    self._target = target
-                    return
-                # Target already processed: loop and continue immediately.
-                event = target
-        finally:
-            self.sim._active_process = None
+            if target.callbacks is not None:
+                # Target still pending: subscribe and suspend.
+                target.callbacks.append(self._resume)
+                return
+            # Target already processed: loop and continue immediately.
+            event = target
 
 
 class _Condition(Event):
@@ -494,7 +439,6 @@ class Simulator:
         # event, so the extra attribute hop through ``_sched`` matters.
         self._push = self._sched.push
         self._seq = itertools.count()
-        self._active_process: Optional[Process] = None
         #: free lists for the two hot-path entry shapes (see module docs)
         self._timeout_pool: list[Timeout] = []
         self._callback_pool: list[_Callback] = []
@@ -512,11 +456,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulation time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if any."""
-        return self._active_process
 
     @property
     def scheduler_kind(self) -> str:
@@ -602,9 +541,8 @@ class Simulator:
     def call_after(self, delay: float, fn: Callable[..., None], *args: Any) -> list:
         """Run ``fn(*args)`` after ``delay`` seconds (closure-free).
 
-        The fast-path variant of :meth:`schedule_callback`: nothing can
-        wait on the result, no :class:`Event` is allocated, and the
-        scheduler entry is recycled through a free list.  This is what
+        Nothing can wait on the result, no :class:`Event` is allocated,
+        and the scheduler entry is recycled through a free list.  This is what
         the wire, switch, and bus models use for their per-frame timed
         callbacks.  Returns an opaque handle accepted by
         :meth:`cancel_callback`.
@@ -635,17 +573,6 @@ class Simulator:
         cb.fn = fn
         cb.args = args
         return self._push(when, NORMAL, next(self._seq), cb)
-
-    def call_group(self, delay: float, calls: list) -> list:
-        """Run a list of ``(fn, args)`` pairs after ``delay`` seconds.
-
-        Bulk-injection companion to :meth:`call_after`: the whole group
-        rides a single pooled scheduler entry and fires in list order at
-        one timestamp.  Used by the flow-clock fast path to deliver a
-        frame train with one event instead of one per frame.  Returns a
-        :meth:`cancel_callback`-compatible handle.
-        """
-        return self.call_after(delay, _run_group, calls)
 
     def cancel_callback(self, handle) -> bool:
         """Cancel a pending :meth:`call_after`; True if it was withdrawn.
@@ -685,68 +612,11 @@ class Simulator:
         event._value = _PENDING
         return True
 
-    def schedule_callback(
-        self, delay: float, fn: Callable[[], None], name: str = "callback"
-    ) -> Event:
-        """Run ``fn()`` after ``delay`` seconds; returns the backing event."""
-        ev = Event(self, name=name)
-        ev.callbacks.append(lambda _ev: fn())
-        ev._ok = True
-        ev._value = None
-        self._schedule(ev, NORMAL, delay)
-        return ev
-
     # -- execution ----------------------------------------------------------------
     def peek(self) -> float:
         """Time of the next event, or ``float('inf')`` if none are queued."""
         t = self._sched.peek_time()
         return t if t is not None else float("inf")
-
-    def _fire(self, item) -> None:
-        """Dispatch one popped payload — the single copy of the fast paths.
-
-        Both :meth:`step` and :meth:`run` funnel through here, so the
-        ``_Callback`` and pooled-``Timeout`` recycling logic exists
-        exactly once.
-        """
-        if type(item) is _Callback:
-            fn, args = item.fn, item.args
-            fn(*args)
-            item.fn = None
-            item.args = ()
-            pool = self._callback_pool
-            if len(pool) < _POOL_MAX:
-                pool.append(item)
-            return
-        callbacks, item.callbacks = item.callbacks, None
-        for fn in callbacks:
-            fn(item)
-        if not item._ok and not callbacks:
-            # A failed event nobody waited on: surface the error instead of
-            # silently dropping it (mirrors simpy's behaviour).
-            raise item._value
-        if type(item) is Timeout and item._pooled:
-            pool = self._timeout_pool
-            if len(pool) < _POOL_MAX:
-                item._value = _PENDING
-                pool.append(item)
-
-    def step(self) -> None:
-        """Process exactly one event (slow path; ``run()`` binds locals)."""
-        entry = self._sched.pop()
-        if entry is None:
-            raise IndexError("step from an empty schedule")
-        when = entry[0]
-        if when < self._now:  # pragma: no cover - scheduler order guarantee
-            raise SimTimeError("event schedule time went backwards")
-        self._now = when
-        self._firing = entry
-        self.event_count += 1
-        item = entry[3]
-        entry[3] = None  # detach: stale cancel handles become no-ops
-        if self._trace is not None:
-            self._trace.append((when, entry[1], entry[2], type(item).__name__))
-        self._fire(item)
 
     def run(
         self, until: Optional[float | Event] = None, max_events: Optional[int] = None
@@ -787,11 +657,10 @@ class Simulator:
                     f"cannot run until {horizon!r}: clock already at {self._now!r}"
                 )
 
-        # The loop below is step()/_fire() with everything hot bound to
-        # locals and every payload kind dispatched inline — one type
-        # check each for the two dominant shapes (``_Callback``, pooled
-        # ``Timeout``) instead of a shared megamorphic ``_fire`` call.
-        # The per-event overhead here bounds every figure sweep.
+        # Everything hot is bound to locals and both payload kinds are
+        # dispatched inline — one type check each for the two dominant
+        # shapes (``_Callback``, pooled ``Timeout``).  The per-event
+        # overhead here bounds every figure sweep.
         sched = self._sched
         pop = sched.pop
         trace = self._trace
@@ -838,9 +707,8 @@ class Simulator:
                         cb_pool.append(item)
                     fn(*args)
                 else:
-                    # Inlined Event dispatch (the single other shape the
-                    # scheduler ever holds); semantics identical to
-                    # ``_fire``, which ``step()`` still uses.
+                    # Event dispatch (the single other shape the
+                    # scheduler ever holds).
                     callbacks = item.callbacks
                     item.callbacks = None
                     for fn in callbacks:

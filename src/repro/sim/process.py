@@ -49,16 +49,6 @@ tests.  The rules that keep it that way:
   helper (a child process adds an ``Initialize`` event and a completion
   event);
 * never rely on wall clock or global mutable state inside a body.
-
-Interrupts
-----------
-``proc.interrupt(cause)`` throws :class:`~repro.errors.Interrupt` into a
-suspended process at the *current* time, ahead of same-time ordinary
-events.  The event it was waiting on stays pending; a process
-interrupted while waiting on a ``Store``/``Container`` operation should
-withdraw its claim with ``store.cancel(op)`` so a later item is not
-handed to a waiter that no longer exists (see
-``docs/processes.md``).
 """
 
 from __future__ import annotations
@@ -67,7 +57,7 @@ from typing import Any, Callable, Iterable, Optional
 
 from ..errors import ProcessError
 from .engine import AllOf, AnyOf, Event, Process, Simulator, Timeout
-from .resources import Container, Resource, Store
+from .resources import Store
 
 __all__ = ["Environment", "drive"]
 
@@ -99,8 +89,7 @@ def drive(gen) -> _Drive:
     from`` does in a generator body.  This is what keeps an
     ``await``-ported scenario event-for-event identical to its
     ``yield`` twin when it reuses existing generator primitives
-    (driver ``send_message``/``recv_message``, ``Resource.acquire``,
-    ``bus.transfer_proc``, ...).
+    (driver ``send_message``/``recv_message``, ``cpu.busy``, ...).
     """
     if not hasattr(gen, "send") or not hasattr(gen, "throw"):
         raise ProcessError(f"drive() needs a generator, got {gen!r}")
@@ -132,11 +121,6 @@ class Environment:
     def now(self) -> float:
         """Current simulation time in seconds."""
         return self.sim.now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if any."""
-        return self.sim.active_process
 
     # -- event factories ---------------------------------------------------
     def event(self, name: str = "") -> Event:
@@ -193,23 +177,10 @@ class Environment:
         """Composite event: fires when any constituent has fired."""
         return self.sim.any_of(events)
 
-    # -- resource factories ------------------------------------------------
+    # -- queue factory -----------------------------------------------------
     def store(self, capacity: Optional[int] = None, name: str = "store") -> Store:
         """A FIFO :class:`Store` on this environment's simulator."""
         return Store(self.sim, capacity=capacity, name=name)
-
-    def resource(self, capacity: int = 1, name: str = "resource") -> Resource:
-        """A FIFO :class:`Resource` on this environment's simulator."""
-        return Resource(self.sim, capacity=capacity, name=name)
-
-    def container(
-        self,
-        capacity: float = float("inf"),
-        init: float = 0.0,
-        name: str = "container",
-    ) -> Container:
-        """A continuous-quantity :class:`Container` on this simulator."""
-        return Container(self.sim, capacity=capacity, init=init, name=name)
 
     # -- execution ---------------------------------------------------------
     def run(self, until=None, max_events: Optional[int] = None) -> Any:

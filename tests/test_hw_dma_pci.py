@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import DMAError
-from repro.hw import DMAEngine, card_local_bus, pci_32_33, pci_64_66, pcix_133
+from repro.hw import PCI_32_33_RATE, DMAEngine, pci_32_33
+from repro.hw.pci import DEFAULT_ARBITRATION
 from repro.sim import FCFSBus, FairShareBus, Simulator
 
 
@@ -100,31 +101,16 @@ def test_dma_rejects_bad_args():
 
 def test_pci_rates_ordering():
     sim = Simulator()
-    b32 = pci_32_33(sim)
-    b64 = pci_64_66(sim)
-    bx = pcix_133(sim)
-    assert b32.bandwidth < b64.bandwidth < bx.bandwidth
-    # 85% derating of the 132 MB/s raw rate.
-    assert b32.bandwidth == pytest.approx(132e6 * 0.85)
-
-
-def test_card_local_bus_is_serialized():
-    """Section 5: all ACEII traffic shares one FCFS bus."""
-    sim = Simulator()
-    bus = card_local_bus(sim)
-    assert isinstance(bus, FCFSBus)
-    assert bus.bandwidth == pytest.approx(132e6)
+    bus = pci_32_33(sim)
+    # The derated system bus is slower than its raw burst rate.
+    assert bus.bandwidth < PCI_32_33_RATE
+    # 85% derating of the 132 MB/s raw rate, bit for bit.
+    assert PCI_32_33_RATE == 132e6
+    assert bus.bandwidth == PCI_32_33_RATE * 0.85
 
 
 def test_system_pci_default_is_fair_share():
     sim = Simulator()
-    assert isinstance(pci_32_33(sim), FairShareBus)
-    assert isinstance(pci_32_33(sim, shared=True), FCFSBus)
-
-
-def test_pci_invalid_efficiency():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        pci_32_33(sim, efficiency=0.0)
-    with pytest.raises(ValueError):
-        pci_32_33(sim, efficiency=1.5)
+    bus = pci_32_33(sim)
+    assert isinstance(bus, FairShareBus)
+    assert bus.arbitration_latency == DEFAULT_ARBITRATION

@@ -81,48 +81,6 @@ def test_plan_rejects_negative_expectation():
 
 
 # --- INICMemory ----------------------------------------------------------------------------
-def test_memory_allocate_release():
-    sim = Simulator()
-    mem = INICMemory(sim, capacity=1000, bandwidth=1e6)
-
-    def proc():
-        yield from mem.allocate(600)
-        assert mem.free_bytes == pytest.approx(400)
-        mem.release(600)
-
-    sim.process(proc())
-    sim.run()
-    assert mem.free_bytes == pytest.approx(1000)
-
-
-def test_memory_allocate_blocks_until_release():
-    sim = Simulator()
-    mem = INICMemory(sim, capacity=100, bandwidth=1e6)
-    order = []
-
-    def hog():
-        yield from mem.allocate(80)
-        order.append(("hog", sim.now))
-        yield sim.timeout(5.0)
-        mem.release(80)
-
-    def waiter():
-        yield from mem.allocate(50)
-        order.append(("waiter", sim.now))
-
-    sim.process(hog())
-    sim.process(waiter())
-    sim.run()
-    assert order == [("hog", 0.0), ("waiter", 5.0)]
-
-
-def test_memory_oversized_allocation_rejected():
-    sim = Simulator()
-    mem = INICMemory(sim, capacity=100, bandwidth=1e6)
-    with pytest.raises(INICError):
-        list(mem.allocate(101))
-
-
 def test_memory_touch_time():
     sim = Simulator()
     mem = INICMemory(sim, capacity=100, bandwidth=200.0)

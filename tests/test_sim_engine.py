@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import Interrupt, ProcessError, SimTimeError
+from repro.errors import ProcessError, SimTimeError
 from repro.sim import Simulator, SimulationRunaway
 
 
@@ -173,41 +173,6 @@ def test_event_double_trigger_rejected():
         ev.succeed(2)
 
 
-def test_interrupt_is_catchable_and_process_continues():
-    sim = Simulator()
-    log = []
-
-    def victim():
-        try:
-            yield sim.timeout(10.0)
-            log.append("slept")
-        except Interrupt as i:
-            log.append(("interrupted", i.cause, sim.now))
-        yield sim.timeout(1.0)
-        log.append(("resumed", sim.now))
-
-    def attacker(p):
-        yield sim.timeout(2.0)
-        p.interrupt(cause="wakeup")
-
-    p = sim.process(victim())
-    sim.process(attacker(p))
-    sim.run()
-    assert log == [("interrupted", "wakeup", 2.0), ("resumed", 3.0)]
-
-
-def test_interrupt_finished_process_rejected():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(0.5)
-
-    p = sim.process(quick())
-    sim.run()
-    with pytest.raises(ProcessError):
-        p.interrupt()
-
-
 def test_any_of_fires_on_first():
     sim = Simulator()
     seen = []
@@ -276,14 +241,6 @@ def test_max_events_guard():
     sim.process(spinner())
     with pytest.raises(SimulationRunaway):
         sim.run(max_events=100)
-
-
-def test_schedule_callback():
-    sim = Simulator()
-    hits = []
-    sim.schedule_callback(2.5, lambda: hits.append(sim.now))
-    sim.run()
-    assert hits == [2.5]
 
 
 def test_determinism_two_identical_runs():

@@ -1,17 +1,10 @@
-"""Edge-case tests for the DES kernel: priorities, failures, interrupts
-interacting with resources and stores."""
+"""Edge-case tests for the DES kernel: priorities, failures and
+composite conditions."""
 
 import pytest
 
-from repro.errors import Interrupt, ProcessError
-from repro.sim import (
-    AllOf,
-    NORMAL,
-    Resource,
-    Simulator,
-    Store,
-    URGENT,
-)
+from repro.errors import ProcessError
+from repro.sim import NORMAL, Simulator, URGENT
 
 
 def test_urgent_events_fire_before_normal_at_same_time():
@@ -48,65 +41,6 @@ def test_all_of_fails_fast_on_component_failure():
     sim.process(waiter([bad, slow]))
     sim.run(until=50.0)
     assert caught == [("part failed", 1.0)]
-
-
-def test_interrupt_while_waiting_on_store():
-    sim = Simulator()
-    store = Store(sim)
-    log = []
-
-    def consumer():
-        try:
-            yield store.get()
-        except Interrupt:
-            log.append(("interrupted", sim.now))
-
-    def interrupter(p):
-        yield sim.timeout(2.0)
-        p.interrupt()
-
-    p = sim.process(consumer())
-    sim.process(interrupter(p))
-    sim.run()
-    assert log == [("interrupted", 2.0)]
-
-
-def test_interrupt_while_waiting_on_resource_leaves_queue_intact():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    got = []
-
-    def holder():
-        req = yield from res.acquire()
-        yield sim.timeout(10.0)
-        res.release(req)
-
-    def impatient():
-        req = res.request()
-        try:
-            yield req
-        except Interrupt:
-            res.release(req)  # cancel the queued claim
-            got.append("gave-up")
-
-    def patient():
-        yield sim.timeout(2.0)
-        req = yield from res.acquire()
-        got.append(("patient-in", sim.now))
-        res.release(req)
-
-    sim.process(holder())
-    p = sim.process(impatient())
-    sim.process(patient())
-
-    def interrupter():
-        yield sim.timeout(1.0)
-        p.interrupt()
-
-    sim.process(interrupter())
-    sim.run()
-    assert "gave-up" in got
-    assert ("patient-in", 10.0) in got  # queue survived the cancellation
 
 
 def test_process_yielding_foreign_simulator_event_fails():
@@ -162,7 +96,7 @@ def test_zero_delay_timeout_runs_this_instant_after_queue():
     order = []
 
     def proc():
-        sim.schedule_callback(0.0, lambda: order.append("cb"))
+        sim.call_after(0.0, order.append, "cb")
         yield sim.timeout(0.0)
         order.append("proc")
 

@@ -2,145 +2,18 @@
 
 Pins the tentpole guarantees: ``await`` and ``yield`` bodies drive the
 same engine machinery and produce **identical event traces** under every
-scheduler kind; interrupts land at the current time and leave the
-awaited event pending; ``Store.cancel``/``Container.cancel`` withdraw
-orphaned waiters; cancelling an event at its own fire time tombstones it
+scheduler kind; cancelling an event at its own fire time tombstones it
 before dispatch; and :func:`~repro.sim.process.drive` inlines generator
 helpers without adding events.
 """
 
 import pytest
 
-from repro.errors import Interrupt, ProcessError
+from repro.errors import ProcessError
 from repro.sim import Environment, drive
 from repro.sim import engine
 from repro.sim.engine import Simulator
 from repro.sim.sched import SCHEDULER_KINDS
-
-
-# -- interrupts --------------------------------------------------------------------
-def test_interrupt_during_timeout():
-    env = Environment()
-    caught = []
-
-    async def sleeper():
-        try:
-            await env.timeout(1.0, value="late")
-        except Interrupt as exc:
-            caught.append(exc.cause)
-            await env.sleep(0.5)
-            return "recovered"
-        return "slept through"
-
-    proc = env.process(sleeper)
-
-    def interrupter():
-        yield env.timeout(0.25)
-        proc.interrupt(cause="wake")
-
-    env.process(interrupter)
-    env.run()
-    assert caught == ["wake"]
-    assert proc.value == "recovered"
-    # the interrupt landed at its own time, not the timeout's ...
-    assert proc.processed
-    # ... and the orphaned 1.0s timeout still fired harmlessly at 1.0
-    assert env.now == pytest.approx(1.0)
-
-
-def test_interrupt_during_store_get_with_cancel():
-    env = Environment()
-    store = env.store()
-    got = []
-
-    async def getter(tag):
-        op = store.get()
-        try:
-            item = await op
-        except Interrupt:
-            # withdraw the orphaned claim so the item goes to a live getter
-            assert store.cancel(op)
-            return None
-        got.append((tag, item))
-        return item
-
-    first = env.process(getter, "first", name="first")
-    second = env.process(getter, "second", name="second")
-
-    def master():
-        yield env.timeout(0.1)
-        first.interrupt()
-        yield env.timeout(0.1)
-        yield store.put("item")
-
-    env.process(master)
-    env.run()
-    # without the cancel the item would be handed to the detached
-    # first-in-line getter and lost; with it, the second getter eats
-    assert got == [("second", "item")]
-    assert first.value is None
-    assert second.value == "item"
-
-
-def test_store_cancel_is_idempotent_and_rejects_fired_ops():
-    env = Environment()
-    store = env.store()
-    op = store.get()
-    assert store.cancel(op) is True
-    assert store.cancel(op) is False  # already withdrawn
-
-    done = store.put("x")  # resolves inline (a getter-free put)
-    assert store.cancel(done) is False  # triggered ops cannot be withdrawn
-
-
-def test_container_cancel_redispatches_waiters():
-    env = Environment()
-    tank = env.container(capacity=10.0, init=0.0)
-    taken = []
-
-    async def taker(tag, amount):
-        op = tank.get(amount)
-        try:
-            await op
-        except Interrupt:
-            assert tank.cancel(op)
-            return None
-        taken.append((tag, amount))
-        return amount
-
-    big = env.process(taker, "big", 8.0, name="big")
-    small = env.process(taker, "small", 2.0, name="small")
-
-    def master():
-        yield env.timeout(0.1)
-        yield tank.put(4.0)  # not enough for the 8.0 head-of-line claim
-        yield env.timeout(0.1)
-        big.interrupt()  # cancel unblocks the smaller claim behind it
-
-    env.process(master)
-    env.run()
-    assert taken == [("small", 2.0)]
-    assert big.value is None
-
-
-def test_interrupt_before_start_and_self_interrupt_are_errors():
-    env = Environment()
-
-    async def idle():
-        await env.timeout(1.0)
-
-    proc = env.process(idle)
-    with pytest.raises(ProcessError, match="before its first suspension"):
-        proc.interrupt()
-
-    env.process(narcissist_body(env))
-    # the failed process completion has no waiters, so run() surfaces it
-    with pytest.raises(ProcessError, match="cannot interrupt itself"):
-        env.run()
-
-
-async def narcissist_body(env):
-    env.active_process.interrupt()
 
 
 # -- cancel at fire time -----------------------------------------------------------
@@ -155,8 +28,8 @@ def test_cancel_at_fire_time_tombstones_before_dispatch():
         yield wake
         # same timestamp as the victim's own firing; the earlier seq
         # wins the dispatch race, so the tombstone must suppress it
-        assert victim.cancel()
-        assert not victim.cancel()  # second withdrawal is a no-op
+        assert env.sim.cancel(victim)
+        assert not env.sim.cancel(victim)  # second withdrawal is a no-op
 
     env.process(canceller)
     env.run()

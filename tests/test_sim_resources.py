@@ -1,9 +1,9 @@
-"""Unit tests for Resource/Store/Container (repro.sim.resources)."""
+"""Unit tests for Resource/Store (repro.sim.resources)."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Container, Resource, Simulator, Store
+from repro.sim import Resource, Simulator, Store
 
 
 # --- Resource -----------------------------------------------------------------
@@ -13,7 +13,8 @@ def test_resource_mutex_serializes():
     log = []
 
     def user(tag, hold):
-        req = yield from res.acquire()
+        req = res.request()
+        yield req
         log.append((tag, "in", sim.now))
         yield sim.timeout(hold)
         res.release(req)
@@ -36,7 +37,8 @@ def test_resource_capacity_two_runs_pair_concurrently():
     finish = []
 
     def user(tag):
-        req = yield from res.acquire()
+        req = res.request()
+        yield req
         yield sim.timeout(1.0)
         res.release(req)
         finish.append((tag, sim.now))
@@ -54,7 +56,8 @@ def test_resource_fifo_ordering():
 
     def user(tag, arrive):
         yield sim.timeout(arrive)
-        req = yield from res.acquire()
+        req = res.request()
+        yield req
         order.append(tag)
         yield sim.timeout(10.0)
         res.release(req)
@@ -96,13 +99,15 @@ def test_resource_wait_time_stats():
     res = Resource(sim, capacity=1)
 
     def holder():
-        req = yield from res.acquire()
+        req = res.request()
+        yield req
         yield sim.timeout(5.0)
         res.release(req)
 
     def waiter():
         yield sim.timeout(1.0)
-        req = yield from res.acquire()
+        req = res.request()
+        yield req
         res.release(req)
 
     sim.process(holder())
@@ -177,17 +182,6 @@ def test_bounded_store_put_blocks_when_full():
     assert ("put-b", 2.0) in log
 
 
-def test_store_try_get():
-    sim = Simulator()
-    store = Store(sim)
-    ok, item = store.try_get()
-    assert not ok and item is None
-    store.put("x")
-    sim.run()
-    ok, item = store.try_get()
-    assert ok and item == "x"
-
-
 def test_store_stats():
     sim = Simulator()
     store = Store(sim)
@@ -202,97 +196,3 @@ def test_store_invalid_capacity():
     sim = Simulator()
     with pytest.raises(SimulationError):
         Store(sim, capacity=0)
-
-
-# --- Container --------------------------------------------------------------------
-def test_container_get_blocks_until_level():
-    sim = Simulator()
-    tank = Container(sim, capacity=100.0, init=0.0)
-    log = []
-
-    def filler():
-        yield sim.timeout(1.0)
-        yield tank.put(30.0)
-        yield sim.timeout(1.0)
-        yield tank.put(30.0)
-
-    def drinker():
-        yield tank.get(50.0)
-        log.append(sim.now)
-
-    sim.process(filler())
-    sim.process(drinker())
-    sim.run()
-    assert log == [2.0]
-    assert tank.level == pytest.approx(10.0)
-
-
-def test_container_put_blocks_at_capacity():
-    sim = Simulator()
-    tank = Container(sim, capacity=10.0, init=10.0)
-    log = []
-
-    def putter():
-        yield tank.put(5.0)
-        log.append(("put", sim.now))
-
-    def getter():
-        yield sim.timeout(2.0)
-        yield tank.get(7.0)
-        log.append(("got", sim.now))
-
-    sim.process(putter())
-    sim.process(getter())
-    sim.run()
-    assert log == [("got", 2.0), ("put", 2.0)]
-
-
-def test_container_no_overtaking():
-    sim = Simulator()
-    tank = Container(sim, capacity=100.0, init=5.0)
-    order = []
-
-    def big():
-        yield tank.get(50.0)
-        order.append("big")
-
-    def small():
-        yield sim.timeout(0.1)
-        yield tank.get(1.0)
-        order.append("small")
-
-    def filler():
-        yield sim.timeout(1.0)
-        yield tank.put(60.0)
-
-    sim.process(big())
-    sim.process(small())
-    sim.process(filler())
-    sim.run()
-    assert order == ["big", "small"]
-
-
-def test_container_try_get():
-    sim = Simulator()
-    tank = Container(sim, capacity=10.0, init=5.0)
-    assert tank.try_get(3.0)
-    assert not tank.try_get(3.0)
-    assert tank.level == pytest.approx(2.0)
-
-
-def test_container_get_over_capacity_rejected():
-    sim = Simulator()
-    tank = Container(sim, capacity=10.0)
-    with pytest.raises(SimulationError):
-        tank.get(11.0)
-
-
-def test_container_level_extremes_tracked():
-    sim = Simulator()
-    tank = Container(sim, capacity=10.0, init=5.0)
-    tank.put(5.0)
-    sim.run()
-    tank.get(8.0)
-    sim.run()
-    assert tank.max_level == pytest.approx(10.0)
-    assert tank.min_level == pytest.approx(2.0)

@@ -179,7 +179,7 @@ def test_timeout_cancelled_at_its_own_fire_time(kind):
     canceller = sim.timeout(1.0)  # created first => earlier seq
     victim = sim.timeout(1.0, "victim")
     victim.add_callback(lambda e: fired.append(e.value))
-    canceller.add_callback(lambda e: outcome.append(victim.cancel()))
+    canceller.add_callback(lambda e: outcome.append(sim.cancel(victim)))
     sim.run()
     assert outcome == [True]
     assert fired == []

@@ -99,8 +99,8 @@ def test_bus_busy_time_matches_analytic_transfer_time():
     bus = FCFSBus(sim, bandwidth=1e6, name="testbus")
     r = MetricsRegistry()
     bus.register_telemetry(r, "node0.pci")
-    sim.process(bus.transfer_proc(1000))
-    sim.process(bus.transfer_proc(500))
+    bus.transfer(1000)
+    bus.transfer(500)
     sim.run()
     # 1500 bytes over 1 MB/s, serialized: 1.5 ms of busy time, exactly.
     assert r.read("node0.pci.busy_time") == pytest.approx(1.5e-3)

@@ -738,7 +738,7 @@ def test_component_window_mid_train_on_fattree_matches_frame_level(
     strict=True,
     reason="a segment admits frames due up to ADMIT_SLICE ahead, so a "
     "window staged inside it arms at the next segment, not on the next "
-    "frame (ROADMAP item 2, candidate (f))",
+    "frame (ROADMAP item 4, late arming)",
 )
 @pytest.mark.parametrize(
     "window",
@@ -1012,7 +1012,7 @@ _TAIL_DROP_DIVERGES = pytest.mark.xfail(
     strict=True,
     reason="bulk admission is not exact under overlapping trains: trains "
     "meet each other's egress backlog at slice, not frame, granularity, "
-    "so tail drops differ (ROADMAP item 2, candidate e)",
+    "so tail drops differ (ROADMAP item 4, overlap skew)",
 )
 
 

@@ -1,4 +1,4 @@
-"""Benchmark harness: figure definitions, scales, reporting, calibration.
+"""Benchmark harness: figure definitions, scales and reporting.
 
 The :mod:`.figures` and :mod:`.sweep` exports resolve lazily (PEP 562):
 both modules are also CLIs (``python -m repro.bench.sweep``), and an
@@ -8,7 +8,6 @@ executes them as ``__main__``, so their bodies would run twice.
 
 from importlib import import_module
 
-from .calibration import KernelRates, compare_des_vs_model, measure_kernel_rates
 from .harness import Experiment, Scale, render_all, render_table
 from .report import ascii_plot, shape_summary, to_markdown
 
@@ -40,7 +39,6 @@ def __getattr__(name: str):
 
 __all__ = [
     "Experiment",
-    "KernelRates",
     "PointResult",
     "PointSpec",
     "Scale",
@@ -48,14 +46,12 @@ __all__ = [
     "SweepStats",
     "all_figures",
     "ascii_plot",
-    "compare_des_vs_model",
     "fig4a",
     "fig4b",
     "fig5a",
     "fig5b",
     "fig8a",
     "fig8b",
-    "measure_kernel_rates",
     "render_all",
     "render_table",
     "shape_summary",

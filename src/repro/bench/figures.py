@@ -39,7 +39,6 @@ __all__ = [
     "fig5b",
     "fig8a",
     "fig8b",
-    "figfaults",
     "all_figures",
 ]
 
@@ -370,83 +369,13 @@ def fig8b(scale: Scale, engine: Optional[SweepEngine] = None) -> Experiment:
 
 
 # ---------------------------------------------------------------------------
-# Fault-injection curve (not a paper panel; opt-in via --only figfaults)
-# ---------------------------------------------------------------------------
-def _figfaults_sort_p(scale: Scale) -> int:
-    procs = [q for q in scale.sort_procs if q > 1 and scale.sort_keys % q == 0]
-    return max(procs) if procs else 2
-
-
-def _figfaults_specs(scale: Scale) -> list[PointSpec]:
-    from ..faults import FaultSpec
-    from .sweep import FAULT_SUITE_RETRIES, FAULT_SUITE_SEED
-
-    e_init = scale.sort_keys
-    p = _figfaults_sort_p(scale)
-    specs = []
-    for rate in scale.loss_rates:
-        params = {"e_init": e_init, "p": p, "card": _PROTO, "seed": _SORT_SEED}
-        if rate > 0:
-            params["faults"] = FaultSpec(
-                seed=FAULT_SUITE_SEED, loss_rate=rate
-            ).to_params()
-            params["retries"] = FAULT_SUITE_RETRIES
-        specs.append(PointSpec("sort-des", f"figfaults/loss{rate:g}", params))
-    return specs
-
-
-def _figfaults_build(scale: Scale, results: dict[str, PointResult]) -> Experiment:
-    e_init = scale.sort_keys
-    p = _figfaults_sort_p(scale)
-    rates = list(scale.loss_rates)
-    vals = [results[f"figfaults/loss{r:g}"].value for r in rates]
-    exp = Experiment(
-        "figfaults",
-        f"INIC sort makespan vs link loss rate, E = {e_init}, P = {p} (DES)",
-        "loss rate",
-        "seconds (counters unitless)",
-    )
-    x = [float(r) for r in rates]
-    exp.add(Series("INIC sort makespan (s)", x, [v["makespan"] for v in vals]))
-    exp.add(
-        Series(
-            "retransmits",
-            x,
-            [float(v.get("faults", {}).get("retransmits", 0)) for v in vals],
-        )
-    )
-    exp.add(
-        Series(
-            "frames dropped",
-            x,
-            [float(v.get("faults", {}).get("frames_dropped", 0)) for v in vals],
-        )
-    )
-    exp.notes.append(
-        "loss recovery: NACK-driven retransmission with exponential backoff; "
-        "the zero-loss anchor is the ideal-fabric point (shared cache entry)"
-    )
-    return exp
-
-
-def figfaults(scale: Scale, engine: Optional[SweepEngine] = None) -> Experiment:
-    """Makespan-vs-loss-rate curve for the INIC sort under deterministic
-    link-fault injection (the robustness sweep; not a paper panel)."""
-    return _figfaults_build(scale, _run(engine, _figfaults_specs(scale)))
-
-
-# ---------------------------------------------------------------------------
 # Full suite
 # ---------------------------------------------------------------------------
 #: (figure id, spec enumerator, result assembler); analytic enumerators
 #: and assemblers also take MachineParams.
 _ANALYTIC = {"fig4a": (_fig4a_specs, _fig4a_build), "fig4b": (_fig4b_specs, _fig4b_build),
              "fig5a": (_fig5a_specs, _fig5a_build), "fig5b": (_fig5b_specs, _fig5b_build)}
-_DES = {"fig8a": (_fig8a_specs, _fig8a_build), "fig8b": (_fig8b_specs, _fig8b_build),
-        "figfaults": (_figfaults_specs, _figfaults_build)}
-#: panels regenerated by default; ``figfaults`` is opt-in (``--only
-#: figfaults``) so the committed paper CSVs stay byte-stable
-_DEFAULT_FIGURES = [*_ANALYTIC, "fig8a", "fig8b"]
+_DES = {"fig8a": (_fig8a_specs, _fig8a_build), "fig8b": (_fig8b_specs, _fig8b_build)}
 
 
 def all_figures(
@@ -457,7 +386,7 @@ def all_figures(
     """Reproduce every panel (or the ``only`` subset) through **one**
     batched sweep, so the engine can overlap DES points from different
     figures across its workers."""
-    names = only or list(_DEFAULT_FIGURES)
+    names = only or [*_ANALYTIC, *_DES]
     unknown = [n for n in names if n not in _ANALYTIC and n not in _DES]
     if unknown:
         raise ValueError(f"unknown figures {unknown}; have {[*_ANALYTIC, *_DES]}")

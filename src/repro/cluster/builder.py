@@ -18,7 +18,7 @@ from ..hw.cpu import CPU
 from ..hw.interrupts import CoalescePolicy
 from ..hw.memory import CacheLevel, MemoryHierarchy
 from ..hw.pci import pci_32_33
-from ..inic.card import CardSpec, IDEAL_INIC, INICCard
+from ..inic.card import CardSpec, INICCard
 from ..net.addresses import MacAddress
 from ..net.fabric import GIGABIT_ETHERNET, NetworkTechnology, build_star
 from ..net.topology import (
@@ -135,45 +135,9 @@ class ClusterSpec:
                 f"fabrics (fattree, torus), not fabric={self.fabric!r}"
             )
 
-    # -- builders ----------------------------------------------------------
-    # Every builder swaps exactly one field on an otherwise-unchanged
-    # copy, so chaining is order-independent by construction:
-    # ``spec.with_inic(c).with_faults(f) == spec.with_faults(f).with_inic(c)``
-    # (tests/test_api_facade.py pins this down).
-
     def replace(self, **changes) -> "ClusterSpec":
         """A copy with ``changes`` applied (frozen-dataclass replace)."""
         return replace(self, **changes)
-
-    def with_inic(self, card: Optional[CardSpec] = IDEAL_INIC) -> "ClusterSpec":
-        """With an INIC in every node (``None`` reverts to NIC+TCP)."""
-        return replace(self, inic=card)
-
-    def with_faults(self, faults: Optional[FaultSpec]) -> "ClusterSpec":
-        """With a fault scenario (``None`` restores the ideal fabric)."""
-        return replace(self, faults=faults)
-
-    def with_network(self, network: NetworkTechnology) -> "ClusterSpec":
-        return replace(self, network=network)
-
-    def with_tcp(self, tcp: TCPConfig) -> "ClusterSpec":
-        return replace(self, tcp=tcp)
-
-    def with_node(self, node: NodeHardware) -> "ClusterSpec":
-        return replace(self, node=node)
-
-    def with_seed(self, seed: int) -> "ClusterSpec":
-        return replace(self, seed=seed)
-
-    def with_fabric(self, fabric: str, **options) -> "ClusterSpec":
-        """With the given fabric kind (see :data:`FABRIC_KINDS`).
-
-        Keyword options parameterize hierarchical topologies, e.g.
-        ``with_fabric("fattree", oversub=2)`` or
-        ``with_fabric("torus", dims=(8, 8, 4))``.
-        """
-        opts = tuple(sorted(options.items()))
-        return replace(self, fabric=fabric, fabric_options=opts)
 
 
 class Cluster:

@@ -26,7 +26,7 @@ class INICManager:
     def __init__(self, cluster: Cluster):
         if cluster.spec.inic is None:
             raise ConfigurationError(
-                "cluster was built without INIC cards; use ClusterSpec.with_inic()"
+                "cluster was built without INIC cards; use Experiment().card(...)"
             )
         self.cluster = cluster
         self.drivers = [

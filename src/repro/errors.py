@@ -111,7 +111,3 @@ class FaultConfigError(ConfigError):
 # --- applications / harness ---------------------------------------------------
 class ApplicationError(ReproError):
     """Base class for application-level errors (FFT, sort)."""
-
-
-class CalibrationError(ReproError):
-    """Benchmark calibration failed or produced nonsensical rates."""

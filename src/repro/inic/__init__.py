@@ -11,7 +11,6 @@ from .card import (
     SendBlock,
 )
 from .fpga import FPGADevice, FPGAFabric, VIRTEX_1000, XILINX_4085XLA
-from .memory import INICMemory
 
 __all__ = [
     "ACEII_PROTOTYPE",
@@ -24,7 +23,6 @@ __all__ = [
     "INFRASTRUCTURE_CLBS",
     "INFRASTRUCTURE_RAM_KBITS",
     "INICCard",
-    "INICMemory",
     "ScatterOp",
     "SendBlock",
     "VIRTEX_1000",

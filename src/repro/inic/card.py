@@ -50,7 +50,6 @@ from ..sim.resources import Store
 from ..units import KiB, mb_per_s, mib_per_s
 from .bitstream import Design
 from .fpga import FPGADevice, FPGAFabric, VIRTEX_1000, XILINX_4085XLA
-from .memory import INICMemory
 
 __all__ = [
     "CardSpec",
@@ -69,8 +68,14 @@ class CardSpec:
 
     name: str
     devices: tuple[FPGADevice, ...]
-    memory_bytes: int
-    memory_bandwidth: float  # bytes/s, card RAM
+    #: bytes/s of the card RAM, the rate of a memory-bound pass in
+    #: COMPUTE mode.  It is why count sort stays on the host: "cache
+    #: memory bandwidth on a commodity processor is much higher than the
+    #: comparable memory bandwidth for an INIC" (Section 3.2.2).  The
+    #: RAM's size (32 MiB on the ideal single-chip INIC, 8 MiB of
+    #: "limited memory attached to the FPGAs" on the ACEII prototype,
+    #: Section 5) bounds no modelled transfer, so it is not a field.
+    memory_bandwidth: float
     shared_bus: bool  # True: one bus for host DMA + MAC traffic
     host_rate: float  # bytes/s host<->card (dedicated or bus raw)
     net_rate: float  # bytes/s card<->network
@@ -84,8 +89,8 @@ class CardSpec:
     proto: INICProtoConfig = field(default_factory=INICProtoConfig)
 
     def __post_init__(self) -> None:
-        if self.memory_bytes <= 0 or self.memory_bandwidth <= 0:
-            raise ConfigurationError(f"{self.name}: bad memory parameters")
+        if self.memory_bandwidth <= 0:
+            raise ConfigurationError(f"{self.name}: bad memory bandwidth")
         if self.host_rate <= 0 or self.net_rate <= 0:
             raise ConfigurationError(f"{self.name}: bad path rates")
         if self.dma_threshold < 1:
@@ -100,7 +105,6 @@ QUANTUM_CAP = 64
 IDEAL_INIC = CardSpec(
     name="ideal-inic",
     devices=(VIRTEX_1000,),
-    memory_bytes=32 * 1024 * KiB,
     memory_bandwidth=mb_per_s(400),
     shared_bus=False,
     host_rate=mib_per_s(80),
@@ -112,7 +116,6 @@ IDEAL_INIC = CardSpec(
 ACEII_PROTOTYPE = CardSpec(
     name="aceii-prototype",
     devices=(XILINX_4085XLA,),
-    memory_bytes=8 * 1024 * KiB,
     memory_bandwidth=mb_per_s(200),
     shared_bus=True,
     host_rate=mb_per_s(132) * 0.85,
@@ -297,9 +300,6 @@ class INICCard:
         self.stats = CardStats()
 
         self.fabric = FPGAFabric(sim, list(spec.devices), name=f"{name}.fpga")
-        self.memory = INICMemory(
-            sim, spec.memory_bytes, spec.memory_bandwidth, name=f"{name}.mem"
-        )
         if spec.shared_bus:
             # Section 6: "a single 132 MB/s bus used to access both the
             # Gigabit Ethernet and host memory" — every crossing contends.
@@ -1128,7 +1128,7 @@ class INICCard:
 
         def proc():
             yield self.host_tx.transfer(in_bytes)
-            rate = self.datapath_rate(self.memory.bandwidth)
+            rate = self.datapath_rate(self.spec.memory_bandwidth)
             yield self.sim.timeout(max(in_bytes, out_bytes) / rate)
             result = kernel(data)
             if out_bytes > 0:

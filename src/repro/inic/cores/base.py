@@ -4,19 +4,26 @@ A *stream core* is a hardware function block in the INIC datapath
 (the rectangles of Figures 2(b), 3(b) and 7): it transforms data at a
 fixed number of bytes per fabric clock cycle as the data flows through.
 
-Cores are **functional**: ``apply(...)`` really performs the transform
-on numpy data (so simulated applications produce bit-correct results),
-while ``processing_time`` yields the simulated cost of streaming bytes
-through the block.  A passive core in the datapath costs zero *extra*
-time whenever its rate exceeds the surrounding transfer rates — the
-paper's "processing data as it passes through the device at zero cost"
-(Section 2).
+Every core contributes its FPGA resources and its streaming
+:meth:`~StreamCore.rate`; the card runs its datapath at the slowest
+configured core's rate.  A passive core in the datapath costs zero
+*extra* time whenever its rate exceeds the surrounding transfer rates —
+the paper's "processing data as it passes through the device at zero
+cost" (Section 2).
+
+Four cores also carry the data, so simulated applications produce
+bit-correct results: the local transpose (``apply_panel``), the final
+permutation (``assemble``), the reduce core (``apply``, called by a
+gather) and the datatype engine (``gather``/``scatter``).  The bucket
+sort core does not: the INIC sort bins the keys on the host
+(:func:`~repro.apps.sort.bucketsort.phase1_destination_buckets`) and
+charges the core's ``bytes_processed`` for them.  The other cores
+(packetizer, FIFO, broadcast) model resources and rate only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 from ...errors import ConfigurationError
 
@@ -41,7 +48,7 @@ class CoreSpec:
 
 
 class StreamCore:
-    """Base class: identity transform at ``bytes_per_cycle``."""
+    """Base class: a datapath block streaming ``bytes_per_cycle``."""
 
     def __init__(self, spec: CoreSpec):
         self.spec = spec
@@ -53,17 +60,6 @@ class StreamCore:
         if clock_hz <= 0:
             raise ConfigurationError("clock must be > 0")
         return self.spec.bytes_per_cycle * clock_hz
-
-    def processing_time(self, nbytes: float, clock_hz: float) -> float:
-        """Seconds to stream ``nbytes`` through the core."""
-        if nbytes < 0:
-            raise ConfigurationError("negative byte count")
-        return nbytes / self.rate(clock_hz)
-
-    def apply(self, data: Any, **context: Any) -> Any:
-        """Functional transform (identity by default)."""
-        self.bytes_processed += getattr(data, "nbytes", 0)
-        return data
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.spec.name!r} {self.spec.clbs} CLBs>"

@@ -8,13 +8,12 @@ its FPGA fabric — this is exactly why the prototype "must be performed
 in two phases.  The card sorts the data into 16 buckets and the host
 sorts each of those buckets into N buckets" (Section 6).
 
-``apply`` does the real binning with numpy; keys are assumed uniform
-32-bit unsigned (Section 3.2's workload).
+The core carries no keys in the simulator: the INIC sort bins them on
+the host (:func:`~repro.apps.sort.bucketsort.phase1_destination_buckets`)
+and charges the bytes to this core's ``bytes_processed``.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from ...errors import OffloadError
 from .base import CoreSpec, StreamCore
@@ -64,33 +63,3 @@ class BucketSortCore(StreamCore):
                 description=f"{n_buckets}-way top-bits binning",
             )
         )
-
-    @property
-    def shift(self) -> int:
-        return 32 - self.n_buckets.bit_length() + 1
-
-    def bucket_of(self, keys: np.ndarray) -> np.ndarray:
-        """Bucket index per key (vectorized)."""
-        return (keys.astype(np.uint32) >> np.uint32(self.shift)).astype(np.int64)
-
-    def apply(self, data: np.ndarray, **context) -> list[np.ndarray]:
-        """Bin ``data`` (uint32 keys); returns a list of per-bucket arrays.
-
-        The concatenation of the buckets is a permutation of the input,
-        and every key in bucket b is smaller than every key in bucket
-        b+1 with respect to the top bits — the invariants the tests and
-        the host-side count sort rely on.
-        """
-        keys = np.asarray(data)
-        if keys.dtype != np.uint32:
-            raise OffloadError(f"bucket sort expects uint32 keys, got {keys.dtype}")
-        self.bytes_processed += keys.nbytes
-        idx = self.bucket_of(keys)
-        order = np.argsort(idx, kind="stable")
-        sorted_by_bucket = keys[order]
-        counts = np.bincount(idx, minlength=self.n_buckets)
-        bounds = np.concatenate(([0], np.cumsum(counts)))
-        return [
-            sorted_by_bucket[bounds[b] : bounds[b + 1]]
-            for b in range(self.n_buckets)
-        ]

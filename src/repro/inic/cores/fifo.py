@@ -18,7 +18,6 @@ class FIFOCore(StreamCore):
     def __init__(self, depth_bytes: int = 4096, name: str = "fifo"):
         if depth_bytes < 1:
             raise OffloadError("FIFO depth must be >= 1 byte")
-        self.depth_bytes = depth_bytes
         super().__init__(
             CoreSpec(
                 name=name,
@@ -28,7 +27,3 @@ class FIFOCore(StreamCore):
                 description=f"{depth_bytes}-byte elastic buffer",
             )
         )
-
-    def fill_latency(self, clock_hz: float) -> float:
-        """Worst-case added latency: time to drain a full FIFO."""
-        return self.processing_time(self.depth_bytes, clock_hz)

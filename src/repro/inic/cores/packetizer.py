@@ -31,12 +31,6 @@ class PacketizerCore(StreamCore):
             )
         )
 
-    def packets_for(self, nbytes: int) -> int:
-        """Number of protocol packets for an ``nbytes`` transfer."""
-        if nbytes < 0:
-            raise OffloadError("negative byte count")
-        return -(-nbytes // self.packet_size)
-
 
 class DepacketizerCore(StreamCore):
     """Strips protocol headers from incoming MAC frames."""

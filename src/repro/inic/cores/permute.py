@@ -67,8 +67,3 @@ class FinalPermutationCore(StreamCore):
             )
         self.bytes_processed += out.nbytes
         return out
-
-    def apply(self, data: np.ndarray, **context) -> np.ndarray:
-        """Per-block pass-through (placement happens in ``assemble``)."""
-        self.bytes_processed += data.nbytes
-        return data

@@ -6,8 +6,8 @@ INIC, this block transpose happens *as the data streams from host memory
 into card memory* — the "Local Transpose" box of Figure 2(b) — so it
 costs no host time and no extra pass over DRAM.
 
-``apply`` performs the real transpose with numpy (the simulation is
-functional); the streaming rate models a 64-bit datapath writing
+``apply_panel`` performs the real transpose with numpy (the simulation
+is functional); the streaming rate models a 64-bit datapath writing
 INIC memory with a transposed address generator.
 """
 
@@ -45,7 +45,7 @@ def local_transpose_blocks(panel: np.ndarray, n_parts: int) -> list[np.ndarray]:
 class LocalTransposeCore(StreamCore):
     """Transposes M x M blocks in the host->card stream."""
 
-    def __init__(self, block_rows_hint: int = 0):
+    def __init__(self):
         super().__init__(
             CoreSpec(
                 name="local-transpose",
@@ -55,21 +55,11 @@ class LocalTransposeCore(StreamCore):
                 description="block transpose via address generation into card RAM",
             )
         )
-        self.block_rows_hint = block_rows_hint
-
-    def apply(self, data: np.ndarray, **context) -> np.ndarray:
-        """Transpose one block (must be square for an in-stream swizzle)."""
-        if data.ndim != 2 or data.shape[0] != data.shape[1]:
-            raise OffloadError(
-                f"local transpose expects square blocks, got {data.shape}"
-            )
-        self.bytes_processed += data.nbytes
-        return np.ascontiguousarray(data.T)
 
     def apply_panel(self, panel: np.ndarray, n_parts: int) -> list[np.ndarray]:
         """Transpose all ``n_parts`` square blocks of a local panel at once
-        (:func:`local_transpose_blocks`), charging the bytes that
-        ``n_parts`` calls of :meth:`apply` would."""
+        (:func:`local_transpose_blocks`; square for an in-stream
+        swizzle), charging the panel's bytes."""
         blocks = local_transpose_blocks(panel, n_parts)
         if blocks[0].shape[0] != blocks[0].shape[1]:
             raise OffloadError(

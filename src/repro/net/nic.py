@@ -17,21 +17,19 @@ and eliminates the per-frame interrupts and host protocol work.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from ..errors import NetworkError
 from ..hw.cpu import CPU
 from ..hw.dma import DMAEngine
 from ..hw.interrupts import CoalescePolicy, InterruptController, IMMEDIATE
-from ..sim.bus import FCFSBus, FairShareBus
+from ..sim.bus import FairShareBus
 from ..sim.engine import URGENT, Event, Simulator
 from .addresses import MacAddress
 from .link import Wire
 from .packet import Frame
 
 __all__ = ["StandardNIC", "NICStats"]
-
-Bus = Union[FCFSBus, FairShareBus]
 
 
 class NICStats:
@@ -148,7 +146,7 @@ class StandardNIC:
     sim, address:
         simulator and this station's address.
     host_bus:
-        the node's system PCI bus (payloads DMA across it).
+        the node's fair-share system PCI bus (payloads DMA across it).
     cpu:
         host CPU charged for interrupt handling.
     coalesce:
@@ -163,7 +161,7 @@ class StandardNIC:
         self,
         sim: Simulator,
         address: MacAddress,
-        host_bus: Bus,
+        host_bus: FairShareBus,
         cpu: Optional[CPU] = None,
         coalesce: CoalescePolicy = IMMEDIATE,
         tx_ring: int = 256,

@@ -1,7 +1,6 @@
 """Tests for the ``repro.api`` experiment facade and config conventions.
 
-Covers the builder's order-independence (and the matching
-``ClusterSpec.with_*`` chaining regression), the process registration
+Covers the builder's order-independence, the process registration
 surface (``Experiment().process`` / ``Session.spawn`` / ``Session.env``),
 the removal of the deprecated ``build_acc``/``build_beowulf`` wrappers,
 and the shared ``to_json``/``from_json`` round-trip convention.
@@ -54,15 +53,18 @@ def test_experiment_steps_can_revert():
     assert reverted.spec == Experiment().nodes(2).spec
 
 
-def test_cluster_spec_with_chaining_is_order_independent():
-    spec = ClusterSpec(n_nodes=4)
+def test_experiment_spec_steps_chain_in_any_order():
+    base = Experiment().nodes(4)
     assert (
-        spec.with_inic(ACEII_PROTOTYPE).with_faults(FAULTS)
-        == spec.with_faults(FAULTS).with_inic(ACEII_PROTOTYPE)
+        base.card(ACEII_PROTOTYPE).faults(FAULTS).spec
+        == base.faults(FAULTS).card(ACEII_PROTOTYPE).spec
     )
-    assert (
-        spec.with_network(FAST_ETHERNET).with_seed(3).with_inic(IDEAL_INIC)
-        == spec.with_inic(IDEAL_INIC).with_network(FAST_ETHERNET).with_seed(3)
+    a = base.network(FAST_ETHERNET).seed(3).card(IDEAL_INIC).fabric("torus", dims=[2, 2])
+    b = base.fabric("torus", dims=[2, 2]).card(IDEAL_INIC).network(FAST_ETHERNET).seed(3)
+    assert a.spec == b.spec
+    assert a.spec == ClusterSpec(
+        n_nodes=4, network=FAST_ETHERNET, seed=3, inic=IDEAL_INIC,
+        fabric="torus", fabric_options=(("dims", (2, 2)),),
     )
 
 

@@ -123,6 +123,13 @@ def test_inic_sort_correct_prototype_two_phase():
     assert np.array_equal(np.sort(keys), out)
     # The prototype card really was configured with the 16-bucket core.
     assert cluster.nodes[0].require_inic().design.has_core("bucket-sort-16")
+    # The keys are binned on the host; the core is charged for every key
+    # once on the send side and once on the receive side.
+    charged = sum(
+        node.require_inic().design.core("bucket-sort-16").bytes_processed
+        for node in cluster.nodes
+    )
+    assert charged == 2 * keys.nbytes
 
 
 @pytest.mark.parametrize(

@@ -29,10 +29,10 @@ def test_build_standard_cluster():
 
 
 def test_build_inic_cluster():
-    c = Cluster.build(ClusterSpec(n_nodes=4).with_inic(IDEAL_INIC))
+    c = Cluster.build(ClusterSpec(n_nodes=4, inic=IDEAL_INIC))
     for node in c.nodes:
         assert node.inic is not None and node.nic is None
-    c2 = Cluster.build(ClusterSpec(n_nodes=2).with_inic(ACEII_PROTOTYPE))
+    c2 = Cluster.build(ClusterSpec(n_nodes=2, inic=ACEII_PROTOTYPE))
     assert c2.nodes[0].inic.spec.name == "aceii-prototype"
 
 

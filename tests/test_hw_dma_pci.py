@@ -5,20 +5,22 @@ import pytest
 from repro.errors import DMAError
 from repro.hw import PCI_32_33_RATE, DMAEngine, pci_32_33
 from repro.hw.pci import DEFAULT_ARBITRATION
-from repro.sim import FCFSBus, FairShareBus, Simulator
+from repro.sim import FairShareBus, Simulator
 
 
 def test_dma_transfer_time_includes_setup():
     sim = Simulator()
-    bus = FCFSBus(sim, bandwidth=1e6, name="b")
-    dma = DMAEngine(sim, bus, setup_cost=0.5, burst_size=10**9)
+    bus = pci_32_33(sim)
+    dma = DMAEngine(sim, bus, setup_cost=0.5)
 
     def proc():
-        yield from dma.transfer(1e6)
+        yield dma.start(1e6)
         return sim.now
 
     p = sim.process(proc())
-    assert sim.run(until=p) == pytest.approx(1.5)
+    assert sim.run(until=p) == pytest.approx(
+        0.5 + bus.arbitration_latency + 1e6 / bus.bandwidth
+    )
 
 
 @pytest.mark.parametrize(
@@ -28,14 +30,14 @@ def test_dma_on_fair_share_bus_completes_bit_for_bit(t0, setup, nbytes):
     """On a fair-share bus the set-up cost rides along as the transfer's
     lead time; an uncontended transfer started at ``t0`` completes at
     exactly ``((t0 + setup) + arbitration) + n / bandwidth``, the float
-    the sleep-then-transfer sequence gave."""
+    a sleep-then-transfer sequence gives."""
     sim = Simulator()
     bus = pci_32_33(sim)
     dma = DMAEngine(sim, bus, setup_cost=setup)
 
     def proc():
         yield sim.timeout(t0)
-        yield from dma.transfer(nbytes)
+        yield dma.start(nbytes)
         return sim.now
 
     p = sim.process(proc())
@@ -45,41 +47,32 @@ def test_dma_on_fair_share_bus_completes_bit_for_bit(t0, setup, nbytes):
     assert dma.transfers == 1
 
 
-def test_dma_chunks_into_bursts():
-    sim = Simulator()
-    bus = FCFSBus(sim, bandwidth=1e6)
-    dma = DMAEngine(sim, bus, setup_cost=0.0, burst_size=1000)
-
-    def proc():
-        yield from dma.transfer(10_000)
-
-    sim.process(proc())
-    sim.run()
-    assert bus.stats.transfer_count == 10
-    assert bus.stats.bytes_transferred == pytest.approx(10_000)
-
-
 def test_dma_efficiency_improves_with_size():
     """The 64 KiB receive threshold of Eq. (15) exists because DMA
-    efficiency is poor for small transfers."""
+    efficiency is poor for small transfers: the simulated rate of one
+    uncontended transfer, as a share of the bus bandwidth."""
     sim = Simulator()
-    bus = FCFSBus(sim, bandwidth=112e6)  # ~85% of PCI 132 MB/s
+    bus = pci_32_33(sim)
     dma = DMAEngine(sim, bus, setup_cost=20e-6)
-    small = dma.efficiency(1024)
-    big = dma.efficiency(64 * 1024)
+    effs = []
+    for nbytes in (1024, 4096, 64 * 1024):
+        t0 = sim.now
+        sim.run(until=dma.start(nbytes))
+        effs.append(nbytes / (sim.now - t0) / bus.bandwidth)
+    small, mid, big = effs
     assert small < 0.35
     assert big > 0.95
-    assert dma.efficiency(1024) < dma.efficiency(4096) < dma.efficiency(65536)
+    assert small < mid < big
 
 
 def test_dma_statistics():
     sim = Simulator()
-    bus = FCFSBus(sim, bandwidth=1e6)
+    bus = pci_32_33(sim)
     dma = DMAEngine(sim, bus, setup_cost=0.0)
 
     def proc():
-        yield from dma.transfer(5000)
-        yield from dma.transfer(3000)
+        yield dma.start(5000)
+        yield dma.start(3000)
 
     sim.process(proc())
     sim.run()
@@ -89,14 +82,12 @@ def test_dma_statistics():
 
 def test_dma_rejects_bad_args():
     sim = Simulator()
-    bus = FCFSBus(sim, bandwidth=1e6)
+    bus = pci_32_33(sim)
     with pytest.raises(DMAError):
         DMAEngine(sim, bus, setup_cost=-1)
-    with pytest.raises(DMAError):
-        DMAEngine(sim, bus, burst_size=0)
     dma = DMAEngine(sim, bus)
     with pytest.raises(DMAError):
-        list(dma.transfer(0))
+        dma.start(0)
 
 
 def test_pci_rates_ordering():

@@ -315,21 +315,35 @@ def test_chunk_sizes_are_pinned(card_name, packet):
 
 
 def test_compute_mode_runs_kernel():
-    sim, cards, cpus = make_cards(n=1)
     data = np.arange(1024, dtype=np.float64)
-    results = {}
 
-    def proc():
-        yield from cards[0].configure(Design("calc", [FIFOCore()], mode="compute"))
-        ev = cards[0].compute(
-            data, lambda d: d * 2, in_bytes=data.nbytes, out_bytes=data.nbytes
-        )
-        results["out"] = yield ev
+    def run(spec):
+        sim, cards, cpus = make_cards(n=1, spec=spec)
+        results = {}
 
-    sim.process(proc())
-    sim.run()
-    assert np.array_equal(results["out"], data * 2)
-    assert cards[0].stats.completion_interrupts == 1
+        def proc():
+            yield from cards[0].configure(Design("calc", [FIFOCore()], mode="compute"))
+            t0 = sim.now
+            ev = cards[0].compute(
+                data, lambda d: d * 2, in_bytes=data.nbytes, out_bytes=data.nbytes
+            )
+            results["out"] = yield ev
+            results["elapsed"] = sim.now - t0
+
+        sim.process(proc())
+        sim.run()
+        assert np.array_equal(results["out"], data * 2)
+        assert cards[0].stats.completion_interrupts == 1
+        return results["elapsed"]
+
+    # The on-card pass is memory-bound: it runs at the card RAM's
+    # bandwidth when that is slower than every configured core.
+    slow, slower = (
+        replace(IDEAL_INIC, memory_bandwidth=IDEAL_INIC.memory_bandwidth / k)
+        for k in (4, 8)
+    )
+    gap = data.nbytes / slower.memory_bandwidth - data.nbytes / slow.memory_bandwidth
+    assert run(slower) - run(slow) == pytest.approx(gap, rel=1e-9)
 
 
 # --- card-train fast path: stat identity ----------------------------------------------

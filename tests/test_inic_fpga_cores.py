@@ -95,15 +95,16 @@ def test_bucket_clbs_monotone():
 def test_transpose_core_transposes():
     core = LocalTransposeCore()
     block = np.arange(16, dtype=np.complex128).reshape(4, 4)
-    out = core.apply(block)
+    [out] = core.apply_panel(block, 1)
     assert np.array_equal(out, block.T)
     assert out.flags["C_CONTIGUOUS"]
+    assert core.bytes_processed == block.nbytes
 
 
 def test_transpose_core_rejects_non_square():
     core = LocalTransposeCore()
     with pytest.raises(OffloadError):
-        core.apply(np.zeros((2, 3)))
+        core.apply_panel(np.zeros((2, 3)), 1)
 
 
 def test_local_transpose_blocks_round_trip():
@@ -113,7 +114,7 @@ def test_local_transpose_blocks_round_trip():
     for p, blk in enumerate(blocks):
         assert np.array_equal(blk, panel[:, 2 * p : 2 * p + 2].T)
     # The one-copy extraction is bit-equal to transposing each block on
-    # its own, and the core charges the bytes per-block ``apply`` would.
+    # its own, and the core charges the panel's bytes.
     rng = np.random.default_rng(3)
     for p in (1, 2, 4, 16):
         m = 32 // p
@@ -125,11 +126,9 @@ def test_local_transpose_blocks_round_trip():
             assert blk.flags["C_CONTIGUOUS"]
             assert blk.dtype == want.dtype and blk.shape == want.shape
             assert blk.tobytes() == want.tobytes()
-        fused, single = LocalTransposeCore(), LocalTransposeCore()
-        fused.apply_panel(panel, p)
-        for d in range(p):
-            single.apply(panel[:, d * m : (d + 1) * m])
-        assert fused.bytes_processed == single.bytes_processed == panel.nbytes
+        core = LocalTransposeCore()
+        core.apply_panel(panel, p)
+        assert core.bytes_processed == panel.nbytes
     with pytest.raises(OffloadError):
         LocalTransposeCore().apply_panel(np.zeros((2, 8)), 2)
 
@@ -161,35 +160,11 @@ def test_permutation_assemble_validates():
 
 
 # --- BucketSortCore ----------------------------------------------------------------------
-def test_bucket_sort_is_partition_and_permutation():
-    rng = np.random.default_rng(1)
-    keys = rng.integers(0, 2**32, size=10_000, dtype=np.uint32)
-    core = BucketSortCore(16)
-    buckets = core.apply(keys)
-    assert len(buckets) == 16
-    cat = np.concatenate(buckets)
-    assert np.array_equal(np.sort(cat), np.sort(keys))
-    # Top-bit ordering across buckets.
-    for b in range(15):
-        if buckets[b].size and buckets[b + 1].size:
-            assert buckets[b].max() >> 28 <= buckets[b + 1].min() >> 28
-
-
-def test_bucket_sort_stable_within_bucket():
-    keys = np.array([5, 3, 5, 1], dtype=np.uint32)  # all in bucket 0
-    core = BucketSortCore(2)
-    buckets = core.apply(keys)
-    assert np.array_equal(buckets[0], keys)  # order preserved
-
-
 def test_bucket_sort_validates():
     with pytest.raises(OffloadError):
         BucketSortCore(3)
     with pytest.raises(OffloadError):
         BucketSortCore(1)
-    core = BucketSortCore(4)
-    with pytest.raises(OffloadError):
-        core.apply(np.zeros(4, dtype=np.float64))
 
 
 # --- ReduceCore --------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from repro.hw import CPU, CacheLevel, CoalescePolicy, MemoryHierarchy
 from repro.net import Frame, GIGABIT_ETHERNET, MacAddress, StandardNIC, build_star
-from repro.sim import FCFSBus, FairShareBus, Simulator
+from repro.sim import FairShareBus, Simulator
 
 
 def make_cpu(sim):
@@ -17,12 +17,12 @@ def make_cpu(sim):
     return CPU(sim, mh, interrupt_cost=10e-6)
 
 
-def make_pair(sim, coalesce=CoalescePolicy(), bus_cls=FairShareBus):
+def make_pair(sim, coalesce=CoalescePolicy()):
     """Two NICs behind a gigabit switch; returns (nics, cpus, addrs)."""
     nics, cpus, addrs = [], [], []
     for i in range(2):
         cpu = make_cpu(sim)
-        bus = bus_cls(sim, bandwidth=112e6, name=f"pci{i}")
+        bus = FairShareBus(sim, bandwidth=112e6, name=f"pci{i}")
         nic = StandardNIC(
             sim,
             MacAddress(i),
@@ -58,22 +58,6 @@ def test_payload_crosses_host_pci_both_sides():
     sim.run()
     assert nics[0]._tx_dma.bytes_moved == pytest.approx(4000)
     assert nics[1]._rx_dma.bytes_moved == pytest.approx(4000)
-
-
-def test_payload_crosses_a_serialized_host_bus():
-    """On an FCFS host bus the rings' DMA runs the engine's burst
-    sequence; frames still arrive and each DMA counts once."""
-    sim = Simulator()
-    nics, _, addrs = make_pair(sim, bus_cls=FCFSBus)
-    got = []
-    nics[1].bind_receiver(got.append)
-    for _ in range(3):
-        nics[0].transmit_nowait(Frame(addrs[0], addrs[1], payload_bytes=9000))
-    sim.run()
-    assert len(got) == 3
-    assert nics[0]._tx_dma.bytes_moved == pytest.approx(27000)
-    assert nics[0]._tx_dma.transfers == nics[1]._rx_dma.transfers == 3
-    assert nics[0]._tx_dma.bus.stats.transfer_count == 3 * 3  # 4 KiB bursts
 
 
 def test_interrupt_per_frame_without_coalescing():

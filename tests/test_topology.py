@@ -486,7 +486,9 @@ def test_fattree_clock_names():
 def test_cluster_spec_fabric_options_roundtrip():
     from repro.cluster.builder import ClusterSpec, FABRIC_KINDS
 
-    spec = ClusterSpec(n_nodes=16).with_fabric("fattree", oversub=2)
+    spec = ClusterSpec(n_nodes=16).replace(
+        fabric="fattree", fabric_options=(("oversub", 2),)
+    )
     assert spec.fabric == "fattree"
     assert spec.fabric_options == (("oversub", 2),)
     with pytest.raises(ValueError, match="unknown fabric 'mesh'"):
@@ -496,7 +498,9 @@ def test_cluster_spec_fabric_options_roundtrip():
     with pytest.raises(ValueError, match="only valid for hierarchical"):
         ClusterSpec(n_nodes=2, fabric="wire", fabric_options=(("oversub", 2),))
     # list-valued options become tuples so the frozen spec stays hashable
-    spec = ClusterSpec(n_nodes=8).with_fabric("torus", dims=[2, 2, 2])
+    spec = ClusterSpec(n_nodes=8).replace(
+        fabric="torus", fabric_options=(("dims", [2, 2, 2]),)
+    )
     assert spec.fabric_options == (("dims", (2, 2, 2)),)
     hash(spec.fabric_options)
 

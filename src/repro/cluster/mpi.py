@@ -17,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from ..errors import ApplicationError
+from ..errors import ApplicationError, ProtocolError
 from ..hw.memory import AccessPattern
 from ..net.addresses import MacAddress
 from ..protocols.base import MessageView
-from ..sim.engine import Event, Process
+from ..sim.engine import Event
 from .builder import Cluster
 from .node import Node
 
@@ -91,43 +91,25 @@ class RankContext:
     # -- point to point ------------------------------------------------------------
     def send(
         self, dst: int, nbytes: int, payload: Any = None, tag: int = 0
-    ) -> Process:
-        """Start an MPI send; returns the send process, which finishes
-        (value ``None``) at completion.
+    ) -> Event:
+        """Start an MPI send; returns its completion event, which fires
+        (value ``None``) when the send is done.
 
         Small messages go eagerly; messages above the MPI eager limit
         first exchange an RTS/CTS handshake with the receiver's library
         (rendezvous), as era MPI implementations over TCP did.
 
-        The process is the completion event itself, so a send costs one
-        schedule entry at its end, and an error raised inside the send
-        (say a :class:`~repro.errors.ProtocolError`) is thrown into
-        whoever waits on it.
+        The send is a callback state machine (:class:`_Send`), not a
+        process: it starts with one URGENT entry, where a process start
+        runs, and an error raised inside it (say a
+        :class:`~repro.errors.ProtocolError` from TCP) fails the
+        completion event, so it is thrown into whoever waits on it.
         """
         if not 0 <= dst < self.size:
             raise ApplicationError(f"bad destination rank {dst}")
         if dst == self.rank:
             return self._self_send(nbytes, payload, tag)
-        return self.sim.process(
-            self._send_proc(dst, nbytes, payload, tag), name=self._send_name
-        )
-
-    def _send_proc(self, dst: int, nbytes: int, payload: Any, tag: int):
-        cfg = self.mpi_config
-        tcp = self.node.require_tcp()
-        yield from self.node.cpu.busy(cfg.send_cost)
-        if nbytes > cfg.eager_limit:
-            # Rendezvous: RTS carries a token; wait for the CTS echo.
-            self._rdv_tokens += 1
-            token = (self.rank << 16) | (self._rdv_tokens & 0xFFFF)
-            tcp.send(
-                MacAddress(dst),
-                cfg.control_bytes,
-                payload=token,
-                tag=_RTS_TAG,
-            )
-            yield tcp.recv(src=MacAddress(dst), tag=_CTS_TAG_BASE + token)
-        yield tcp.send(MacAddress(dst), nbytes, payload=payload, tag=tag)
+        return _Send(self, dst, nbytes, payload, tag).done
 
     def _rendezvous_responder(self):
         """Library-side progress loop answering RTS with CTS."""
@@ -143,21 +125,29 @@ class RankContext:
                 tag=_CTS_TAG_BASE + int(msg.payload),
             )
 
-    def _self_send(self, nbytes: int, payload: Any, tag: int) -> Process:
-        """MPI self-send: one memcpy, no wire; returns the copy process."""
+    def _self_send(self, nbytes: int, payload: Any, tag: int) -> Event:
+        """MPI self-send: one memcpy, no wire; returns its completion
+        event, which fires once the copy is delivered."""
         copy_time = self.node.hierarchy.touch_time(
             2 * nbytes, pattern=AccessPattern.STREAM
         )
+        done = Event(self.sim, f"selfsend.{self.rank}")
 
-        def proc():
-            yield from self.node.cpu.busy(copy_time)
-            self.node.require_tcp().mailbox.deliver(
+        def copied():
+            try:
+                mailbox = self.node.require_tcp().mailbox
+            except RuntimeError as exc:
+                done.fail(exc)
+                return
+            mailbox.deliver(
                 MessageView(
                     src=MacAddress(self.rank), tag=tag, nbytes=nbytes, payload=payload
                 )
             )
+            done.succeed()
 
-        return self.sim.process(proc(), name=f"selfsend.{self.rank}")
+        self.sim.call_urgent(self.node.cpu.busy_then, copy_time, copied)
+        return done
 
     def recv(self, src: Optional[int] = None, tag: Optional[int] = None) -> Event:
         """Event yielding the next matching :class:`MessageView`.
@@ -178,6 +168,70 @@ class RankContext:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<RankContext {self.rank}/{self.size}>"
+
+
+class _Send:
+    """One MPI send to another rank, stepped by callbacks.
+
+    The steps a send process took, each where the process resumed: the
+    URGENT start entry, the library's CPU cost (:meth:`CPU.busy_then`),
+    the RTS and the wait for its CTS (rendezvous only), the TCP send,
+    and ``done`` when TCP reports the message ACKed.  A node without
+    TCP, a message TCP refuses, or a failed TCP send fails ``done``.
+    """
+
+    __slots__ = ("ctx", "dst", "nbytes", "payload", "tag", "done")
+
+    def __init__(self, ctx: RankContext, dst: int, nbytes: int, payload: Any, tag: int):
+        self.ctx = ctx
+        self.dst = dst
+        self.nbytes = nbytes
+        self.payload = payload
+        self.tag = tag
+        self.done = Event(ctx.sim, ctx._send_name)
+        ctx.sim.call_urgent(self._start)
+
+    def _start(self) -> None:
+        ctx = self.ctx
+        try:
+            ctx.node.require_tcp()
+        except RuntimeError as exc:
+            self.done.fail(exc)
+            return
+        ctx.node.cpu.busy_then(ctx.mpi_config.send_cost, self._post)
+
+    def _post(self) -> None:
+        ctx = self.ctx
+        cfg = ctx.mpi_config
+        if self.nbytes > cfg.eager_limit:
+            # Rendezvous: RTS carries a token; wait for the CTS echo.
+            tcp = ctx.node.tcp
+            ctx._rdv_tokens += 1
+            token = (ctx.rank << 16) | (ctx._rdv_tokens & 0xFFFF)
+            dst = MacAddress(self.dst)
+            tcp.send(dst, cfg.control_bytes, payload=token, tag=_RTS_TAG)
+            cts = tcp.recv(src=dst, tag=_CTS_TAG_BASE + token)
+            if cts.callbacks is not None:
+                cts.callbacks.append(self._send_data)
+                return
+        self._send_data()
+
+    def _send_data(self, _cts: Optional[Event] = None) -> None:
+        payload, self.payload = self.payload, None
+        try:
+            acked = self.ctx.node.tcp.send(
+                MacAddress(self.dst), self.nbytes, payload=payload, tag=self.tag
+            )
+        except ProtocolError as exc:
+            self.done.fail(exc)
+            return
+        acked.callbacks.append(self._acked)
+
+    def _acked(self, acked: Event) -> None:
+        if acked._ok:
+            self.done.succeed()
+        else:
+            self.done.fail(acked._value)
 
 
 class Communicator:

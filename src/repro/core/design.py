@@ -44,59 +44,56 @@ def validated(design: Design) -> Design:
     return design
 
 
-def _protocol_path(packet_size: int = 1024):
+def _protocol_path():
     return [
-        PacketizerCore(packet_size),
-        DepacketizerCore(packet_size),
+        PacketizerCore(),
+        DepacketizerCore(),
         FIFOCore(name="fifo"),
     ]
 
 
-def fft_transpose_design(packet_size: int = 1024) -> Design:
+def fft_transpose_design() -> Design:
     """Figure 2(b): local transpose out, final permutation in."""
     return validated(
         Design(
             "fft-transpose",
-            _protocol_path(packet_size)
-            + [LocalTransposeCore(), FinalPermutationCore()],
+            _protocol_path() + [LocalTransposeCore(), FinalPermutationCore()],
             mode=Mode.COMBINED.value,
         )
     )
 
 
-def supported_bucket_count(card: CardSpec, packet_size: int = 1024) -> int:
+def supported_bucket_count(card: CardSpec) -> int:
     """Largest power-of-two bucket count the card's FPGA(s) can host
     alongside the protocol path."""
-    fixed = INFRASTRUCTURE_CLBS + sum(c.spec.clbs for c in _protocol_path(packet_size))
+    fixed = INFRASTRUCTURE_CLBS + sum(c.spec.clbs for c in _protocol_path())
     budget = sum(d.clbs for d in card.devices) - fixed
     if budget <= 0:
         raise ConfigurationError(f"{card.name}: no CLBs left for a sort core")
     return max_buckets_for_clbs(budget)
 
 
-def integer_sort_design(
-    card: CardSpec, n_buckets: int | None = None, packet_size: int = 1024
-) -> Design:
+def integer_sort_design(card: CardSpec, n_buckets: int | None = None) -> Design:
     """Figures 3(b)/7: bucket sort in the datapath, both directions.
 
     ``n_buckets=None`` auto-sizes to the card (16 on the ACEII
     prototype, >=128 on the ideal card).
     """
     if n_buckets is None:
-        n_buckets = supported_bucket_count(card, packet_size)
+        n_buckets = supported_bucket_count(card)
     return validated(
         Design(
             "integer-sort",
-            _protocol_path(packet_size) + [BucketSortCore(n_buckets)],
+            _protocol_path() + [BucketSortCore(n_buckets)],
             mode=Mode.COMBINED.value,
         )
     )
 
 
-def protocol_processor_design(packet_size: int = 1024) -> Design:
+def protocol_processor_design() -> Design:
     """Section 2's pure Protocol Processor mode."""
     return validated(
-        Design("protocol-processor", _protocol_path(packet_size), mode=Mode.PROTOCOL.value)
+        Design("protocol-processor", _protocol_path(), mode=Mode.PROTOCOL.value)
     )
 
 

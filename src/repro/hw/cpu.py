@@ -22,7 +22,7 @@ modelled:
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
+from typing import Callable, Optional
 
 from ..errors import HardwareError
 from ..sim.engine import NORMAL, Event, Simulator
@@ -131,48 +131,84 @@ class CPU:
         which the task drains when a sleep ends.  A busy core queues the
         task; the release hands the core over with one same-time grant
         entry.
+
+        :meth:`busy_then` drives the same steps from callbacks.
         """
         if seconds < 0:
             raise HardwareError(f"negative compute time {seconds!r}")
-        sim = self.sim
-        if self._held:
-            grant = sim.event(self._grant_name)
-            self._waiters.append(grant)
+        grant = self._take()
+        if grant is not None:
             yield grant
-        else:
-            grant = None
-            self._held = True
-        first = None
+        start = self.sim._now
+        sleep = self._first_sleep(seconds, grant is None)
         try:
-            start = sim._now
-            backlog = self._consume_backlog()
-            remaining = seconds + backlog
-            if grant is None:
-                # The grant's place in the order: a zero-length task waits
-                # there (a steal in between gives it work); any other
-                # task's first sleep takes it and opens the fold window.
-                first = sim.sleep(remaining)
-                if remaining > 0:
-                    self._first = first
-                    self._first_at = start
-                    self._first_seq = first._entry[2]
-                    self._first_seconds = seconds
-                    self._first_backlog = backlog
-                yield first
-                remaining = self._consume_backlog()
-            while remaining > 0:
-                yield sim.sleep(remaining)
-                # Interrupts may have stolen time while we "ran".
-                remaining = self._consume_backlog()
-            self.busy_time += sim._now - start
-            self.tasks_run += 1
+            while sleep is not None:
+                yield sleep
+                sleep = self._next_sleep()
+            self._account(start)
         finally:
-            if first is not None and self._first is first:
-                self._first = None
-            if self._waiters:
-                self._waiters.popleft().succeed()
-            else:
-                self._held = False
+            self._release()
+
+    def busy_then(self, seconds: float, then: Callable[[], None]) -> None:
+        """Occupy the core for ``seconds`` of work, then call ``then()``.
+
+        The callback form of :meth:`busy`, for state machines: the same
+        steps push the same entries (grant, sleeps, the fold's
+        withdraw-and-repush, the grant on release), and ``then`` runs
+        where the generator's caller would resume, after the release.
+        """
+        if seconds < 0:
+            raise HardwareError(f"negative compute time {seconds!r}")
+        _Task(self, seconds, then)
+
+    # -- the steps both drivers take -----------------------------------------------
+    def _take(self) -> Optional[Event]:
+        """Request the core: ``None`` if it was free (the caller now holds
+        it), else the grant event that hands it over, FIFO."""
+        if self._held:
+            grant = Event(self.sim, self._grant_name)
+            self._waiters.append(grant)
+            return grant
+        self._held = True
+        return None
+
+    def _first_sleep(self, seconds: float, inline: bool) -> Optional[Event]:
+        """The task starts on the held core: its first sleep, or ``None``
+        for a granted task with no work."""
+        sim = self.sim
+        backlog = self._consume_backlog()
+        remaining = seconds + backlog
+        if not inline:
+            return sim.sleep(remaining) if remaining > 0 else None
+        # The grant's place in the order: a zero-length task waits there
+        # (a steal in between gives it work); any other task's first
+        # sleep takes it and opens the fold window.
+        first = sim.sleep(remaining)
+        if remaining > 0:
+            self._first = first
+            self._first_at = sim._now
+            self._first_seq = first._entry[2]
+            self._first_seconds = seconds
+            self._first_backlog = backlog
+        return first
+
+    def _next_sleep(self) -> Optional[Event]:
+        """A sleep ended: the sleep for what interrupts stole while the
+        task "ran", or ``None`` when the task is done."""
+        remaining = self._consume_backlog()
+        return self.sim.sleep(remaining) if remaining > 0 else None
+
+    def _account(self, start: float) -> None:
+        self.busy_time += self.sim._now - start
+        self.tasks_run += 1
+
+    def _release(self) -> None:
+        """Close the holder's fold window and hand the core on."""
+        self._first = None
+        if self._waiters:
+            self._waiters.popleft().succeed()
+        else:
+            self._held = False
 
     def _consume_backlog(self) -> float:
         stolen, self._steal_backlog = self._steal_backlog, 0.0
@@ -206,3 +242,40 @@ class CPU:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<CPU {self.name!r} {self.clock_hz / 1e6:g} MHz>"
+
+
+class _Task:
+    """One :meth:`CPU.busy_then` task, stepped by its grant's and its
+    sleeps' callbacks where :meth:`CPU.busy` resumes."""
+
+    __slots__ = ("cpu", "seconds", "then", "start")
+
+    def __init__(self, cpu: CPU, seconds: float, then: Callable[[], None]):
+        self.cpu = cpu
+        self.seconds = seconds
+        self.then = then
+        grant = cpu._take()
+        if grant is None:
+            self._begin(True)
+        else:
+            grant.callbacks.append(self._granted)
+
+    def _granted(self, _grant: Event) -> None:
+        self._begin(False)
+
+    def _begin(self, inline: bool) -> None:
+        cpu = self.cpu
+        self.start = cpu.sim._now
+        self._step(cpu._first_sleep(self.seconds, inline))
+
+    def _slept(self, _sleep: Event) -> None:
+        self._step(self.cpu._next_sleep())
+
+    def _step(self, sleep: Optional[Event]) -> None:
+        if sleep is not None:
+            sleep.callbacks.append(self._slept)
+            return
+        cpu = self.cpu
+        cpu._account(self.start)
+        cpu._release()
+        self.then()

@@ -24,7 +24,7 @@ from ..hw.cpu import CPU
 from ..hw.dma import DMAEngine
 from ..hw.interrupts import CoalescePolicy, InterruptController, IMMEDIATE
 from ..sim.bus import FairShareBus
-from ..sim.engine import URGENT, Event, Simulator
+from ..sim.engine import Event, Simulator
 from .addresses import MacAddress
 from .link import Wire
 from .packet import Frame
@@ -46,11 +46,10 @@ class _Ring:
     """A descriptor ring drained by a callback state machine.
 
     The DMA side of a NIC ring, without a process: a frame that reaches
-    an idle ring is handed over by one pooled ``call_after(0.0, ...)``
-    entry (where a parked getter's event fired), each payload crosses
-    the host bus by ``DMAEngine.start`` with the drain step hung on the
-    bus's ``done``, and frames without payload go on in the same step.
-    ``deliver(frame)`` runs once the frame has crossed.
+    an idle ring is taken in place, in the caller's step, each payload
+    crosses the host bus by ``DMAEngine.start`` with the drain step hung
+    on the bus's ``done``, and frames without payload go on in the same
+    step.  ``deliver(frame)`` runs once the frame has crossed.
 
     Until the NIC's first event fires (:meth:`start`) nothing drains:
     frames queue, up to ``capacity``, exactly as they queued in front
@@ -94,7 +93,7 @@ class _Ring:
         elif self.idle:
             self.idle = False
             self.frame = frame
-            self.sim.call_after(0.0, self._run)
+            self._run()
         else:
             self.frames.append(frame)
 
@@ -197,9 +196,7 @@ class StandardNIC:
 
         # The NIC's first event opens both rings; until it fires, frames
         # only queue.
-        start = sim.event(name=f"{name}.start")
-        start.callbacks.append(self._start)
-        start.succeed(priority=URGENT)
+        sim.call_urgent(self._start)
 
     # -- wiring -----------------------------------------------------------------
     def attach_wire(self, wire: Wire) -> None:
@@ -242,26 +239,28 @@ class StandardNIC:
             self._wire_out.register_telemetry(registry, f"{prefix}.uplink")
 
     # -- host-side API -------------------------------------------------------------
-    def transmit(self, frame: Frame):
-        """Generator: hand ``frame`` to the NIC (blocks if TX ring full).
+    def transmit(self, frame: Frame) -> Optional[Event]:
+        """Hand ``frame`` to the TX ring.
 
-        Use as ``yield from nic.transmit(frame)``; returns once the frame
-        sits in the ring (actual wire departure is asynchronous).
+        Returns ``None`` once the frame sits in the ring (wire departure
+        is asynchronous).  A full ring keeps the frame in line for its
+        next free slot and returns an event that fires when the frame is
+        in: the caller waits on it before its next transmit.
         """
         ring = self._tx_ring
-        if ring.is_full:
-            ev = self.sim.event(name=f"{self.name}.txring.put")
-            ring.put(frame, ev)
-            yield ev
-        else:
+        if not ring.is_full:
             ring.put(frame)
+            return None
+        ev = Event(self.sim, f"{self.name}.txring.put")
+        ring.put(frame, ev)
+        return ev
 
     def transmit_nowait(self, frame: Frame) -> None:
         """Ring-put without backpressure (tests, simple senders)."""
         self._tx_ring.put(frame)
 
     # -- datapath -----------------------------------------------------------------
-    def _start(self, _ev: Event) -> None:
+    def _start(self) -> None:
         self._tx_ring.start()
         self._rx_ring.start()
 

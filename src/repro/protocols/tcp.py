@@ -122,11 +122,15 @@ class _SendConn:
         self.window_msgs: list[_OutMsg] = []
         self.last_progress = stack.sim.now
         self.last_activity = stack.sim.now
-        self._send_wakeup: Optional[Event] = None
-        self._window_wakeup: Optional[Event] = None
+        #: the sender is parked until send() queues data / the window opens
+        self._idle = False
+        self._blocked = False
+        #: the message and the chunk the sender is working on
+        self._msg: Optional[_OutMsg] = None
+        self._frame: Optional[Frame] = None
         #: the armed retransmission deadline (``call_after`` handle)
         self._rto: Optional[list] = None
-        stack.sim.process(self._sender(), name=f"tcp.snd.{remote}")
+        stack.sim.call_urgent(self._next)
 
     # -- window helpers ------------------------------------------------------------
     @property
@@ -137,11 +141,17 @@ class _SendConn:
         cfg = self.stack.config
         return min(int(self.cwnd) * cfg.mss, cfg.rwnd)
 
-    def _wake(self, attr: str) -> None:
-        ev: Optional[Event] = getattr(self, attr)
-        if ev is not None:
-            setattr(self, attr, None)
-            ev.succeed(None)
+    def _wake_idle(self) -> None:
+        """send() queued data: an idle sender starts its next chunk."""
+        if self._idle:
+            self._idle = False
+            self.stack.sim.call_after(0.0, self._next)
+
+    def _wake_blocked(self) -> None:
+        """The window may have opened: a blocked sender checks again."""
+        if self._blocked:
+            self._blocked = False
+            self.stack.sim.call_after(0.0, self._window)
 
     # -- enqueue -------------------------------------------------------------------
     def enqueue(self, nbytes: int, tag: int, payload: Any) -> Event:
@@ -159,7 +169,7 @@ class _SendConn:
         self.stream_end += nbytes
         self.window_msgs.append(msg)
         self.stack.stats.messages_sent += 1
-        self._wake("_send_wakeup")
+        self._wake_idle()
         return done
 
     # -- frame construction -----------------------------------------------------------
@@ -191,59 +201,100 @@ class _SendConn:
             },
         )
 
-    # -- sender process ----------------------------------------------------------------
-    def _sender(self):
-        sim = self.stack.sim
-        cpu = self.stack.cpu
-        cfg = self.stack.config
+    # -- sender state machine ------------------------------------------------------------
+    # A callback chain in place of a sender process: each step runs
+    # where the process resumed (its URGENT start, a wake-up, the end of
+    # a CPU task, a TX-ring slot), and makes the entries it made.
+    def _next(self) -> None:
+        """Start the next chunk, or park until send() queues data."""
+        stack = self.stack
+        cpu = stack.cpu
         while True:
             if self.snd_nxt >= self.stream_end:
                 # Idle until the next send(): keep no delivered payload.
-                msg = frame = None
-                ev = sim.event(name="tcp.snd.wakeup")
-                self._send_wakeup = ev
-                yield ev
-                continue
-            msg = self._msg_at(self.snd_nxt)
+                self._msg = None
+                self._idle = True
+                return
+            msg = self._msg = self._msg_at(self.snd_nxt)
             if self.snd_nxt == msg.start and cpu is not None:
                 # Per-send() syscall/stack-entry cost at message start.
-                yield from cpu.busy(cfg.per_message_cost)
-            # Send whatever the window currently allows (at least one
-            # segment), up to a quantum — partial chunks keep the pipe
-            # ACK-clocked instead of degenerating to stop-and-wait.
-            while self.effective_window() - self.flight < cfg.mss:
-                ev = sim.event(name="tcp.snd.window")
-                self._window_wakeup = ev
-                yield ev
-            window_free = self.effective_window() - self.flight
-            quantum = msg.quantum
-            if not cfg.per_frame:
-                # Grow the chunk to the largest segment train the timing
-                # tolerance allows, but keep >= 4 chunks per window so the
-                # flight stays ACK-clocked (never stop-and-wait).
-                bw = self.stack.nic.wire_bandwidth
-                remaining = -(-(msg.end - self.snd_nxt) // cfg.mss)
-                q_tol = adaptive_quantum(
-                    remaining, self.stack._segment_wire_bytes / bw if bw > 0 else 0.0
-                )
-                q_win = max(1, self.effective_window() // (4 * cfg.mss))
-                quantum = max(quantum, min(q_tol, q_win))
-            chunk = min(
-                quantum * cfg.mss, msg.end - self.snd_nxt, window_free
+                cpu.busy_then(stack.config.per_message_cost, self._window)
+                return
+            if not (self._chunk() and self._transmit()):
+                return
+
+    def _window(self) -> None:
+        """Continue the message: wait for window, then send a chunk."""
+        if self._chunk() and self._transmit():
+            self._next()
+
+    def _segment_charged(self) -> None:
+        if self._transmit():
+            self._next()
+
+    def _tx_slot(self, _ev: Event) -> None:
+        self._count()
+        self._next()
+
+    def _chunk(self) -> bool:
+        """Build the next chunk of ``_msg`` if the window allows one;
+        False if the sender parks or waits on the chunk's CPU cost."""
+        stack = self.stack
+        cfg = stack.config
+        # Send whatever the window currently allows (at least one
+        # segment), up to a quantum — partial chunks keep the pipe
+        # ACK-clocked instead of degenerating to stop-and-wait.
+        window = self.effective_window()
+        window_free = window - self.flight
+        if window_free < cfg.mss:
+            self._blocked = True
+            return False
+        msg = self._msg
+        quantum = msg.quantum
+        if not cfg.per_frame:
+            # Grow the chunk to the largest segment train the timing
+            # tolerance allows, but keep >= 4 chunks per window so the
+            # flight stays ACK-clocked (never stop-and-wait).
+            bw = stack.nic.wire_bandwidth
+            remaining = -(-(msg.end - self.snd_nxt) // cfg.mss)
+            q_tol = adaptive_quantum(
+                remaining, stack._segment_wire_bytes / bw if bw > 0 else 0.0
             )
-            frame = self._build_frame(self.snd_nxt, chunk)
-            if cpu is not None:
-                yield from cpu.busy(cfg.send_cost_per_segment * frame.frame_count)
-            was_idle = self.flight == 0
-            self.snd_nxt += frame.payload_bytes
-            self.last_activity = sim.now
-            if was_idle:
-                self.last_progress = sim.now
-                if self._rto is None:
-                    self._check_rto()
-            yield from self.stack.nic.transmit(frame)
-            self.stack.stats.data_frames_sent += frame.frame_count
-            self.stack.stats.bytes_sent += frame.payload_bytes
+            q_win = max(1, window // (4 * cfg.mss))
+            quantum = max(quantum, min(q_tol, q_win))
+        chunk = min(quantum * cfg.mss, msg.end - self.snd_nxt, window_free)
+        frame = self._frame = self._build_frame(self.snd_nxt, chunk)
+        if stack.cpu is not None:
+            stack.cpu.busy_then(
+                cfg.send_cost_per_segment * frame.frame_count, self._segment_charged
+            )
+            return False
+        return True
+
+    def _transmit(self) -> bool:
+        """Put the chunk on the wire's TX ring; False if the ring is full
+        (the sender goes on when the chunk is in)."""
+        sim = self.stack.sim
+        frame = self._frame
+        was_idle = self.flight == 0
+        self.snd_nxt += frame.payload_bytes
+        self.last_activity = sim.now
+        if was_idle:
+            self.last_progress = sim.now
+            if self._rto is None:
+                self._check_rto()
+        slot = self.stack.nic.transmit(frame)
+        if slot is not None:
+            slot.callbacks.append(self._tx_slot)
+            return False
+        self._count()
+        return True
+
+    def _count(self) -> None:
+        frame, self._frame = self._frame, None
+        stats = self.stack.stats
+        stats.data_frames_sent += frame.frame_count
+        stats.bytes_sent += frame.payload_bytes
 
     # -- ACK handling ---------------------------------------------------------------------
     def on_ack(self, ack: int) -> None:
@@ -263,8 +314,8 @@ class _SendConn:
                 self.snd_nxt = self.snd_una
                 self.stack.stats.retransmitted_frames += -(-lost // cfg.mss)
                 self.last_progress = self.stack.sim.now
-                self._wake("_window_wakeup")
-                self._wake("_send_wakeup")
+                self._wake_blocked()
+                self._wake_idle()
             return
         self._dup_acks = 0
         acked = ack - self.snd_una
@@ -284,7 +335,7 @@ class _SendConn:
         while self.window_msgs and self.window_msgs[0].end <= self.snd_una:
             msg = self.window_msgs.pop(0)
             msg.done.succeed(None)
-        self._wake("_window_wakeup")
+        self._wake_blocked()
 
     # -- retransmission timer ----------------------------------------------------------------
     def _check_rto(self) -> None:
@@ -311,8 +362,8 @@ class _SendConn:
         self.snd_nxt = self.snd_una
         self.stack.stats.retransmitted_frames += -(-lost // cfg.mss)
         self.last_progress = sim.now
-        self._wake("_window_wakeup")
-        self._wake("_send_wakeup")
+        self._wake_blocked()
+        self._wake_idle()
 
     def _on_rto(self) -> None:
         self._rto = None

@@ -55,6 +55,8 @@ Determinism
 Events scheduled for the same timestamp fire in (priority, insertion
 order).  Nothing in the kernel consults a random source, so identical
 inputs yield identical schedules — a property the test suite checks.
+(The one exception is a test hook, off by default, that breaks
+same-time ties at random to show which results depend on push order.)
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ from __future__ import annotations
 import gc
 import itertools
 import os
+import random
 import sys
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -107,6 +110,26 @@ def set_trace_sink(sink: Optional[list]) -> None:
     """Install (or clear) the event-trace sink for new Simulators."""
     global _TRACE_SINK
     _TRACE_SINK = sink
+
+
+#: module-level tiebreak seed (test hook, ROADMAP item 1).  When set,
+#: every Simulator constructed afterwards draws random high bits into
+#: its sequence numbers, so entries of equal ``(time, priority)`` fire
+#: in a seeded random order instead of push order.
+_TIEBREAK_SEED: Optional[int] = None
+
+
+def _set_tiebreak_seed(seed: Optional[int]) -> None:
+    """Test hook: break same-time ties at random (``None``: push order)."""
+    global _TIEBREAK_SEED
+    _TIEBREAK_SEED = seed
+
+
+def _random_tiebreak(seed: int):
+    """Sequence numbers with 30 random high bits over the push count."""
+    bits = random.Random(seed).getrandbits
+    for n in itertools.count():
+        yield (bits(30) << 32) | n
 
 
 class SimulationRunaway(SimTimeError):
@@ -438,7 +461,10 @@ class Simulator:
         # Bound-method alias: the push path runs once per scheduled
         # event, so the extra attribute hop through ``_sched`` matters.
         self._push = self._sched.push
-        self._seq = itertools.count()
+        if _TIEBREAK_SEED is None:
+            self._seq = itertools.count()
+        else:
+            self._seq = _random_tiebreak(_TIEBREAK_SEED)
         #: free lists for the two hot-path entry shapes (see module docs)
         self._timeout_pool: list[Timeout] = []
         self._callback_pool: list[_Callback] = []
@@ -554,6 +580,20 @@ class Simulator:
         cb.fn = fn
         cb.args = args
         return self._push(self._now + delay, NORMAL, next(self._seq), cb)
+
+    def call_urgent(self, fn: Callable[..., None], *args: Any) -> list:
+        """Run ``fn(*args)`` at the current time, ahead of every NORMAL
+        entry of this time (closure-free).
+
+        One pooled URGENT entry: where a new process's start would run,
+        so a callback state machine can begin in that place without a
+        generator.  Returns a :meth:`cancel_callback` handle.
+        """
+        pool = self._callback_pool
+        cb = pool.pop() if pool else _Callback()
+        cb.fn = fn
+        cb.args = args
+        return self._push(self._now, URGENT, next(self._seq), cb)
 
     def call_at(self, when: float, fn: Callable[..., None], *args: Any) -> list:
         """Run ``fn(*args)`` at absolute time ``when`` (closure-free).

@@ -13,6 +13,7 @@ from repro.hw import (
     MemoryHierarchy,
 )
 from repro.sim import Resource, Simulator
+from repro.sim.engine import set_trace_sink
 
 
 def make_cpu(sim, cls=CPU, **kw):
@@ -261,6 +262,108 @@ _END_TIE_AFTER_REQUEST = {
 @example(_END_TIE_AFTER_REQUEST)
 def test_end_time_ties_follow_push_order(schedule):
     assert _run_schedule(CPU, schedule) == _run_schedule(_ResourceGrantCPU, schedule)
+
+
+# --- the callback driver against the generator driver -----------------------------
+def _run_driven(callbacks, schedule):
+    """``_run_schedule``'s schedule with every gap and task step run from
+    callbacks: each task by ``CPU.busy_then`` (``callbacks``), or by
+    stepping the ``CPU.busy`` generator on its events the way a process
+    does.  Returns the spans, the totals and the kernel's
+    ``(when, prio, seq)`` stream."""
+    sink = []
+    set_trace_sink(sink)
+    try:
+        sim = Simulator()
+    finally:
+        set_trace_sink(None)
+    cpu = make_cpu(sim)
+    spans = []
+
+    def steal_all(amounts):
+        for s in amounts:
+            cpu.steal(s)
+
+    for a, b, amounts in schedule["steals"]:
+        sim.call_at(a + b, steal_all, amounts)
+
+    def run_task(work, then):
+        if callbacks:
+            cpu.busy_then(work, then)
+            return
+        body = cpu.busy(work)
+
+        def step(ev):
+            try:
+                nxt = body.send(ev._value)
+            except StopIteration:
+                then()
+                return
+            nxt.callbacks.append(step)
+
+        next(body).callbacks.append(step)
+
+    def task(tag, tasks, k):
+        if k == len(tasks):
+            return
+        gap, work, d_pre, d_post, q_pre, q_post, urgent, end = tasks[k]
+
+        def begin():
+            steal_all(d_pre)
+            for s in q_pre:
+                sim.call_after(0.0, cpu.steal, s)
+            t0 = sim.now
+
+            def done():
+                spans.append((tag, k, t0, sim.now))
+                task(tag, tasks, k + 1)
+
+            run_task(work, done)
+            steal_all(d_post)
+            for s in q_post:
+                sim.call_after(0.0, cpu.steal, s)
+            if urgent:
+                sim.call_urgent(steal_all, urgent)
+            for s in end:
+                sim.call_at(t0 + work, cpu.steal, s)
+
+        sim.call_after(gap, begin)
+
+    for tag, tasks in enumerate(schedule["procs"]):
+        sim.call_urgent(task, tag, tasks, 0)
+    sim.run()
+    order = [entry[:3] for entry in sink]
+    return sorted(spans), cpu.busy_time, cpu.interrupt_time, cpu.tasks_run, order
+
+
+@settings(max_examples=300, deadline=None)
+@given(_schedule(end_ties_after_request=True))
+@example(_END_TIE_AFTER_REQUEST)
+def test_busy_then_matches_busy(schedule):
+    """``CPU.busy_then`` and the ``CPU.busy`` generator take the same
+    steps: every task ends at the same float, the busy and interrupt
+    totals agree, and the kernel sees the same pushes in the same order,
+    steals inside the fold window and at task ends included."""
+    assert _run_driven(True, schedule) == _run_driven(False, schedule)
+
+
+def test_busy_then_runs_its_continuation_after_the_release():
+    """``then`` runs where a process would resume after ``busy``: the
+    core is already free, so a task it starts is taken inline."""
+    sim = Simulator()
+    cpu = make_cpu(sim)
+    ends = []
+
+    def second():
+        ends.append(("first", sim.now, cpu._held))
+        cpu.busy_then(0.5, lambda: ends.append(("second", sim.now)))
+
+    cpu.busy_then(0.25, second)
+    sim.run()
+    assert ends == [("first", 0.25, False), ("second", 0.75)]
+    assert cpu.tasks_run == 2 and cpu.busy_time == 0.75
+    with pytest.raises(HardwareError):
+        cpu.busy_then(-1.0, second)
 
 
 # --- InterruptController ----------------------------------------------------------

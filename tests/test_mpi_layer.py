@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster import Cluster, ClusterSpec, Communicator, MPIConfig, ParallelApp
 from repro.errors import ApplicationError, ProtocolError
-from repro.sim import Process
+from repro.sim import Event
 
 
 def run_pingpong(nbytes, mpi_config=None):
@@ -105,8 +105,8 @@ def test_concurrent_rendezvous_sends_do_not_cross_match():
 
 
 def test_send_returns_the_send_process():
-    """``send`` (and a self-send) hands back the process doing the send:
-    it is the completion event, with value ``None``."""
+    """``send`` (and a self-send) hands back the send's completion event,
+    with value ``None``."""
     cluster = Cluster.build(ClusterSpec(n_nodes=2))
     app = ParallelApp(cluster)
     seen = []
@@ -114,7 +114,7 @@ def test_send_returns_the_send_process():
     def program(ctx):
         if ctx.rank == 0:
             for ev in (ctx.send(1, 1000, tag=1), ctx.send(0, 1000, tag=2)):
-                seen.append(isinstance(ev, Process))
+                seen.append(isinstance(ev, Event))
                 seen.append((yield ev))
             yield ctx.recv(src=0, tag=2)
         else:
@@ -142,6 +142,48 @@ def test_failing_send_reaches_its_waiter():
 
     result = app.run(program)
     assert result.rank_results[0] == "cannot send 0 bytes"
+
+
+@pytest.mark.parametrize("nbytes", [1000, 128 * 1024], ids=["eager", "rendezvous"])
+def test_failed_tcp_send_fails_the_mpi_send(nbytes):
+    """A TCP send that fails after the MPI send posted it (eager: its ACK
+    event fails; rendezvous: TCP refuses the data once the CTS is in)
+    fails the send's completion event, so the waiting rank sees the
+    error at that time."""
+    cluster = Cluster.build(ClusterSpec(n_nodes=2))
+    app = ParallelApp(cluster)
+    sim = cluster.sim
+    tcp = cluster.nodes[0].tcp
+    tcp_send = tcp.send
+
+    def send(dst, size, payload=None, tag=0):
+        if tag != 7:
+            return tcp_send(dst, size, payload=payload, tag=tag)
+        if size > app.comm.mpi_config.eager_limit:
+            raise ProtocolError("connection reset")
+        acked = sim.event()
+        sim.call_after(1e-3, acked.fail, ProtocolError("connection reset"))
+        return acked
+
+    tcp.send = send
+
+    def program(ctx):
+        if ctx.rank == 0:
+            try:
+                yield ctx.send(1, nbytes, tag=7)
+            except ProtocolError as exc:
+                return str(exc), ctx.sim.now
+        return None
+        yield
+
+    result = app.run(program)
+    error, when = result.rank_results[0]
+    assert error == "connection reset"
+    send_cost = app.comm.mpi_config.send_cost
+    if nbytes > app.comm.mpi_config.eager_limit:
+        assert when > send_cost  # after the RTS/CTS round trip
+    else:
+        assert when == pytest.approx(send_cost + 1e-3)
 
 
 def test_recv_of_arrived_message_charges_match_cost_once():

@@ -142,9 +142,10 @@ def test_rx_ring_overflow_accounts_frame_trains():
 
 
 def test_tx_ring_backpressure_blocks_until_a_slot_frees():
-    """``transmit`` returns at once while the TX ring has room; the
+    """``transmit`` returns ``None`` while the TX ring has room; the
     frame being DMA'd does not count against it, and a sender blocked on
-    a full ring resumes when the drain takes the next frame."""
+    a full ring resumes on the returned event when the drain takes the
+    next frame."""
     sim = Simulator()
     nics, _, addrs = make_pair(sim)
     nic = nics[0]
@@ -156,7 +157,9 @@ def test_tx_ring_backpressure_blocks_until_a_slot_frees():
 
     def sender():
         for _ in range(5):
-            yield from nic.transmit(Frame(addrs[0], addrs[1], payload_bytes=1000))
+            slot = nic.transmit(Frame(addrs[0], addrs[1], payload_bytes=1000))
+            if slot is not None:
+                yield slot
             returned.append((sim.now, nic.stats.tx_frames))
 
     sim.process(sender())

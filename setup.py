@@ -1,17 +1,26 @@
-"""Legacy setuptools shim + optional native-scheduler extension.
+"""Legacy setuptools shim + the optional native extensions.
 
 The metadata lives in ``pyproject.toml``; this file exists so
 ``pip install -e .`` works on environments whose setuptools predates
 PEP-660 editable wheels (no ``wheel`` package available offline), and
-to build the *optional* compiled scheduler backend::
+to build the *optional* compiled kernels::
 
-    python setup.py build_ext --inplace    # drops repro/sim/_csched*.so next to sched.py
+    python setup.py build_ext --inplace
 
-The extension is strictly optional: every build failure (no compiler,
-no Python headers) degrades to a warning and the pure-python fallback
-(``repro.sim.sched`` kind ``"native"`` then serves the reference
-``HeapScheduler``), so the wheel always builds and all tests pass
-either way.
+That builds two extensions next to their Python twins:
+
+* ``repro/sim/_csched*.so`` — the DES kernel's event heap
+  (:mod:`repro.sim.sched`; ``HeapScheduler`` is the reference);
+* ``repro/net/_cadmit*.so`` — the fabric's flow-clock slice loop
+  (:mod:`repro.net.flowclock`; ``HierarchicalFabric._admit_unicast``
+  is the reference).  It is compiled with ``-ffp-contract=off`` so no
+  multiply-add is fused: its float operations are the Python loop's,
+  in the same order, and its clocks are bit-equal to them.
+
+Both are strictly optional: every build failure (no compiler, no
+Python headers) degrades to a warning and the pure-python reference
+serves instead, so the wheel always builds and all tests pass either
+way.
 """
 
 import sys
@@ -27,20 +36,20 @@ class optional_build_ext(build_ext):
         try:
             super().run()
         except Exception as exc:  # missing toolchain entirely
-            self._skip(exc)
+            self._skip("native extensions", exc)
 
     def build_extension(self, ext):
         try:
             super().build_extension(ext)
         except Exception as exc:  # compiler present but the build failed
-            self._skip(exc)
+            self._skip(ext.name, exc)
 
     @staticmethod
-    def _skip(exc):
+    def _skip(what, exc):
         sys.stderr.write(
-            "WARNING: skipping optional native scheduler extension "
+            f"WARNING: skipping optional {what} "
             f"({exc.__class__.__name__}: {exc}); "
-            "repro will use the pure-python scheduler fallback\n"
+            "repro will use the pure-python fallback\n"
         )
 
 
@@ -50,7 +59,13 @@ setup(
             "repro.sim._csched",
             sources=["src/repro/sim/_csched.c"],
             optional=True,
-        )
+        ),
+        Extension(
+            "repro.net._cadmit",
+            sources=["src/repro/net/_cadmit.c"],
+            extra_compile_args=["-ffp-contract=off"],
+            optional=True,
+        ),
     ],
     cmdclass={"build_ext": optional_build_ext},
 )

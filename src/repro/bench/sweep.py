@@ -238,7 +238,7 @@ def _module_files(module_name: str) -> tuple[str, ...]:
 
     mod = importlib.import_module(module_name)
     paths = getattr(mod, "__path__", None)
-    if paths:  # package: every .py underneath, sorted for determinism
+    if paths:  # package: every .py and .c underneath, sorted for determinism
         files: list[str] = []
         for root in paths:
             for dirpath, dirnames, filenames in os.walk(root):
@@ -246,7 +246,7 @@ def _module_files(module_name: str) -> tuple[str, ...]:
                 files.extend(
                     os.path.join(dirpath, f)
                     for f in sorted(filenames)
-                    if f.endswith(".py")
+                    if f.endswith((".py", ".c"))
                 )
         return tuple(files)
     return (mod.__file__,) if getattr(mod, "__file__", None) else ()

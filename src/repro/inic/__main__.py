@@ -14,7 +14,9 @@ moves at p=256 (64 B each), and each gather assembles its panel through
 the final-permutation core; the run fails if any panel is wrong.
 
 It reports the run's DES events, its blocks (``p * p``), the fabric's
-fast-path train count, and host microseconds per block in four stages,
+fast-path train count, whether the compiled slice loop admitted them
+(``compiled``; false when the optional extension is not built), and
+host microseconds per block in four stages,
 each its own exclusive time (a nested stage's time is not counted
 twice):
 
@@ -157,6 +159,7 @@ def bench_alltoall(p: int) -> dict:
         "blocks": n_blocks,
         "events": sim.event_count - events0,
         "trains_fast": fabric.trains_fast,
+        "compiled": fabric.compiled,
         "wall_s": wall,
         "us_per_block": per_block,
     }
@@ -168,9 +171,11 @@ def run_bench(ps, as_json: bool = False) -> int:
         print(json.dumps(rows, indent=2))
         return 0
     cols = STAGES + ("other",)
+    loop = "compiled" if all(r["compiled"] for r in rows) else "python"
     print(
         "one fast-path all-to-all, ACEII prototype cards on a fat-tree, "
-        f"{BLOCK_EDGE * BLOCK_EDGE * 16} B blocks; host us per block"
+        f"{BLOCK_EDGE * BLOCK_EDGE * 16} B blocks, {loop} slice loop; "
+        "host us per block"
     )
     print(
         f"{'p':>5} {'blocks':>7} {'events':>7} {'trains':>6} "

@@ -21,7 +21,14 @@ once by the sending card and read unchanged by every step below:
     path's own ``wire_size / bandwidth``, routes read from the memo,
     and the hops walked by ``_walk_hops`` — the one helper the
     frame-level ``_route_deliver`` uses too, so the hop recurrence has
-    a single home.  Broadcast frames inside a train are built
+    a single home.  When the optional extension is built, the unicast
+    runs go through its compiled form instead, ``SliceKernel.admit``
+    in ``_cadmit.c``: the same float operations in the same order over
+    the fabric's columnar clock ledger (``array('d')``/``array('q')``
+    columns), compiled with ``-ffp-contract=off``, so the identity
+    argument below covers it unchanged.  It hands a broadcast frame, a
+    route-memo miss, or a frame with no forwarding entry or station
+    back to the Python loop.  Broadcast frames inside a train are built
     (``Train.frame``) and go through ``_admit`` itself.  Port clocks,
     per-hop telemetry, and the tail-drop ledger advance exactly as if
     each frame had been sent individually — the sequential recurrence

@@ -48,6 +48,7 @@ contention points shape the curves.
 
 from __future__ import annotations
 
+from array import array
 from math import ceil, sqrt
 from typing import Optional, Sequence, TYPE_CHECKING
 
@@ -62,7 +63,11 @@ from .fabric import (
     validate_stations,
 )
 from .packet import Frame, Train
-from .switch import PortStats
+
+try:  # optional compiled slice loop (python setup.py build_ext --inplace)
+    from . import _cadmit
+except ImportError:  # no compiler / wheel built without the extension
+    _cadmit = None
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults import FaultPlan
@@ -72,6 +77,7 @@ __all__ = [
     "FatTreeTopology",
     "TorusTopology",
     "HierarchicalFabric",
+    "ClockStats",
     "build_aggregate_star",
     "build_fattree",
     "build_torus",
@@ -573,6 +579,40 @@ class _AggregateUplink:
         return f"<AggregateUplink {self.name!r} port={self.port}>"
 
 
+class ClockStats:
+    """Live, read-only view of one clock's slot in a fabric's ledger.
+
+    Same attribute names as :class:`~repro.net.switch.PortStats`; each
+    read indexes the fabric's columns, so a view never goes stale.
+    """
+
+    __slots__ = ("_fabric", "_clock")
+
+    def __init__(self, fabric: "HierarchicalFabric", clock: int):
+        self._fabric = fabric
+        self._clock = clock
+
+    @property
+    def frames_forwarded(self) -> int:
+        return self._fabric._fwd_frames[self._clock]
+
+    @property
+    def frames_dropped(self) -> int:
+        return self._fabric._drop_frames[self._clock]
+
+    @property
+    def bytes_forwarded(self) -> float:
+        return self._fabric._fwd_bytes[self._clock]
+
+    @property
+    def bytes_dropped(self) -> float:
+        return self._fabric._drop_bytes[self._clock]
+
+    @property
+    def max_queue_bytes(self) -> float:
+        return self._fabric._max_queue[self._clock]
+
+
 class HierarchicalFabric:
     """Contention model over per-hop ``busy_until`` clocks.
 
@@ -596,11 +636,19 @@ class HierarchicalFabric:
     (:mod:`repro.net.batching`); like the wire switch, the fabric
     forwards each one as it arrived.
 
+    The per-clock state is a columnar ledger: ``_clock_busy``,
+    ``_max_queue``, ``_fwd_bytes`` and ``_drop_bytes`` are
+    ``array('d')``, ``_fwd_frames`` and ``_drop_frames`` ``array('q')``,
+    one slot per clock, so the compiled slice loop
+    (:mod:`repro.net.flowclock`) updates them as raw doubles and ints.
+    ``compiled`` says whether that loop is the one admitting trains.
+
     The statistics surface matches :class:`~repro.net.switch.Switch`
     (``total_dropped``/``port_stats``/``<prefix>.port<i>.*``
-    telemetry): ``port_stats(i)`` resolves to station ``i``'s egress
-    clock, and per-switch counters aggregate each switch's clocks at
-    snapshot time (pull-based — the hot path never touches them).
+    telemetry): ``port_stats(i)`` is a live :class:`ClockStats` view of
+    station ``i``'s egress clock, and per-switch counters aggregate each
+    switch's clocks at snapshot time (pull-based — the hot path never
+    touches them).
     """
 
     def __init__(
@@ -641,8 +689,13 @@ class HierarchicalFabric:
             for p in range(self.n_stations)
         ]
         self._devices: list[Optional[FrameDevice]] = [None] * self.n_stations
-        self._clock_busy = [0.0] * topology.n_clocks
-        self._stats = [PortStats() for _ in range(topology.n_clocks)]
+        n_clocks = topology.n_clocks
+        self._clock_busy = array("d", [0.0]) * n_clocks
+        self._max_queue = array("d", [0.0]) * n_clocks
+        self._fwd_bytes = array("d", [0.0]) * n_clocks
+        self._drop_bytes = array("d", [0.0]) * n_clocks
+        self._fwd_frames = array("q", [0]) * n_clocks
+        self._drop_frames = array("q", [0]) * n_clocks
         self._egress_clock = [
             topology.route(s, s)[-1] for s in range(self.n_stations)
         ]
@@ -684,6 +737,9 @@ class HierarchicalFabric:
         self._faults_armed = False
         #: trains admitted via the bulk fast path
         self.trains_fast = 0
+        #: the compiled slice loop bound to this fabric's ledger, when
+        #: the extension is built (else :meth:`_admit_unicast` runs)
+        self._kernel = None if _cadmit is None else _cadmit.SliceKernel(self)
 
     # -- wiring -----------------------------------------------------------------
     def uplink(self, port: int) -> _AggregateUplink:
@@ -919,14 +975,24 @@ class HierarchicalFabric:
         scheduler's reconstruction of the absolute time from the delay,
         one rounding away from ``deliver_at`` itself.
 
+        Unicast runs take the compiled slice loop when the extension is
+        built, else :meth:`_admit_unicast`.  The compiled loop hands a
+        frame it does not cover (a route-memo miss, a missing forwarding
+        entry or station) back untouched; :meth:`_admit_unicast` then
+        admits that one frame, or raises its error.
+
         Only valid while :meth:`fastpath_ok` holds: no component window
         was ever staged, so no clock is failed, no switch is dead and no
         route detours.
         """
+        admit = self._admit_unicast if self._kernel is None else self._kernel.admit
         while start < end:
-            start = self._admit_unicast(uplink, train, start, end, sink)
+            start = admit(uplink, train, start, end, sink)
             if start == end:
                 return
+            if train.dst[start].value != -1:
+                start = self._admit_unicast(uplink, train, start, start + 1, sink)
+                continue
             frame = train.frame(start)
             t = train.times[start]
             mark = len(sink)
@@ -954,7 +1020,8 @@ class HierarchicalFabric:
         The uplink clock and the routing counters live in locals, each
         frame's serialization time is the frame path's own ``wire_size /
         bandwidth``, routes come straight from the memo, and each frame
-        costs one :meth:`_walk_hops` call.
+        costs one :meth:`_walk_hops` call.  ``repro/net/_cadmit.c`` is
+        its compiled form, float operation for float operation.
         """
         bandwidth = self.bandwidth
         prop = self.propagation_delay
@@ -1021,6 +1088,11 @@ class HierarchicalFabric:
             self._hops_total = hops_total
             self._max_hops = max_hops
         return end
+
+    @property
+    def compiled(self) -> bool:
+        """True when trains are admitted by the compiled slice loop."""
+        return self._kernel is not None
 
     def fastpath_ok(self) -> bool:
         """True when bulk admission preserves identity fabric-wide
@@ -1115,30 +1187,31 @@ class HierarchicalFabric:
         (detection window, or a partially-detected multi-hop path): the
         frame charges the live hops it actually traverses, then is
         blackholed at the dead component — the drop lands in that
-        clock's :class:`PortStats`, so switch drop totals and the
-        conservation ledger both see it.
+        clock's ledger slot, so switch drop totals and the conservation
+        ledger both see it.
         """
         busy = self._clock_busy
-        all_stats = self._stats
+        max_queue = self._max_queue
+        fwd_frames = self._fwd_frames
+        fwd_bytes = self._fwd_bytes
         bandwidth = self.bandwidth
         n_links = len(hops) - 1 if dead < 0 else dead
         for i in range(n_links):
             k = hops[i]
             b = busy[k]
-            stats = all_stats[k]
             backlog = (b - arrival) * bandwidth if b > arrival else 0.0
             queued = backlog + wire_size
-            if queued > stats.max_queue_bytes:
-                stats.max_queue_bytes = queued
+            if queued > max_queue[k]:
+                max_queue[k] = queued
             begin = b if b > arrival else arrival
             busy[k] = begin + tx_time
-            stats.frames_forwarded += frame_count
-            stats.bytes_forwarded += wire_size
+            fwd_frames[k] += frame_count
+            fwd_bytes[k] += wire_size
             arrival = begin
         if dead >= 0:
-            stats = all_stats[hops[dead]]
-            stats.frames_dropped += frame_count
-            stats.bytes_dropped += wire_size
+            k = hops[dead]
+            self._drop_frames[k] += frame_count
+            self._drop_bytes[k] += wire_size
             self._failover_drops += frame_count
             self._failover_drop_bytes += wire_size
             return None
@@ -1148,43 +1221,41 @@ class HierarchicalFabric:
         # and overflow becomes delay instead of loss.
         k = hops[n_links]
         b = busy[k]
-        stats = all_stats[k]
         backlog = (b - arrival) * bandwidth if b > arrival else 0.0
         queued = backlog + wire_size
         if queued > self.buffer_bytes_per_port and not self._lossless:
-            stats.frames_dropped += frame_count
-            stats.bytes_dropped += wire_size
+            self._drop_frames[k] += frame_count
+            self._drop_bytes[k] += wire_size
             return None
-        if queued > stats.max_queue_bytes:
-            stats.max_queue_bytes = queued
+        if queued > max_queue[k]:
+            max_queue[k] = queued
         done = (b if b > arrival else arrival) + tx_time
         busy[k] = done
-        stats.frames_forwarded += frame_count
-        stats.bytes_forwarded += wire_size
+        fwd_frames[k] += frame_count
+        fwd_bytes[k] += wire_size
         return done + self.propagation_delay
 
     # -- statistics ---------------------------------------------------------------
-    def port_stats(self, port: int) -> PortStats:
+    def port_stats(self, port: int) -> ClockStats:
         """Station ``port``'s egress-clock stats (star-compatible view)."""
         self._check_port(port)
-        return self._stats[self._egress_clock[port]]
+        return ClockStats(self, self._egress_clock[port])
 
-    def clock_stats(self, clock: int) -> PortStats:
+    def clock_stats(self, clock: int) -> ClockStats:
         """Stats of an arbitrary clock (use ``topology.clock_name``)."""
-        return self._stats[clock]
+        return ClockStats(self, clock)
 
     def total_dropped(self) -> int:
-        return sum(s.frames_dropped for s in self._stats)
+        return sum(self._drop_frames)
 
     def total_dropped_bytes(self) -> float:
-        return sum(s.bytes_dropped for s in self._stats)
+        return sum(self._drop_bytes)
 
     def total_forwarded(self) -> int:
         """Frames delivered to stations (egress-clock count, matching
         the single-star fabrics; intermediate hops are not re-counted)."""
-        return sum(
-            self._stats[c].frames_forwarded for c in set(self._egress_clock)
-        )
+        fwd_frames = self._fwd_frames
+        return sum(fwd_frames[c] for c in set(self._egress_clock))
 
     def hop_stats(self) -> dict:
         """Routing cost summary (JSON-safe; feeds sweep reports)."""
@@ -1211,7 +1282,7 @@ class HierarchicalFabric:
             f"{prefix}.avg_hops", lambda: self.hop_stats()["avg_hops"]
         )
         for port in range(self.n_stations):
-            stats = self._stats[self._egress_clock[port]]
+            stats = self.port_stats(port)
             p = f"{prefix}.port{port}"
             registry.counter(f"{p}.frames", lambda s=stats: s.frames_forwarded)
             registry.counter(f"{p}.bytes", lambda s=stats: s.bytes_forwarded, unit="B")
@@ -1224,7 +1295,7 @@ class HierarchicalFabric:
             )
         for switch, clocks in self.topology.switches():
             p = f"{prefix}.sw.{switch}"
-            group = [self._stats[c] for c in clocks]
+            group = [self.clock_stats(c) for c in clocks]
             registry.counter(
                 f"{p}.frames",
                 lambda g=group: sum(s.frames_forwarded for s in g),

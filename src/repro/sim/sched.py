@@ -25,7 +25,9 @@ Two kinds:
   C binary heap that caches each entry's ``(when, prio, seq)`` key in a
   C struct so every comparison is three scalar compares with no
   interpreter involvement.  The extension is optional — built via
-  ``python setup.py build_ext --inplace`` — and when it is absent the
+  ``python setup.py build_ext --inplace``, which also builds the
+  fabric's compiled slice loop (``repro.net._cadmit``, see
+  :mod:`repro.net.flowclock`) — and when it is absent the
   ``"native"`` kind serves a plain :class:`HeapScheduler`, which reports
   ``compiled: False`` in its stats.
 * ``"heap"`` — :class:`HeapScheduler`, the reference ``heapq``

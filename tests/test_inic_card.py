@@ -789,6 +789,8 @@ def test_card_bench_takes_the_fast_path_and_checks_its_panels():
     row = bench_alltoall(4)
     assert row["p"] == 4 and row["blocks"] == 16
     assert row["trains_fast"] == 4
+    from repro.net import topology
+    assert row["compiled"] is (topology._cadmit is not None)
     assert row["events"] > 0
     assert set(row["us_per_block"]) == set(STAGES) | {"other"}
     assert all(row["us_per_block"][stage] > 0 for stage in STAGES)

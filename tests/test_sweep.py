@@ -74,6 +74,18 @@ def test_kind_salt_differs_between_families():
 
 
 # --- cache hit/miss/invalidation ------------------------------------------------------
+def test_des_fingerprint_covers_the_c_sources():
+    """The native kernels are model code too: editing either C source
+    must invalidate every cached DES point."""
+    files = {
+        os.path.relpath(path, os.path.dirname(sweep.__file__))
+        for module in sweep._FAMILY_DEPS["des"]
+        for path in sweep._module_files(module)
+    }
+    assert os.path.join("..", "sim", "_csched.c") in files
+    assert os.path.join("..", "net", "_cadmit.c") in files
+
+
 def test_cache_hit_on_identical_spec(tmp_path):
     engine = SweepEngine(jobs=1, cache_dir=str(tmp_path))
     r1 = engine.run([tiny_spec()])["pt"]

@@ -32,6 +32,7 @@ from repro.net import (
     Train,
     build_star,
 )
+from repro.net import topology as topology_module
 from repro.net.topology import (
     AB_CASES,
     FatTreeTopology,
@@ -786,15 +787,13 @@ _DIFF_TOPOLOGIES = {
 }
 
 
-def _diff_fabric(kind, n, buffer_bytes):
+def _diff_fabric(kind, n, buffer_bytes, timing=None):
     sim = Simulator()
     fabric = HierarchicalFabric(
         sim,
         _DIFF_TOPOLOGIES[kind](n),
-        bandwidth=_DIFF_BANDWIDTH,
-        propagation_delay=2.0 ** -20,
-        forwarding_latency=2.0 ** -18,
         buffer_bytes_per_port=buffer_bytes,
+        **(timing or _DIFF_TIMING),
     )
     for port in range(n):
         station = Station(sim)
@@ -802,6 +801,14 @@ def _diff_fabric(kind, n, buffer_bytes):
         fabric.attach_station(port, station)
         fabric.learn(MacAddress(port), port)
     return fabric
+
+
+#: dyadic timing: the frame-level and slice paths then round alike
+_DIFF_TIMING = {
+    "bandwidth": _DIFF_BANDWIDTH,
+    "propagation_delay": 2.0 ** -20,
+    "forwarding_latency": 2.0 ** -18,
+}
 
 
 def _diff_train(src, entries, times):
@@ -816,7 +823,7 @@ def _diff_state(fabric, arrivals):
     ports = [
         (s.frames_forwarded, s.frames_dropped, s.bytes_forwarded,
          s.bytes_dropped, s.max_queue_bytes)
-        for s in fabric._stats
+        for s in map(fabric.clock_stats, range(fabric.topology.n_clocks))
     ]
     uplinks = [
         (u._busy_until, u.frames_sent, u.bytes_sent, u.busy_time)
@@ -888,6 +895,110 @@ def test_slice_admission_matches_frame_level(scenario):
     assert _diff_state(fused, fused_arrivals) == _diff_state(
         framewise, framewise_arrivals
     )
+
+
+# -- the compiled slice loop ---------------------------------------------------
+needs_kernel = pytest.mark.skipif(
+    topology_module._cadmit is None,
+    reason="compiled slice loop not built (python setup.py build_ext --inplace)",
+)
+
+
+#: gigabit timing: nothing is dyadic, so every float operation rounds
+#: and any reordering of one shows in the low bits
+_GIGABIT_TIMING = {
+    "bandwidth": GIGABIT_ETHERNET.bandwidth,
+    "propagation_delay": GIGABIT_ETHERNET.propagation_delay,
+    "forwarding_latency": GIGABIT_ETHERNET.switch_latency,
+}
+
+
+def _reference_fabric(kind, n, buffer_bytes, timing=None):
+    """A ``_diff_fabric`` whose slice loop is the Python reference."""
+    fabric = _diff_fabric(kind, n, buffer_bytes, timing)
+    fabric._kernel = None
+    return fabric
+
+
+@needs_kernel
+@settings(max_examples=150, deadline=None)
+@given(_diff_scenarios(), st.booleans())
+def test_compiled_slice_loop_is_bit_identical_to_the_reference(scenario, gigabit):
+    """The C kernel and ``_admit_unicast`` admit the same random trains
+    to the same state, bit for bit (``repr`` tells ``-0.0`` from
+    ``0.0``): every clock, every per-clock ledger column, the uplink
+    clocks and counters, the routing counters and each sink entry.  The
+    trains cover send-time ties (gap 0), same-leaf and remote
+    destinations, embedded broadcasts, a route memo that starts cold,
+    and buffers on the tail-drop boundary.  Dyadic timing hits that
+    boundary exactly; gigabit timing rounds every operation, so a
+    reordered one shows in the low bits."""
+    kind, n, buffer_bytes, trains = scenario
+    timing, unit, step = (
+        (_GIGABIT_TIMING, 1.7e-5, 1.3e-6) if gigabit
+        else (_DIFF_TIMING, 2.0 ** -16, 2.0 ** -20)
+    )
+    compiled = _diff_fabric(kind, n, buffer_bytes, timing)
+    reference = _reference_fabric(kind, n, buffer_bytes, timing)
+    assert compiled.compiled and not reference.compiled
+    got, want = [], []
+    for k, (src, start, gap, entries) in enumerate(trains):
+        times = [start * unit + i * gap * step for i in range(len(entries))]
+        for fabric, out in ((compiled, got), (reference, want)):
+            train = _diff_train(src, entries, times)
+            sink = []
+            fabric._admit_slice(fabric.uplink(src), train, 0, len(train), sink)
+            out += [(k, port, i, at) for port, i, at in sink]
+    assert repr(_diff_state(compiled, got)) == repr(_diff_state(reference, want))
+
+
+@needs_kernel
+def test_compiled_slice_loop_hands_back_what_it_does_not_cover():
+    """The kernel returns, untouched, the first frame that is a route-memo
+    miss or a broadcast; with the memo warm it admits a unicast run
+    whole."""
+    fabric = _diff_fabric("fattree", 8, 1 << 20)
+    kernel = fabric._kernel
+    uplink = fabric.uplink(0)
+    entries = [(5, 100, 1), (6, 100, 1), (None, 100, 1), (5, 100, 1)]
+    train = _diff_train(0, entries, [0.0, 0.0, 1e-3, 2e-3])
+    sink = []
+    assert kernel.admit(uplink, train, 0, 4, sink) == 0  # cold memo
+    assert sink == [] and uplink._busy_until == 0.0 and fabric._frames_in == 0
+    fabric._admit_slice(uplink, train, 0, 4, sink)  # warms routes to 5 and 6
+    state = _diff_state(fabric, [])
+    sink = []
+    assert kernel.admit(uplink, train, 2, 4, sink) == 2  # broadcast
+    assert sink == [] and _diff_state(fabric, []) == state
+    assert kernel.admit(uplink, train, 0, 2, sink) == 2
+    assert [(port, i) for port, i, _ in sink] == [(5, 0), (6, 1)]
+
+
+@needs_kernel
+@pytest.mark.parametrize("defect", ["no forwarding entry", "no station attached"])
+def test_compiled_slice_loop_raises_the_reference_errors(defect):
+    """A frame the kernel hands back for a missing forwarding entry or a
+    missing station goes through the reference loop: same error, same
+    state left behind."""
+    states = []
+    for fabric in (_diff_fabric("star", 4, 1 << 20),
+                   _reference_fabric("star", 4, 1 << 20)):
+        train = _diff_train(0, [(1, 100, 1), (2, 100, 1), (3, 100, 1)],
+                            [0.0, 1e-6, 2e-6])
+        if defect == "no forwarding entry":
+            del fabric._table[2]
+        else:
+            fabric._devices[2] = None
+        sink = []
+        with pytest.raises(NetworkError, match=defect):
+            fabric._admit_slice(fabric.uplink(0), train, 0, 3, sink)
+        states.append(repr(_diff_state(fabric, sink)))
+    assert states[0] == states[1]
+
+
+def test_fabric_reports_which_slice_loop_runs():
+    fabric = _diff_fabric("star", 2, 1 << 20)
+    assert fabric.compiled is (topology_module._cadmit is not None)
 
 
 

@@ -5,9 +5,13 @@
   fit in the processor cache" — with >= 128 buckets at 2^21 keys.
 
 It also times the apps layer's phase-1 destination binning at the
-Fig. 8(b) shapes (2^24 keys over p = 2..16 ranks): the stable
-``split_by_bits`` binning against ``phase1_destination_buckets``, which
-sorts each shard once and cuts it at the destination edges.
+Fig. 8(b) shapes (2^24 keys over p = 2..16 ranks): the compiled stable
+scatter that ``phase1_destination_buckets`` runs when
+``repro.apps.sort._cbucket`` is built, the numpy stable-argsort body it
+falls back to, and sorting each shard once and cutting it at the
+destination edges (the sampling variant's binning, and phase 1's
+before the scatter).  A second panel times the receivers' full sort of
+what each binning hands them: keys in input order, or p ascending runs.
 
 These are wall-clock benchmarks of our from-scratch kernels (the only
 deliberately wall-clock measurements in the suite; everything else is
@@ -20,14 +24,17 @@ import numpy as np
 import pytest
 
 from repro.apps.sort import (
+    bucketsort,
     cache_bucket_count,
     count_sort,
     phase1_destination_buckets,
     quicksort,
     split_by_bits,
+    split_by_splitters,
     split_keys,
     uniform_keys,
 )
+from repro.apps.sort.countsort import count_sort_inplace
 
 N_KEYS = 1 << 17
 rng = np.random.default_rng(11)
@@ -88,9 +95,17 @@ def test_bucketed_count_sort_end_to_end(benchmark, n_buckets):
 FIG8B_KEYS = 1 << 24
 FIG8B_PROCS = (2, 4, 8, 16)
 PHASE1_BINNERS = {
-    "split_by_bits": lambda shard, p: split_by_bits(shard, 0, p),
-    "phase1_destination_buckets": phase1_destination_buckets,
+    "compiled": phase1_destination_buckets,
+    "numpy": lambda shard, p: bucketsort._split_by_bits_numpy(
+        shard, 32 - (p.bit_length() - 1), p
+    ),
+    "sort": lambda shard, p: split_by_splitters(shard, _edges(p)),
 }
+
+
+def _edges(p):
+    """Phase 1's destination edges as splitters: ``d << (32 - log2 p)``."""
+    return np.arange(1, p, dtype=np.uint32) << np.uint32(32 - (p.bit_length() - 1))
 
 
 def _fig8b_phase1(binner, keys, p):
@@ -107,6 +122,8 @@ def fig8b_keys():
 @pytest.mark.parametrize("p", FIG8B_PROCS)
 @pytest.mark.parametrize("binner", sorted(PHASE1_BINNERS))
 def test_phase1_binning_rate(benchmark, fig8b_keys, binner, p):
+    if binner == "compiled" and not bucketsort.compiled:
+        pytest.skip("compiled scatter not built")
     per_rank = benchmark.pedantic(
         _fig8b_phase1,
         args=(PHASE1_BINNERS[binner], fig8b_keys, p),
@@ -120,9 +137,10 @@ def test_phase1_binning_rate(benchmark, fig8b_keys, binner, p):
     assert sizes.tolist() == np.bincount(top, minlength=p).tolist()
 
 
-def test_phase1_sort_and_cut_beats_stable_binning(fig8b_keys):
-    """Sorting a shard once and cutting it is cheaper host work than the
-    stable bucket-index argsort, at every Fig. 8(b) processor count."""
+@pytest.mark.skipif(not bucketsort.compiled, reason="compiled scatter not built")
+def test_compiled_phase1_beats_one_sort_per_shard(fig8b_keys):
+    """The compiled stable scatter bins a shard in less host time than
+    sorting it once, at every Fig. 8(b) processor count."""
     import time
 
     def best_of_3(binner, p):
@@ -134,6 +152,25 @@ def test_phase1_sort_and_cut_beats_stable_binning(fig8b_keys):
         return min(times)
 
     for p in FIG8B_PROCS:
-        t_stable = best_of_3(PHASE1_BINNERS["split_by_bits"], p)
-        t_cut = best_of_3(PHASE1_BINNERS["phase1_destination_buckets"], p)
-        assert t_cut < t_stable, (p, t_cut, t_stable)
+        t_scatter = best_of_3(PHASE1_BINNERS["compiled"], p)
+        t_sort = best_of_3(PHASE1_BINNERS["sort"], p)
+        assert t_scatter < t_sort, (p, t_scatter, t_sort)
+
+
+@pytest.mark.parametrize("p", FIG8B_PROCS)
+@pytest.mark.parametrize("order", ["input", "ascending"])
+def test_receiver_sort_rate(benchmark, fig8b_keys, order, p):
+    """Every receiver's full sort of its p incoming buckets, in the
+    order the stable binning (``input``) or sort-and-cut
+    (``ascending``) hands them over."""
+    binner = PHASE1_BINNERS["numpy" if order == "input" else "sort"]
+    per_rank = _fig8b_phase1(binner, fig8b_keys, p)
+
+    def receive():
+        return [
+            count_sort_inplace(np.concatenate([buckets[d] for buckets in per_rank]))
+            for d in range(p)
+        ]
+
+    out = benchmark.pedantic(receive, rounds=3, iterations=1)
+    assert np.array_equal(np.concatenate(out), np.sort(fig8b_keys))

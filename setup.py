@@ -7,7 +7,7 @@ to build the *optional* compiled kernels::
 
     python setup.py build_ext --inplace
 
-That builds two extensions next to their Python twins:
+That builds three extensions next to their Python twins:
 
 * ``repro/sim/_csched*.so`` — the DES kernel's event heap
   (:mod:`repro.sim.sched`; ``HeapScheduler`` is the reference);
@@ -15,9 +15,13 @@ That builds two extensions next to their Python twins:
   (:mod:`repro.net.flowclock`; ``HierarchicalFabric._admit_unicast``
   is the reference).  It is compiled with ``-ffp-contract=off`` so no
   multiply-add is fused: its float operations are the Python loop's,
-  in the same order, and its clocks are bit-equal to them.
+  in the same order, and its clocks are bit-equal to them;
+* ``repro/apps/sort/_cbucket*.so`` — the sort's stable bucket scatter
+  (:mod:`repro.apps.sort.bucketsort`; the numpy body of
+  ``split_by_bits`` is the reference).  It places every key where the
+  stable argsort does, so the buckets are byte-identical.
 
-Both are strictly optional: every build failure (no compiler, no
+All three are strictly optional: every build failure (no compiler, no
 Python headers) degrades to a warning and the pure-python reference
 serves instead, so the wheel always builds and all tests pass either
 way.
@@ -64,6 +68,11 @@ setup(
             "repro.net._cadmit",
             sources=["src/repro/net/_cadmit.c"],
             extra_compile_args=["-ffp-contract=off"],
+            optional=True,
+        ),
+        Extension(
+            "repro.apps.sort._cbucket",
+            sources=["src/repro/apps/sort/_cbucket.c"],
             optional=True,
         ),
     ],

@@ -11,28 +11,41 @@ Two uses in the paper's sort (Section 3.2):
   (Section 6's two-phase scheme).
 
 ``split_by_bits`` bins stably by ``n_buckets`` consecutive key bits
-starting below ``start_bit`` leading bits; phase 2 and the calibration
-use it.
+starting below ``start_bit`` leading bits: each bucket holds its keys in
+input order.  Phase 1 (:func:`phase1_destination_buckets`) is
+``split_by_bits(keys, 0, p)``; phase 2 and the calibration use it too.
 
-Phase 1 (:func:`phase1_destination_buckets`, and the splitter variant
-:func:`repro.apps.sort.sampling.split_by_splitters`) instead sorts the
-shard once and cuts it at value edges (:func:`_sort_and_cut`).  Each
-destination receives exactly the multiset of keys a stable binning gives
-it, so every bucket size — all the simulation times — is unchanged;
-only the order inside a bucket differs (ascending, not input order).
-That order is never observed: every receiver sorts what it gets in
-full, through :func:`repro.apps.sort.countsort.count_sort`, which
-itself hands large inputs to ``np.sort`` on the same values.  The
-simulated cost of phase 1 comes from
-:func:`repro.models.params.bucket_sort_time` either way; sorting once
-is just the cheapest host numpy that hands every destination its keys.
+When the optional extension ``repro.apps.sort._cbucket`` is built
+(``python setup.py build_ext --inplace``), ``split_by_bits`` runs its
+compiled counting scatter: one histogram pass, one scatter pass into a
+fresh array.  The numpy body (a stable argsort of the bucket index) is
+the reference and the fallback; both place every key at the same
+position, so the buckets are byte-identical.  ``compiled`` says which
+one runs.
+
+The simulated cost of phase 1 comes from
+:func:`repro.models.params.bucket_sort_time` either way, and every
+receiver sorts what it gets in full, so the host binning only has to
+hand every destination its keys as cheaply as it can.  The splitter
+variant (:func:`repro.apps.sort.sampling.split_by_splitters`) sorts the
+shard once and cuts it at the splitters instead.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 from ...errors import ApplicationError
+
+try:  # optional compiled scatter (python setup.py build_ext --inplace)
+    from . import _cbucket
+except ImportError:  # pragma: no cover - depends on the build
+    _cbucket = None
+
+#: True when ``split_by_bits`` bins with the compiled scatter.
+compiled = _cbucket is not None
 
 __all__ = [
     "split_by_bits",
@@ -52,10 +65,15 @@ def split_by_bits(
     keys: np.ndarray, start_bit: int, n_buckets: int
 ) -> list[np.ndarray]:
     """Stable-bin ``keys`` by ``log2(n_buckets)`` bits after skipping the
-    ``start_bit`` most significant bits."""
+    ``start_bit`` most significant bits.
+
+    The buckets are views of one fresh array; ``keys`` is not changed.
+    """
     a = np.asarray(keys)
     if a.dtype != np.uint32:
         raise ApplicationError(f"expected uint32 keys, got {a.dtype}")
+    if a.ndim != 1:
+        raise ApplicationError(f"expected a 1-D key array, got shape {a.shape}")
     bits = _check_pow2(n_buckets, "bucket count")
     if start_bit < 0 or start_bit + bits > 32:
         raise ApplicationError(
@@ -63,13 +81,27 @@ def split_by_bits(
         )
     if bits == 0:
         return [a.copy()]
-    shift = np.uint32(32 - start_bit - bits)
+    shift = 32 - start_bit - bits
+    if _cbucket is not None:
+        binned = np.empty(a.shape, dtype=np.uint32)
+        counts = _cbucket.scatter(a, binned, shift, n_buckets - 1)
+        ends = list(accumulate(counts))
+        return [binned[lo:hi] for lo, hi in zip([0, *ends], ends)]
+    return _split_by_bits_numpy(a, shift, n_buckets)
+
+
+def _split_by_bits_numpy(
+    a: np.ndarray, shift: int, n_buckets: int
+) -> list[np.ndarray]:
+    """The reference body of :func:`split_by_bits` (checked 1-D uint32
+    ``a``, at least two buckets): a stable argsort of the bucket index."""
+    bits = n_buckets.bit_length() - 1
     # Narrowest dtype that holds the bucket index: numpy's stable sort
     # is an LSD radix sort for integers, so its cost scales with the
     # key *width* — uint8/uint16 indices sort several times faster than
     # the equivalent int64 ones (the permutation is identical).
     dtype = np.uint8 if bits <= 8 else np.uint16 if bits <= 16 else np.uint32
-    idx = ((a >> shift) & np.uint32(n_buckets - 1)).astype(dtype)
+    idx = ((a >> np.uint32(shift)) & np.uint32(n_buckets - 1)).astype(dtype)
     order = np.argsort(idx, kind="stable")
     binned = a[order]
     counts = np.bincount(idx, minlength=n_buckets)
@@ -77,28 +109,10 @@ def split_by_bits(
     return [binned[bounds[b] : bounds[b + 1]] for b in range(n_buckets)]
 
 
-def _sort_and_cut(keys: np.ndarray, edges: np.ndarray) -> list[np.ndarray]:
-    """Sort ``keys`` once and cut at ``edges`` (ascending, keys' dtype).
-
-    Piece i holds the keys in ``[edges[i-1], edges[i])``, ascending; the
-    pieces are views of one sorted copy.  ``edges`` must share the keys'
-    dtype: a wider one makes ``searchsorted`` promote the whole array.
-    """
-    ordered = np.sort(keys)
-    cuts = np.searchsorted(ordered, edges, side="left").tolist()
-    bounds = [0, *cuts, ordered.shape[0]]
-    return [ordered[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-
 def phase1_destination_buckets(keys: np.ndarray, p: int) -> list[np.ndarray]:
     """Bucket i of the result belongs on processor i: the keys whose top
-    ``log2 p`` bits equal i, in ascending order."""
-    a = np.asarray(keys)
-    if a.dtype != np.uint32:
-        raise ApplicationError(f"expected uint32 keys, got {a.dtype}")
-    bits = _check_pow2(p, "bucket count")
-    edges = np.arange(1, p, dtype=np.uint32) << np.uint32(32 - bits)
-    return _sort_and_cut(a, edges)
+    ``log2 p`` bits equal i, in input order."""
+    return split_by_bits(keys, 0, p)
 
 
 def phase2_cache_buckets(

@@ -22,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from ...errors import ApplicationError
-from .bucketsort import _sort_and_cut
 
 __all__ = [
     "sample_local",
@@ -66,11 +65,17 @@ def split_by_splitters(
 ) -> list[np.ndarray]:
     """Partition ``keys`` into ``len(splitters)+1`` range buckets.
 
-    Bucket i holds keys in [splitters[i-1], splitters[i]), ascending
-    (phase 1's sort-and-cut; see :mod:`repro.apps.sort.bucketsort`); the
-    concatenation of all buckets is ``np.sort(keys)``.
+    Bucket i holds keys in [splitters[i-1], splitters[i]), ascending:
+    the shard is sorted once and cut at the splitters, so the buckets are
+    views of one sorted copy and their concatenation is ``np.sort(keys)``.
+    Every receiver sorts what it gets in full, so the order inside a
+    bucket is never observed.  ``splitters`` must share the keys' dtype:
+    a wider one makes ``searchsorted`` promote the whole array.
     """
-    return _sort_and_cut(keys, splitters)
+    ordered = np.sort(keys)
+    cuts = np.searchsorted(ordered, splitters, side="left").tolist()
+    bounds = [0, *cuts, ordered.shape[0]]
+    return [ordered[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def imbalance(bucket_sizes: list[int]) -> float:

@@ -27,7 +27,8 @@ Two kinds:
   interpreter involvement.  The extension is optional — built via
   ``python setup.py build_ext --inplace``, which also builds the
   fabric's compiled slice loop (``repro.net._cadmit``, see
-  :mod:`repro.net.flowclock`) — and when it is absent the
+  :mod:`repro.net.flowclock`) and the sort's bucket scatter
+  (``repro.apps.sort._cbucket``) — and when it is absent the
   ``"native"`` kind serves a plain :class:`HeapScheduler`, which reports
   ``compiled: False`` in its stats.
 * ``"heap"`` — :class:`HeapScheduler`, the reference ``heapq``

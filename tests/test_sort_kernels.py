@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.apps.sort import (
+    bucketsort,
     cache_bucket_count,
     count_sort,
     counting_pass,
@@ -143,9 +144,8 @@ def test_phase1_then_phase2_nesting():
         assert is_sorted(np.concatenate(pieces))
 
 
-# Phase-1 binning sorts once and cuts at value edges; these pin it to the
-# stable binning it replaced: same members per bucket, same sizes, only the
-# order inside a bucket (now ascending) differs.
+# Phase-1 binning is the stable binning by the top log2 p bits: each
+# destination gets its keys in input order.
 _EDGE_KEYS = [0, 1, 2**31 - 1, 2**31, 2**31 + 1, 2**32 - 1]
 
 
@@ -170,7 +170,7 @@ def _phase1_cases(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(_phase1_cases())
-def test_phase1_sort_and_cut_matches_stable_binning(case):
+def test_phase1_is_the_stable_binning(case):
     keys, p = case
     before = keys.copy()
     buckets = phase1_destination_buckets(keys, p)
@@ -179,11 +179,97 @@ def test_phase1_sort_and_cut_matches_stable_binning(case):
     top = keys.astype(np.uint64) >> np.uint64(32 - bits)
     for b, bucket in enumerate(buckets):
         assert bucket.dtype == np.uint32
-        assert np.array_equal(bucket, np.sort(keys[top == b]))
-    stable = split_by_bits(keys, 0, p)
-    assert [x.shape[0] for x in buckets] == [x.shape[0] for x in stable]
-    assert np.array_equal(np.concatenate(buckets), np.sort(keys))
+        assert np.array_equal(bucket, keys[top == b])
+        assert not np.shares_memory(bucket, keys)
+    assert np.array_equal(np.sort(np.concatenate(buckets)), np.sort(keys))
     assert np.array_equal(keys, before)
+
+
+@st.composite
+def _window_cases(draw):
+    """Keys, a bit window (``start_bit``, ``n_buckets``) and a layout."""
+    bits = draw(st.integers(min_value=1, max_value=10))
+    start = draw(st.integers(min_value=0, max_value=32 - bits))
+    shift = 32 - start - bits
+    ids = draw(st.lists(st.integers(0, 2**bits - 1), min_size=1, max_size=8))
+    # Keys at and beside the window's bucket edges, and keys with only
+    # the bit above the window or only the bits below it set.
+    near = [(b << shift) + d for b in ids for d in (-1, 0, 1)]
+    near += [1 << (shift + bits), (1 << shift) - 1]
+    specials = _EDGE_KEYS + [x % 2**32 for x in near]
+    specials += [~x % 2**32 for x in specials]
+    keys = draw(
+        arrays(
+            dtype=np.uint32,
+            shape=st.integers(min_value=0, max_value=400),
+            elements=st.one_of(
+                st.sampled_from(specials),
+                st.integers(min_value=0, max_value=2**32 - 1),
+            ),
+        )
+    )
+    layout = draw(st.sampled_from(["contiguous", "shard", "strided", "reversed"]))
+    return keys, start, 2**bits, layout
+
+
+def _lay_out(keys, layout):
+    """``keys`` as a contiguous array, a read-only view inside a larger
+    buffer (as ``split_keys`` hands out), or a strided view."""
+    if layout == "contiguous":
+        return keys
+    if layout == "shard":
+        host = np.concatenate([keys[:3], keys, keys[:5]])
+        view = host[3 : 3 + keys.size]
+        view.flags.writeable = False
+        return view
+    if layout == "strided":
+        return np.repeat(keys, 3)[::3]
+    return np.repeat(keys[::-1], 3)[::-3]  # negative stride, same keys
+
+
+@pytest.mark.skipif(not bucketsort.compiled, reason="compiled scatter not built")
+@settings(max_examples=200, deadline=None)
+@given(_window_cases())
+def test_compiled_split_by_bits_is_byte_identical_to_the_numpy_body(case):
+    keys, start, n_buckets, layout = case
+    a = _lay_out(keys, layout)
+    before = a.tobytes()
+    shift = 32 - start - (n_buckets.bit_length() - 1)
+    got = split_by_bits(a, start, n_buckets)
+    want = bucketsort._split_by_bits_numpy(a, shift, n_buckets)
+    assert len(got) == len(want) == n_buckets
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.uint32
+        assert g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+        assert not np.shares_memory(g, a)
+    assert a.tobytes() == before
+
+
+@pytest.mark.skipif(not bucketsort.compiled, reason="compiled scatter not built")
+def test_compiled_scatter_rejects_what_it_cannot_bin():
+    scatter = bucketsort._cbucket.scatter
+    keys = np.arange(16, dtype=np.uint32)
+    out = np.empty(16, dtype=np.uint32)
+    assert scatter(keys, out, 28, 15) == [16] + [0] * 15
+    with pytest.raises(ValueError):  # out overlaps keys
+        scatter(keys, keys, 0, 1)
+    with pytest.raises(ValueError):
+        scatter(keys, out[:8], 0, 1)
+    with pytest.raises(ValueError):  # not a power-of-two window
+        scatter(keys, out, 0, 5)
+    with pytest.raises(ValueError):  # window runs past bit 31
+        scatter(keys, out, 30, 7)
+    with pytest.raises(ValueError):
+        scatter(keys, out, 32, 0)
+    with pytest.raises(TypeError):
+        scatter(keys.astype(np.int32), out, 0, 1)
+    with pytest.raises(TypeError):
+        scatter(keys, out.view(np.float32), 0, 1)
+    with pytest.raises(ValueError):  # read-only output
+        ro = np.empty(16, dtype=np.uint32)
+        ro.flags.writeable = False
+        scatter(keys, ro, 0, 1)
 
 
 @st.composite
@@ -248,6 +334,15 @@ def test_phase1_rejects_bad_input():
         phase1_destination_buckets(keys, 3)
     with pytest.raises(ApplicationError):
         phase1_destination_buckets(keys.astype(np.int64), 4)
+
+
+@pytest.mark.parametrize("shape", [(), (4, 4), (2, 2, 4)])
+def test_binning_rejects_keys_that_are_not_1d(shape):
+    keys = np.zeros(shape, dtype=np.uint32)
+    with pytest.raises(ApplicationError, match="1-D"):
+        split_by_bits(keys, 0, 4)
+    with pytest.raises(ApplicationError, match="1-D"):
+        phase1_destination_buckets(keys, 4)
 
 
 def test_split_by_bits_validates():

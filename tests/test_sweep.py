@@ -75,7 +75,7 @@ def test_kind_salt_differs_between_families():
 
 # --- cache hit/miss/invalidation ------------------------------------------------------
 def test_des_fingerprint_covers_the_c_sources():
-    """The native kernels are model code too: editing either C source
+    """The native kernels are model code too: editing any C source
     must invalidate every cached DES point."""
     files = {
         os.path.relpath(path, os.path.dirname(sweep.__file__))
@@ -84,6 +84,7 @@ def test_des_fingerprint_covers_the_c_sources():
     }
     assert os.path.join("..", "sim", "_csched.c") in files
     assert os.path.join("..", "net", "_cadmit.c") in files
+    assert os.path.join("..", "apps", "sort", "_cbucket.c") in files
 
 
 def test_cache_hit_on_identical_spec(tmp_path):

@@ -10,15 +10,6 @@ request/response (latency) and a streaming (bandwidth) test under
 
 These feed the protocol-overhead benches and give downstream users a
 calibration tool for their own cluster configurations.
-
-Each microbenchmark exists twice: the original generator ("callback
-state machine") form and a coroutine twin (``*_proc``) authored through
-the process API of :mod:`repro.sim.process`.  The twins are
-**event-for-event identical** — same events, same makespans, same
-``(time, priority, seq)`` trace order — which ``python -m repro.sim
---ab-process`` pins across every scheduler kind, the same way ``--ab``
-pins scheduler identity.  They double as the porting example in
-``docs/processes.md``.
 """
 
 from __future__ import annotations
@@ -34,17 +25,13 @@ from ..errors import ApplicationError
 from ..inic.card import CardSpec, IDEAL_INIC
 from ..net.addresses import MacAddress
 from ..net.fabric import NetworkTechnology, GIGABIT_ETHERNET
-from ..sim.process import drive
 
 __all__ = [
     "NetBenchResult",
     "tcp_pingpong",
-    "tcp_pingpong_proc",
     "tcp_stream",
     "inic_pingpong",
-    "inic_pingpong_proc",
     "inic_stream",
-    "inic_stream_proc",
 ]
 
 
@@ -91,30 +78,6 @@ def tcp_pingpong(
             else:
                 yield ctx.recv(src=0, tag=i)
                 yield ctx.send(0, nbytes, tag=i)
-        return None
-
-    res = app.run(program)
-    return NetBenchResult("tcp-pingpong", nbytes, repetitions, res.makespan)
-
-
-def tcp_pingpong_proc(
-    nbytes: int = 64,
-    repetitions: int = 20,
-    network: NetworkTechnology = GIGABIT_ETHERNET,
-) -> NetBenchResult:
-    """Coroutine twin of :func:`tcp_pingpong` (event-for-event identical)."""
-    _check(nbytes, repetitions)
-    cluster = Cluster.build(ClusterSpec(n_nodes=2, network=network))
-    app = ParallelApp(cluster)
-
-    async def program(ctx):
-        for i in range(repetitions):
-            if ctx.rank == 0:
-                await ctx.send(1, nbytes, tag=i)
-                await ctx.recv(src=1, tag=i)
-            else:
-                await ctx.recv(src=0, tag=i)
-                await ctx.send(0, nbytes, tag=i)
         return None
 
     res = app.run(program)
@@ -174,37 +137,6 @@ def inic_pingpong(
     return NetBenchResult("inic-pingpong", nbytes, repetitions, sim.now - t0)
 
 
-def inic_pingpong_proc(
-    nbytes: int = 64, repetitions: int = 20, card: CardSpec = IDEAL_INIC
-) -> NetBenchResult:
-    """Coroutine twin of :func:`inic_pingpong`.
-
-    The driver's ``send_message``/``recv_message`` generator helpers
-    are reused unchanged through :func:`~repro.sim.process.drive`, the
-    coroutine spelling of ``yield from`` — no child process, no extra
-    events, identical trace.
-    """
-    _check(nbytes, repetitions)
-    cluster, manager = _acc_pair(card)
-    sim = cluster.sim
-    t0 = sim.now
-
-    async def node(rank: int):
-        driver = manager.driver(rank)
-        peer = MacAddress(1 - rank)
-        for i in range(repetitions):
-            if rank == 0:
-                await drive(driver.send_message(peer, nbytes, tag=2 * i))
-                await drive(driver.recv_message(peer, nbytes, tag=2 * i + 1))
-            else:
-                await drive(driver.recv_message(peer, nbytes, tag=2 * i))
-                await drive(driver.send_message(peer, nbytes, tag=2 * i + 1))
-
-    procs = [sim.process(node(r)) for r in (0, 1)]
-    sim.run(until=sim.all_of(procs))
-    return NetBenchResult("inic-pingpong", nbytes, repetitions, sim.now - t0)
-
-
 def inic_stream(
     nbytes: int = 1 << 20, repetitions: int = 4, card: CardSpec = IDEAL_INIC
 ) -> NetBenchResult:
@@ -223,30 +155,6 @@ def inic_stream(
         driver = manager.driver(1)
         for i in range(repetitions):
             yield from driver.recv_message(MacAddress(0), nbytes, tag=i)
-
-    procs = [sim.process(sender()), sim.process(receiver())]
-    sim.run(until=sim.all_of(procs))
-    return NetBenchResult("inic-stream", nbytes, repetitions, sim.now - t0)
-
-
-def inic_stream_proc(
-    nbytes: int = 1 << 20, repetitions: int = 4, card: CardSpec = IDEAL_INIC
-) -> NetBenchResult:
-    """Coroutine twin of :func:`inic_stream` (event-for-event identical)."""
-    _check(nbytes, repetitions)
-    cluster, manager = _acc_pair(card)
-    sim = cluster.sim
-    t0 = sim.now
-
-    async def sender():
-        driver = manager.driver(0)
-        for i in range(repetitions):
-            await drive(driver.send_message(MacAddress(1), nbytes, tag=i))
-
-    async def receiver():
-        driver = manager.driver(1)
-        for i in range(repetitions):
-            await drive(driver.recv_message(MacAddress(0), nbytes, tag=i))
 
     procs = [sim.process(sender()), sim.process(receiver())]
     sim.run(until=sim.all_of(procs))

@@ -25,7 +25,7 @@ from collections import deque
 from typing import Callable, Optional
 
 from ..errors import HardwareError
-from ..sim.engine import NORMAL, Event, Simulator
+from ..sim.engine import Event, Simulator
 from .memory import AccessPattern, MemoryHierarchy
 
 __all__ = ["CPU"]
@@ -61,13 +61,6 @@ class CPU:
         self._waiters: deque[Event] = deque()
         self._grant_name = f"{name}.grant"
         self._steal_backlog = 0.0
-        # -- the fold window of an inline grant (see ``busy``) ---------------
-        #: the task's first sleep while its window is open, else None
-        self._first: Optional[Event] = None
-        self._first_at = 0.0
-        self._first_seq = 0
-        self._first_seconds = 0.0
-        self._first_backlog = 0.0
         # -- statistics ----------------------------------------------------
         self.busy_time = 0.0
         self.interrupt_time = 0.0
@@ -89,20 +82,6 @@ class CPU:
         if seconds < 0:
             raise HardwareError("negative steal")
         self.interrupt_time += seconds
-        first = self._first
-        if first is not None:
-            sim = self.sim
-            firing = sim._firing
-            if sim._now == self._first_at and (
-                (firing[1], firing[2]) < (NORMAL, self._first_seq)
-            ):
-                # Charged before the grant entry would have fired: the
-                # task reads it at its start, so it joins the first sleep.
-                self._first_backlog += seconds
-                sim.cancel(first)
-                sim.succeed_later(first, self._first_seconds + self._first_backlog)
-                return
-            self._first = None
         self._steal_backlog += seconds
 
     def charge_interrupt(self, count: int = 1) -> None:
@@ -120,17 +99,13 @@ class CPU:
         The actual elapsed time is ``seconds`` plus any interrupt time
         stolen while the task held the core.
 
-        A free core is taken inline, with no grant entry.  A grant entry
-        would fire at this time with the next sequence number, and the
-        task would read the steal backlog there; so the first sleep
-        takes that sequence number, and a steal charged before that
-        point in the same-time order (an URGENT entry, or a NORMAL one
-        queued before this call) joins the first sleep: it is withdrawn
-        and pushed again for ``start + (seconds + backlog)``, the float
-        a granted task computes.  Any later steal goes to the backlog,
-        which the task drains when a sleep ends.  A busy core queues the
-        task; the release hands the core over with one same-time grant
-        entry.
+        The task reads the steal backlog when it starts and sleeps for
+        ``seconds + backlog``.  Handler time stolen while the task holds
+        the core goes to the backlog and is served after the task's
+        current sleep, one further sleep per batch, until a sleep ends
+        with the backlog empty.  A free core is taken inline, with no
+        grant entry.  A busy core queues the task; the release hands the
+        core over with one same-time grant entry.
 
         :meth:`busy_then` drives the same steps from callbacks.
         """
@@ -153,9 +128,9 @@ class CPU:
         """Occupy the core for ``seconds`` of work, then call ``then()``.
 
         The callback form of :meth:`busy`, for state machines: the same
-        steps push the same entries (grant, sleeps, the fold's
-        withdraw-and-repush, the grant on release), and ``then`` runs
-        where the generator's caller would resume, after the release.
+        steps push the same entries (grant, sleeps, the grant on
+        release), and ``then`` runs where the generator's caller would
+        resume, after the release.
         """
         if seconds < 0:
             raise HardwareError(f"negative compute time {seconds!r}")
@@ -174,23 +149,15 @@ class CPU:
 
     def _first_sleep(self, seconds: float, inline: bool) -> Optional[Event]:
         """The task starts on the held core: its first sleep, or ``None``
-        for a granted task with no work."""
-        sim = self.sim
-        backlog = self._consume_backlog()
-        remaining = seconds + backlog
-        if not inline:
-            return sim.sleep(remaining) if remaining > 0 else None
-        # The grant's place in the order: a zero-length task waits there
-        # (a steal in between gives it work); any other task's first
-        # sleep takes it and opens the fold window.
-        first = sim.sleep(remaining)
-        if remaining > 0:
-            self._first = first
-            self._first_at = sim._now
-            self._first_seq = first._entry[2]
-            self._first_seconds = seconds
-            self._first_backlog = backlog
-        return first
+        for a granted task with no work.
+
+        A task that took a free core inline always sleeps once, even
+        with no work: :meth:`busy_then`'s ``then()`` must never run
+        inside its caller."""
+        remaining = seconds + self._consume_backlog()
+        if remaining > 0 or inline:
+            return self.sim.sleep(remaining)
+        return None
 
     def _next_sleep(self) -> Optional[Event]:
         """A sleep ended: the sleep for what interrupts stole while the
@@ -203,8 +170,7 @@ class CPU:
         self.tasks_run += 1
 
     def _release(self) -> None:
-        """Close the holder's fold window and hand the core on."""
-        self._first = None
+        """Hand the core on."""
         if self._waiters:
             self._waiters.popleft().succeed()
         else:

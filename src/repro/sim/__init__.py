@@ -2,7 +2,7 @@
 
 Public surface::
 
-    from repro.sim import Simulator, Timeout, Resource, Store
+    from repro.sim import Simulator, Timeout, Store
     from repro.sim import FCFSBus, FairShareBus, TraceRecorder, RandomStreams
     from repro.sim import Environment, drive   # coroutine process API
 """
@@ -22,7 +22,7 @@ from .engine import (
 from .bus import BusStats, FCFSBus, FairShareBus
 from .process import Environment, drive
 from .rand import RandomStreams
-from .resources import Request, Resource, Store
+from .resources import Store
 from .sched import HeapScheduler, SCHEDULER_KINDS, make_scheduler
 from .trace import Span, TraceRecorder, merge_intervals
 
@@ -38,8 +38,6 @@ __all__ = [
     "NORMAL",
     "Process",
     "RandomStreams",
-    "Request",
-    "Resource",
     "SCHEDULER_KINDS",
     "SimulationRunaway",
     "Simulator",

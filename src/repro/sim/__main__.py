@@ -1,11 +1,10 @@
-"""Kernel diagnostics CLI: scheduler microbenchmark and A/B harnesses.
+"""Kernel diagnostics CLI: scheduler microbenchmark and A/B harness.
 
-Three modes::
+Two modes::
 
     python -m repro.sim --bench          # raw scheduler micro-timings
     python -m repro.sim --bench --json   # same, machine-readable
     python -m repro.sim --ab             # heap-vs-native ordering diff
-    python -m repro.sim --ab-process     # callback-vs-coroutine scenario diff
 
 ``--bench`` times the bare schedulers (no engine, no models) over three
 operation mixes so a scheduler change can be judged in isolation:
@@ -16,14 +15,6 @@ operation mixes so a scheduler change can be judged in isolation:
   never re-sorted).
 * ``sawtooth`` — interleaved push/pop with monotone time, the shape the
   run loop actually produces.
-
-``--ab-process`` is the same proof for the coroutine process layer
-(:mod:`repro.sim.process`): each ported netbench scenario runs once in
-its original generator ("callback") form and once as its ``async`` twin
-— under every scheduler kind — and the ``(when, prio, seq, type)``
-event streams plus results must match exactly.  An empty diff means
-authoring style is pure syntax: the process API adds zero events and
-perturbs nothing.
 
 ``--ab`` executes the ci perf suite once on the reference heap
 scheduler and once per challenger kind (default: the native backend)
@@ -225,82 +216,6 @@ def run_ab(scale_name: str, kinds: tuple[str, ...] = _AB_DEFAULT_KINDS) -> int:
     return exit_code
 
 
-def _run_scenario(fn, kind: str):
-    """Run one netbench scenario under ``kind``; returns (trace, result)."""
-    from . import engine
-
-    saved = os.environ.get("REPRO_SIM_SCHEDULER")
-    sink: list = []
-    engine.set_trace_sink(sink)
-    os.environ["REPRO_SIM_SCHEDULER"] = kind
-    try:
-        res = fn()
-    finally:
-        engine.set_trace_sink(None)
-        if saved is None:
-            os.environ.pop("REPRO_SIM_SCHEDULER", None)
-        else:
-            os.environ["REPRO_SIM_SCHEDULER"] = saved
-    return sink, (res.nbytes, res.repetitions, res.total_time)
-
-
-def run_ab_process(kinds: tuple[str, ...] = SCHEDULER_KINDS) -> int:
-    """Diff each ported coroutine scenario against its callback twin.
-
-    For every scheduler kind, every scenario pair must produce the
-    identical ``(when, prio, seq, type)`` stream and result; the
-    coroutine trace must also be identical across kinds (anchored to
-    the first kind's run).
-    """
-    from ..apps import netbench
-
-    pairs = (
-        ("tcp-pingpong", netbench.tcp_pingpong, netbench.tcp_pingpong_proc),
-        ("inic-pingpong", netbench.inic_pingpong, netbench.inic_pingpong_proc),
-        ("inic-stream", netbench.inic_stream, netbench.inic_stream_proc),
-    )
-    exit_code = 0
-    anchors: dict[str, list] = {}
-    for kind in kinds:
-        label = _backend_label(kind)
-        for name, callback_fn, proc_fn in pairs:
-            trace_a, res_a = _run_scenario(callback_fn, kind)
-            trace_b, res_b = _run_scenario(proc_fn, kind)
-            ok = True
-            if res_a != res_b:
-                print(f"FAIL {name} [{label}]: callback {res_a} != process {res_b}")
-                ok = False
-            if len(trace_a) != len(trace_b):
-                print(
-                    f"FAIL {name} [{label}] trace length: callback "
-                    f"{len(trace_a)} != process {len(trace_b)}"
-                )
-                ok = False
-            for i, (a, b) in enumerate(zip(trace_a, trace_b)):
-                if a != b:
-                    print(
-                        f"FAIL {name} [{label}] first divergence at event "
-                        f"{i}: callback {a} != process {b}"
-                    )
-                    ok = False
-                    break
-            anchor = anchors.setdefault(name, trace_b)
-            if ok and trace_b != anchor:
-                print(
-                    f"FAIL {name} [{label}]: process trace differs from "
-                    f"the {kinds[0]} run"
-                )
-                ok = False
-            if ok:
-                print(
-                    f"PASS {name} [{label}]: callback == process, "
-                    f"{len(trace_a)} events order-identical"
-                )
-            else:
-                exit_code = 1
-    return exit_code
-
-
 def main(argv=None) -> int:
     import argparse
 
@@ -315,11 +230,6 @@ def main(argv=None) -> int:
     mode.add_argument(
         "--ab", action="store_true",
         help="diff heap-vs-challenger event order over the perf suite",
-    )
-    mode.add_argument(
-        "--ab-process", action="store_true",
-        help="diff callback-vs-coroutine event order over the ported "
-        "netbench scenarios (all scheduler kinds)",
     )
     parser.add_argument(
         "--n", type=int, default=100_000,
@@ -344,9 +254,6 @@ def main(argv=None) -> int:
     if args.bench:
         kinds = tuple(args.kinds) if args.kinds else SCHEDULER_KINDS
         return run_bench(args.n, args.seed, kinds, as_json=args.json)
-    if args.ab_process:
-        kinds = tuple(args.kinds) if args.kinds else SCHEDULER_KINDS
-        return run_ab_process(kinds)
     kinds = tuple(args.kinds) if args.kinds else _AB_DEFAULT_KINDS
     return run_ab(args.scale, kinds)
 

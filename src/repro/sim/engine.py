@@ -28,7 +28,7 @@ Concepts
     exact same resume loop: an ``await``-authored process produces the
     identical ``(time, priority, seq)`` event stream as its
     ``yield``-authored twin (see :mod:`repro.sim.process` and
-    ``python -m repro.sim --ab-process``).
+    ``tests/test_sim_process.py``).
 
 ``AnyOf`` / ``AllOf``
     Composite conditions over several events.
@@ -472,10 +472,6 @@ class Simulator:
         self.event_count: int = 0
         #: event-trace sink for the A/B ordering harness (usually None)
         self._trace = _TRACE_SINK
-        #: the scheduler entry being dispatched (``[when, prio, seq,
-        #: None]`` once detached), so a model can tell where in the
-        #: same-time order it runs (``CPU.steal``'s fold rule)
-        self._firing: Optional[list] = None
 
     # -- clock ------------------------------------------------------------------
     @property
@@ -713,8 +709,8 @@ class Simulator:
         finite = horizon != float("inf")
         limit = sys.maxsize if max_events is None else max_events
         processed = 0
-        # The loop creates no reference cycles (a granted ``Request`` is
-        # not its own value), so the cyclic collector would only traverse
+        # The loop creates no reference cycles (``test_gc_pause.py``'s
+        # census pins that), so the cyclic collector would only traverse
         # the run's live state — TCP connections, card rings — again and
         # again; pause it and leave its state as the caller had it.
         gc_was_enabled = gc.isenabled()
@@ -732,7 +728,6 @@ class Simulator:
                 if entry is None:
                     break
                 self._now = entry[0]
-                self._firing = entry
                 processed += 1
                 item = entry[3]
                 entry[3] = None  # detach: stale cancel handles become no-ops

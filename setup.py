@@ -7,7 +7,7 @@ to build the *optional* compiled kernels::
 
     python setup.py build_ext --inplace
 
-That builds three extensions next to their Python twins:
+That builds four extensions next to their Python twins:
 
 * ``repro/sim/_csched*.so`` — the DES kernel's event heap
   (:mod:`repro.sim.sched`; ``HeapScheduler`` is the reference);
@@ -19,9 +19,14 @@ That builds three extensions next to their Python twins:
 * ``repro/apps/sort/_cbucket*.so`` — the sort's stable bucket scatter
   (:mod:`repro.apps.sort.bucketsort`; the numpy body of
   ``split_by_bits`` is the reference).  It places every key where the
-  stable argsort does, so the buckets are byte-identical.
+  stable argsort does, so the buckets are byte-identical;
+* ``repro/inic/_ctrain*.so`` — the card-train fast path's scatter and
+  receive loops (:mod:`repro.inic.card`; ``INICCard._scatter_blocks``
+  and ``INICCard._account_frames`` are the reference).  Like
+  ``_cadmit`` it is compiled with ``-ffp-contract=off``, so the bus
+  clock and the card's counters are bit-equal to the Python loops'.
 
-All three are strictly optional: every build failure (no compiler, no
+All four are strictly optional: every build failure (no compiler, no
 Python headers) degrades to a warning and the pure-python reference
 serves instead, so the wheel always builds and all tests pass either
 way.
@@ -73,6 +78,12 @@ setup(
         Extension(
             "repro.apps.sort._cbucket",
             sources=["src/repro/apps/sort/_cbucket.c"],
+            optional=True,
+        ),
+        Extension(
+            "repro.inic._ctrain",
+            sources=["src/repro/inic/_ctrain.c"],
+            extra_compile_args=["-ffp-contract=off"],
             optional=True,
         ),
     ],

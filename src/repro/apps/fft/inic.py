@@ -54,10 +54,7 @@ def inic_transpose(
     order = [(ctx.rank + shift) % p for shift in range(1, p)] + [ctx.rank]
     transposed = tcore.apply_panel(panel, p)
     addrs = manager.cluster.addresses
-    blocks = [
-        SendBlock(dst=addrs[dst], nbytes=block_bytes, data=transposed[dst])
-        for dst in order
-    ]
+    blocks = [SendBlock(addrs[dst], block_bytes, transposed[dst]) for dst in order]
 
     # The custom protocol knows exactly how much to expect from whom.
     plan = TransferPlan(

@@ -15,13 +15,15 @@ the final-permutation core; the run fails if any panel is wrong.
 
 It reports the run's DES events, its blocks (``p * p``), the fabric's
 fast-path train count, whether the compiled slice loop admitted them
-(``compiled``; false when the optional extension is not built), and
-host microseconds per block in four stages,
+(``compiled``) and whether the card's scatter and receive loops ran
+compiled (``card_compiled``; each false when its optional extension is
+not built), and host microseconds per block in four stages,
 each its own exclusive time (a nested stage's time is not counted
 twice):
 
 * ``scatter``   — :meth:`INICCard._run_scatter_fast`, the closed-form
-  card datapath that lays down each sender's train;
+  card datapath that lays down each sender's train (its block loop is
+  compiled when ``card_compiled``);
 * ``admission`` — the fabric's flow-clock slice admission
   (:mod:`repro.net.flowclock`): routing and hop clocks
   (``_admit_slice``), then delivery batching (``add_many``);
@@ -47,6 +49,7 @@ from ..net.flowclock import DeliveryBatcher
 from ..net.topology import build_fattree
 from ..protocols.inicproto import TransferPlan
 from ..sim.engine import Simulator
+from . import card as card_module
 from .card import ACEII_PROTOTYPE, INICCard, SendBlock
 
 STAGES = ("scatter", "admission", "receive", "assemble")
@@ -160,6 +163,7 @@ def bench_alltoall(p: int) -> dict:
         "events": sim.event_count - events0,
         "trains_fast": fabric.trains_fast,
         "compiled": fabric.compiled,
+        "card_compiled": card_module.compiled,
         "wall_s": wall,
         "us_per_block": per_block,
     }
@@ -172,10 +176,11 @@ def run_bench(ps, as_json: bool = False) -> int:
         return 0
     cols = STAGES + ("other",)
     loop = "compiled" if all(r["compiled"] for r in rows) else "python"
+    card_loops = "compiled" if card_module.compiled else "python"
     print(
         "one fast-path all-to-all, ACEII prototype cards on a fat-tree, "
-        f"{BLOCK_EDGE * BLOCK_EDGE * 16} B blocks, {loop} slice loop; "
-        "host us per block"
+        f"{BLOCK_EDGE * BLOCK_EDGE * 16} B blocks, {loop} slice loop, "
+        f"{card_loops} card loops; host us per block"
     )
     print(
         f"{'p':>5} {'blocks':>7} {'events':>7} {'trains':>6} "

@@ -29,6 +29,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
+from weakref import WeakKeyDictionary
 
 from ..errors import ConfigurationError, OffloadError, TransferAborted
 from ..hw.cpu import CPU
@@ -50,6 +51,15 @@ from ..sim.resources import Store
 from ..units import KiB, mb_per_s, mib_per_s
 from .bitstream import Design
 from .fpga import FPGADevice, FPGAFabric, VIRTEX_1000, XILINX_4085XLA
+
+try:  # optional compiled train loops (python setup.py build_ext --inplace)
+    from . import _ctrain
+except ImportError:  # no compiler / wheel built without the extension
+    _ctrain = None
+
+#: True when the card-train fast path's scatter and receive loops run
+#: compiled (``repro/inic/_ctrain.c``), False on the Python reference.
+compiled = _ctrain is not None
 
 __all__ = [
     "CardSpec",
@@ -96,6 +106,13 @@ class CardSpec:
         if self.dma_threshold < 1:
             raise ConfigurationError(f"{self.name}: bad DMA threshold")
 
+
+#: the chunk and row memos of each simulator's cards, one pair per
+#: card spec (:attr:`INICCard._row_cache`); keyed weakly on the
+#: simulator, so a run's memos go with it
+_SPEC_MEMOS: WeakKeyDictionary[Simulator, dict[CardSpec, tuple[dict, dict]]] = (
+    WeakKeyDictionary()
+)
 
 #: static cap on packets per chunk (:func:`~repro.net.batching.choose_quantum`)
 QUANTUM_CAP = 64
@@ -333,11 +350,13 @@ class INICCard:
         #: a measurable cost at 256+ nodes).
         self._rate_design: Optional[Design] = None
         self._design_min_rate: float = float("inf")
-        self._chunk_cache: dict[tuple[int, Optional[int]], list[int]] = {}
-        #: the fast path's per-chunk constants, per (nbytes, window): one
-        #: row ``(size, bus time, last, packets, wire bytes, nbytes)`` per
-        #: chunk (:meth:`_fast_rows`)
-        self._row_cache: dict[tuple[int, Optional[int]], tuple[tuple, ...]] = {}
+        #: chunk sizes (:meth:`_chunks_of`) and the fast path's per-chunk
+        #: constants (:meth:`_fast_rows`: one row ``(size, bus time,
+        #: last, packets, wire bytes, nbytes)`` per chunk), per (nbytes,
+        #: window).  Both depend only on the spec, so every card of this
+        #: simulator with an equal spec shares the two memos.
+        memos = _SPEC_MEMOS.setdefault(sim, {})
+        self._chunk_cache, self._row_cache = memos.setdefault(spec, ({}, {}))
         self._wire_out: Optional[Wire] = None
         #: opt-in for the exchange-phase bulk fast path (set by the
         #: cluster builder from ``ClusterSpec.fastpath``); eligibility
@@ -558,7 +577,7 @@ class INICCard:
     def _chunks_of(self, nbytes: int, window: int) -> list[int]:
         # Chunking is a pure function of (nbytes, window) for a given
         # card spec, and an alltoall posts p blocks per node drawn from a
-        # handful of distinct sizes — memoize per card.  Callers iterate
+        # handful of distinct sizes — memoize per spec.  Callers iterate
         # the list without mutating it.
         cached = self._chunk_cache.get((nbytes, window))
         if cached is not None:
@@ -734,7 +753,8 @@ class INICCard:
 
     def _fast_rows(self, nbytes: int, window: int) -> tuple[tuple, ...]:
         """The fast path's per-chunk constants for a block of ``nbytes``
-        under ``window``, memoised per card.
+        under ``window``, memoised per spec (every card of a spec has
+        the same bus rate and arbitration).
 
         One row per chunk of :meth:`_chunks_of`: ``(size, d_xfer, last,
         n_packets, wire_size, nbytes)``, where ``d_xfer`` is one bus
@@ -782,41 +802,107 @@ class INICCard:
         each).  Credits are elided (``nocredit``): eligibility already
         guaranteed the window cannot overrun.
 
-        The per-chunk constants come from :meth:`_fast_rows`, so the
-        loop runs only the bus and memory recurrences; the counters are
-        sums of integers, added once per scatter from the train's
-        columns.
+        The block loop is :meth:`_scatter_blocks`, or its compiled form
+        when the extension is built; the compiled loop hands a block it
+        does not cover (self-addressed, a row-memo miss) back untouched
+        and :meth:`_scatter_blocks` lays down that one block.  The
+        counters are sums of integers, added once per scatter from the
+        train's columns.
         """
         sim = self.sim
         now = sim.now
         bus = self.host_tx
         stats = self.stats
         window = op.window_bytes or self.spec.flow_window
-        row_cache = self._row_cache
         busy = bus._busy_until
         if now > busy:
             busy = now
         busy_add = 0.0
-        # ``mem`` and ``peak`` take exactly :meth:`_track_mem`'s adds and
-        # compares, in order (a release can never raise the peak).
         mem = self._mem_in_use
         peak = stats.peak_memory_bytes
         addr = self.address
-        own = addr.value
         tag = op.tag
         train = Train(addr, self.spec.proto.headers, kind="inic", op=tag)
         local = Train(addr, 0, kind="inic-local", op=tag)
-        # The wire train's per-chunk columns come from the rows, taken
-        # apart once at the end; the loop appends a row, the
-        # destination, the payload and the send time.
-        wire_rows: list[tuple] = []
-        add_row = wire_rows.append
+        blocks = op.blocks
+        end = len(blocks)
+        i = 0
+        while i < end:
+            i, busy, busy_add, mem, peak = _scatter_blocks(
+                self, blocks, i, end, window, train, local,
+                busy, busy_add, mem, peak,
+            )
+            if i < end:
+                i, busy, busy_add, mem, peak = self._scatter_blocks(
+                    blocks, i, i + 1, window, train, local,
+                    busy, busy_add, mem, peak,
+                )
+        self._mem_in_use = mem
+        stats.peak_memory_bytes = peak
+        local_times = local.times
+        ingested = sum(local.payload_bytes)
+        egressed = 0
+        last_t = now
+        n_wire = len(train)
+        if n_wire:
+            egressed = sum(train.payload_bytes)
+            stats.frames_sent += sum(train.frame_count)
+            stats.bytes_egressed += egressed
+            last_t = train.times[-1]
+        if local_times:
+            last_t = max(last_t, *local_times)
+        stats.bytes_ingested += ingested + egressed
+        bus._busy_until = busy
+        bus_stats = bus.stats
+        bus_stats.bytes_transferred += ingested + 2 * egressed
+        bus_stats.transfer_count += len(local_times) + 2 * n_wire
+        bus_stats.busy_time += busy_add
+        if n_wire:
+            self._wire_out.send_train(train)
+        for k, ready in enumerate(local_times):
+            sim.call_after(ready - now, self._fast_local_deliver, local, k)
+        sim.call_after(last_t - now, op.sent.succeed, None)
+
+    def _scatter_blocks(
+        self,
+        blocks: list[SendBlock],
+        start: int,
+        end: int,
+        window: int,
+        train: Train,
+        local: Train,
+        busy: float,
+        busy_add: float,
+        mem: float,
+        peak: float,
+    ) -> tuple[int, float, float, float, float]:
+        """Lay ``blocks[start:end]`` down chunk by chunk: wire chunks on
+        ``train``'s columns, self-addressed ones on ``local``.
+
+        ``busy`` is the shared bus clock, ``busy_add`` the busy time
+        accumulated this scatter, ``mem`` and ``peak`` the memory gauge
+        (exactly :meth:`_track_mem`'s adds and compares, in order; a
+        release can never raise the peak); returns ``(end, busy,
+        busy_add, mem, peak)``.  The per-chunk constants come from
+        :meth:`_fast_rows`, so the loop runs only the bus and memory
+        recurrences.  ``repro/inic/_ctrain.c`` is its compiled form,
+        float operation for float operation.
+        """
+        row_cache = self._row_cache
+        addr = self.address
+        own = addr.value
         add_dst = train.dst.append
+        add_size = train.payload_bytes.append
+        add_wire = train.wire_size.append
+        add_count = train.frame_count.append
         add_payload = train.payload.append
+        add_last = train.last.append
+        add_total = train.total.append
         add_time = train.times.append
         rows_bytes = -1
         rows: tuple[tuple, ...] = ()
-        for block in op.blocks:
+        for k in range(start, end):
+            block = blocks[k]
             nbytes = block.nbytes
             if nbytes != rows_bytes:
                 rows = row_cache.get((nbytes, window))
@@ -840,8 +926,7 @@ class INICCard:
                         total=nbytes,
                     )
                 continue
-            for row in rows:
-                size, d_xfer, last_chunk, _, _, _ = row
+            for size, d_xfer, last_chunk, n_packets, wire_size, total in rows:
                 # Ingest ends (ready), the egress ends: two float adds,
                 # left to right, in that order.
                 busy = busy + d_xfer + d_xfer
@@ -851,38 +936,15 @@ class INICCard:
                 if mem > peak:
                     peak = mem
                 mem -= size
-                add_row(row)
                 add_dst(dst)
+                add_size(size)
+                add_wire(wire_size)
+                add_count(n_packets)
                 add_payload(data if last_chunk else None)
+                add_last(last_chunk)
+                add_total(total)
                 add_time(busy)
-        self._mem_in_use = mem
-        stats.peak_memory_bytes = peak
-        local_times = local.times
-        ingested = sum(local.payload_bytes)
-        egressed = 0
-        last_t = now
-        if wire_rows:
-            (
-                train.payload_bytes, _, train.last,
-                train.frame_count, train.wire_size, train.total,
-            ) = map(list, zip(*wire_rows))
-            egressed = sum(train.payload_bytes)
-            stats.frames_sent += sum(train.frame_count)
-            stats.bytes_egressed += egressed
-            last_t = train.times[-1]
-        if local_times:
-            last_t = max(last_t, *local_times)
-        stats.bytes_ingested += ingested + egressed
-        bus._busy_until = busy
-        bus_stats = bus.stats
-        bus_stats.bytes_transferred += ingested + 2 * egressed
-        bus_stats.transfer_count += len(local_times) + 2 * len(wire_rows)
-        bus_stats.busy_time += busy_add
-        if wire_rows:
-            self._wire_out.send_train(train)
-        for i, ready in enumerate(local_times):
-            sim.call_after(ready - now, self._fast_local_deliver, local, i)
-        sim.call_after(last_t - now, op.sent.succeed, None)
+        return end, busy, busy_add, mem, peak
 
     def _fast_local_deliver(self, local: Train, i: int) -> None:
         """Self-addressed chunk ``i`` of ``local`` lands (the fast-path
@@ -913,16 +975,44 @@ class INICCard:
         (:meth:`_fast_eligible`), so the receiver's bus is that FCFS bus
         too: a cluster's cards share one spec.
         """
-        total = 0
-        for train, i in zip(trains, idx):
-            total += train.payload_bytes[i]
+        total = _group_bytes(trains, idx)
+        if total is None:  # the compiled sum handed the group back
+            total = self._group_bytes(trains, idx)
         _start, finish = self.net_rx.reserve(total, len(idx))
         self.sim.call_after(
             finish - self.sim.now, self._finish_rx_train, trains, idx
         )
 
+    @staticmethod
+    def _group_bytes(trains: list[Train], idx: list[int]) -> int:
+        """The payload bytes of a delivery group."""
+        total = 0
+        for train, i in zip(trains, idx):
+            total += train.payload_bytes[i]
+        return total
+
     def _finish_rx_train(self, trains: list[Train], idx: list[int]) -> None:
         """The group's bus crossing completed: account every frame.
+
+        The frame loop is :meth:`_account_frames`, or its compiled form
+        when the extension is built; the compiled loop hands a frame it
+        does not cover back untouched (a parked frame, a deduping or
+        reducing gather, a surplus-tolerant plan, an unknown sender or
+        an overflow, the frame that completes its plan) and
+        :meth:`_account_frames` accounts that one frame, or raises its
+        error.
+        """
+        end = len(idx)
+        k = 0
+        while k < end:
+            k = _account_frames(self, trains, idx, k, end)
+            if k < end:
+                k = self._account_frames(trains, idx, k, k + 1)
+
+    def _account_frames(
+        self, trains: list[Train], idx: list[int], start: int, end: int
+    ) -> int:
+        """Account frames ``start:end`` of the group; returns ``end``.
 
         The fused form of :meth:`_rx_loop`'s accounting, straight off
         the train columns: counters and the memory gauge ride in locals
@@ -932,7 +1022,8 @@ class INICCard:
         arrival columns inline too, unless the gather dedupes or reduces
         (:meth:`GatherOp.store_payload`).  A frame whose gather is not
         posted yet is built and parked in the backlog :meth:`post_gather`
-        replays.
+        replays.  ``repro/inic/_ctrain.c`` is its compiled form, float
+        operation for float operation.
         """
         stats = self.stats
         gathers = self._gathers
@@ -940,7 +1031,9 @@ class INICCard:
         peak = stats.peak_memory_bytes
         frames_received = stats.frames_received
         bytes_received = stats.bytes_received
-        for train, i in zip(trains, idx):
+        for k in range(start, end):
+            train = trains[k]
+            i = idx[k]
             nbytes = train.payload_bytes[i]
             frames_received += train.frame_count[i]
             bytes_received += nbytes
@@ -966,6 +1059,7 @@ class INICCard:
         stats.peak_memory_bytes = peak
         stats.frames_received = frames_received
         stats.bytes_received = bytes_received
+        return end
 
     # -- receive datapath ---------------------------------------------------------------
     def _rx_loop(self):
@@ -1143,6 +1237,18 @@ class INICCard:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<INICCard {self.name!r} spec={self.spec.name} addr={self.address}>"
+
+
+#: the fast path's block and frame loops: the compiled forms when the
+#: extension is built, else the reference methods they mirror
+if _ctrain is None:
+    _scatter_blocks = INICCard._scatter_blocks
+    _group_bytes = INICCard._group_bytes
+    _account_frames = INICCard._account_frames
+else:
+    _scatter_blocks = _ctrain.scatter_blocks
+    _group_bytes = _ctrain.group_bytes
+    _account_frames = _ctrain.account_frames
 
 
 class _EgressChunk:

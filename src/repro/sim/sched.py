@@ -27,8 +27,9 @@ Two kinds:
   interpreter involvement.  The extension is optional — built via
   ``python setup.py build_ext --inplace``, which also builds the
   fabric's compiled slice loop (``repro.net._cadmit``, see
-  :mod:`repro.net.flowclock`) and the sort's bucket scatter
-  (``repro.apps.sort._cbucket``) — and when it is absent the
+  :mod:`repro.net.flowclock`), the sort's bucket scatter
+  (``repro.apps.sort._cbucket``) and the card-train loops
+  (``repro.inic._ctrain``) — and when it is absent the
   ``"native"`` kind serves a plain :class:`HeapScheduler`, which reports
   ``compiled: False`` in its stats.
 * ``"heap"`` — :class:`HeapScheduler`, the reference ``heapq``

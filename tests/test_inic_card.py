@@ -791,6 +791,8 @@ def test_card_bench_takes_the_fast_path_and_checks_its_panels():
     assert row["trains_fast"] == 4
     from repro.net import topology
     assert row["compiled"] is (topology._cadmit is not None)
+    from repro.inic import card as card_module
+    assert row["card_compiled"] is (card_module._ctrain is not None)
     assert row["events"] > 0
     assert set(row["us_per_block"]) == set(STAGES) | {"other"}
     assert all(row["us_per_block"][stage] > 0 for stage in STAGES)

@@ -85,6 +85,7 @@ def test_des_fingerprint_covers_the_c_sources():
     assert os.path.join("..", "sim", "_csched.c") in files
     assert os.path.join("..", "net", "_cadmit.c") in files
     assert os.path.join("..", "apps", "sort", "_cbucket.c") in files
+    assert os.path.join("..", "inic", "_ctrain.c") in files
 
 
 def test_cache_hit_on_identical_spec(tmp_path):

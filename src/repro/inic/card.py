@@ -722,7 +722,9 @@ class INICCard:
         ``broadcast`` block, each block within the window (``window``)
         and nothing outstanding toward its destination
         (``outstanding_credit``), so credit elision cannot overrun a
-        receiver.
+        receiver.  The fabric's train path serves exactly these
+        scatters: it raises on a faulted fabric and on a broadcast
+        frame rather than keep a frame-level copy of either.
         """
         if not self.fastpath:
             return "fastpath_off"
@@ -799,8 +801,10 @@ class INICCard:
         fabric's flow clock in one call, and the operation completes
         with two scheduled callbacks total (delivery of self-addressed
         chunks, a second train that never touches the wire, adds one
-        each).  Credits are elided (``nocredit``): eligibility already
-        guaranteed the window cannot overrun.
+        each).  Credits are elided: eligibility already guaranteed the
+        window cannot overrun, and train frames arrive through
+        :meth:`receive_train`, never the credit-returning
+        :meth:`_rx_loop`.
 
         The block loop is :meth:`_scatter_blocks`, or its compiled form
         when the extension is built; the compiled loop hands a block it
@@ -1074,11 +1078,7 @@ class INICCard:
             self.stats.frames_received += frame.frame_count
             self.stats.bytes_received += frame.payload_bytes
             self._track_mem(frame.payload_bytes)
-            if (
-                not frame.dst.is_broadcast
-                and self._wire_out is not None
-                and not frame.meta.get("nocredit")
-            ):
+            if not frame.dst.is_broadcast and self._wire_out is not None:
                 # Return a credit: the bytes have left the fabric.
                 self._wire_out.send(
                     Frame(

@@ -32,7 +32,6 @@ from .fft_model import (
     serial_fft_time,
 )
 from .gige_model import fe_fft_time, gige_fft_time, gige_sort_time, tcp_alltoall_time
-from .prototype import prototype_exchange_time, prototype_fft_time, prototype_sort_time
 from .sort_model import (
     SortModelPoint,
     inic_sort_time,
@@ -58,9 +57,6 @@ __all__ += [
     "inic_sort_time",
     "inic_transpose_time",
     "partition_bytes",
-    "prototype_exchange_time",
-    "prototype_fft_time",
-    "prototype_sort_time",
     "receive_buckets",
     "serial_fft_time",
     "serial_sort_time",

@@ -20,10 +20,11 @@
  *
  * The kernel hands back to Python -- returns the frame's index with
  * nothing of that frame applied -- at the first frame it does not
- * cover: a broadcast, a missing forwarding entry, a route-memo miss, a
- * port with no station attached, or any column entry of an unexpected
- * type.  The caller admits that frame with the reference loop, which
- * fills the memo or raises its usual error, and re-enters the kernel.
+ * cover: a missing forwarding entry (a broadcast has none), a
+ * route-memo miss, a port with no station attached, or any column
+ * entry of an unexpected type.  The caller admits that frame with the
+ * reference loop, which fills the memo or raises its usual error, and
+ * re-enters the kernel.
  */
 
 #define PY_SSIZE_T_CLEAN

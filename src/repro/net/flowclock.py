@@ -21,43 +21,34 @@ once by the sending card and read unchanged by every step below:
     path's own ``wire_size / bandwidth``, routes read from the memo,
     and the hops walked by ``_walk_hops`` — the one helper the
     frame-level ``_route_deliver`` uses too, so the hop recurrence has
-    a single home.  When the optional extension is built, the unicast
-    runs go through its compiled form instead, ``SliceKernel.admit``
-    in ``_cadmit.c``: the same float operations in the same order over
+    a single home.  When the optional extension is built, the slice
+    goes through its compiled form instead, ``SliceKernel.admit`` in
+    ``_cadmit.c``: the same float operations in the same order over
     the fabric's columnar clock ledger (``array('d')``/``array('q')``
     columns), compiled with ``-ffp-contract=off``, so the identity
-    argument below covers it unchanged.  It hands a broadcast frame, a
-    route-memo miss, or a frame with no forwarding entry or station
-    back to the Python loop.  Broadcast frames inside a train are built
-    (``Train.frame``) and go through ``_admit`` itself.  Port clocks,
-    per-hop telemetry, and the tail-drop ledger advance exactly as if
-    each frame had been sent individually — the sequential recurrence
-    is kept sequential on purpose, because prefix-scan reassociation
-    is **not** float-identical.  Collected ``(port, index, at)``
-    deliveries are then handed, in admission order, to the fabric's
-    :class:`DeliveryBatcher` (``add_many``): stations that implement
-    ``receive_train`` get whole delivery groups as ``(train, index,
-    arrival)`` columns (one pooled event per group); everything else
-    gets the frame-level ``call_after`` per frame, byte-identically.
+    argument below covers it unchanged.  It hands a route-memo miss,
+    or a frame with no forwarding entry or station, back to the Python
+    loop.  Port clocks, per-hop telemetry, and the tail-drop ledger
+    advance exactly as if each frame had been sent individually — the
+    sequential recurrence is kept sequential on purpose, because
+    prefix-scan reassociation is **not** float-identical.  Collected
+    ``(port, index, at)`` deliveries are then handed, in admission
+    order, to the fabric's :class:`DeliveryBatcher` (``add_many``),
+    which gives each station whole delivery groups as ``(train, index,
+    arrival)`` columns through its ``receive_train`` (one pooled event
+    per group).
 
-No :class:`~repro.net.packet.Frame` is built on this path except where
-a frame-level consumer needs one: the fault-fallback remainder below,
-a broadcast frame's fan-out, a station without ``receive_train``, and
-a receiving card's backlog for a gather not yet posted.
-
-Fault composition
------------------
-The fast path disables itself per component, never approximately:
-
-* a staged component-fault schedule (uplink or switch windows) marks
-  the whole fabric (``fastpath_ok() -> False``);
-* a per-uplink :class:`~repro.faults.WireFault` injector marks that
-  uplink only.
-
-In either case the train's (remaining) frames are built and fall back
-to per-frame ``_send`` calls at the exact per-frame send times, so
-seeded fault schedules (RNG draw sequences, outage windows, component
-transitions) stay bit-identical to the frame-level path.
+A train carries only what a card sends as one
+(``INICCard._fast_eligible``): unicast frames of a credit-windowed
+exchange, on a fault-free fabric, to stations that take whole groups.
+The card refuses every other case and sends it frame by frame, so the
+fabric keeps no frame-level copy of it: ``admit_train`` raises
+:class:`~repro.errors.NetworkError` on a faulted uplink or a fabric
+with staged component windows, and a broadcast frame in a train fails
+as "no forwarding entry".  Faults are installed before the run starts,
+so no window can arm in the middle of a train.  No
+:class:`~repro.net.packet.Frame` is built on this path except for a
+receiving card's backlog for a gather not yet posted.
 
 Identity argument (see docs/architecture.md §3)
 -----------------------------------------------
@@ -92,6 +83,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Sequence
 
+from ..errors import NetworkError
 from ..sim.engine import Simulator
 from .packet import Frame, Train
 
@@ -134,22 +126,17 @@ class DeliveryBatcher:
     The flush is scheduled at the opener's arrival and lazily chases
     the tail if the group grew meanwhile (one extra pooled event, no
     cancellation), so dispatch stays deterministic given the admission
-    sequence.  Whether a port's device implements ``receive_train`` is
-    looked up once per port; devices without it get the frame-level
-    ``call_after`` per frame, with the frame built by
-    :meth:`~repro.net.packet.Train.frame`.
+    sequence.  Every station a train reaches takes whole groups
+    (``receive_train``): only a card sends trains, and only to cards.
     """
 
-    __slots__ = ("sim", "devices", "_groups", "_train_ok")
+    __slots__ = ("sim", "devices", "_groups")
 
     def __init__(self, sim: Simulator, devices: Sequence):
         self.sim = sim
         #: the fabric's port -> station list (read at dispatch time)
         self.devices = devices
         self._groups: list[_TrainGroup | None] = [None] * len(devices)
-        #: per port: does its device take whole groups?  (``None``: not
-        #: looked up yet)
-        self._train_ok: list[bool | None] = [None] * len(devices)
 
     def add_many(
         self, train: Train, deliveries: Sequence[tuple[int, int, float]]
@@ -159,7 +146,6 @@ class DeliveryBatcher:
         sim = self.sim
         now = sim.now
         groups = self._groups
-        train_ok = self._train_ok
         for port, i, at in deliveries:
             g = groups[port]
             if (
@@ -171,14 +157,6 @@ class DeliveryBatcher:
                 g.idx.append(i)
                 g.times.append(at)
                 g.t_last = at
-                continue
-            ok = train_ok[port]
-            if ok is None:
-                ok = train_ok[port] = hasattr(self.devices[port], "receive_train")
-            if not ok:
-                sim.call_after(
-                    at - now, self.devices[port].receive_frame, train.frame(i)
-                )
                 continue
             g = groups[port] = _TrainGroup(port, at)
             g.trains.append(train)
@@ -219,7 +197,10 @@ def admit_train(fabric, uplink, train: Train) -> float:
     :data:`ADMIT_SLICE` segments — one DES event covers every frame
     whose send time falls within the slice; a continuation event is
     scheduled at the next frame's send time.  Returns the last send
-    time.
+    time.  Raises :class:`~repro.errors.NetworkError` on a faulted
+    uplink or a fabric with staged component windows: trains are exact
+    only where no fault can touch them, and the card never sends one
+    there.
     """
     times = train.times
     if not times:
@@ -228,37 +209,18 @@ def admit_train(fabric, uplink, train: Train) -> float:
     if any(len(getattr(train, name)) != n for name in Train.COLUMNS):
         raise ValueError(f"train mismatch: a column is not {n} frames long")
     if uplink.fault is not None or not fabric.fastpath_ok():
-        _frame_fallback(fabric, uplink, train, 0)
-        return times[-1]
+        raise NetworkError(
+            f"uplink {uplink.name!r} cannot take a train: the fabric is faulted"
+        )
     fabric.trains_fast += 1
     _admit_segment(fabric, uplink, train, 0)
     return times[-1]
-
-
-def _frame_fallback(fabric, uplink, train: Train, start: int) -> None:
-    """Frame-level remainder: build the remaining frames and replay each
-    through the full ``_send`` (fault dispositions included) at its
-    exact send time, so seeded fault schedules stay bit-identical."""
-    sim = fabric.sim
-    now = sim.now
-    times = train.times
-    frames = [train.frame(i) for i in range(start, len(times))]
-    for frame, t in zip(frames, times[start:]):
-        if t <= now:
-            fabric._send(uplink, frame)
-        else:
-            sim.call_after(t - now, fabric._send, uplink, frame)
 
 
 def _admit_segment(fabric, uplink, train: Train, start: int) -> None:
     """Admit the slice of the train due within :data:`ADMIT_SLICE`."""
     sim = fabric.sim
     now = sim.now
-    if uplink.fault is not None or not fabric.fastpath_ok():
-        # A fault armed mid-train: the remainder goes frame-level, at
-        # the exact per-frame send times.
-        _frame_fallback(fabric, uplink, train, start)
-        return
     # ``times`` is non-decreasing: the slice ends at the first frame
     # due after the horizon.
     times = train.times
@@ -344,7 +306,7 @@ def _exchange_trains(n: int, repeat: int = 2):
     return trains
 
 
-def _replay(builder, opts, n: int, bulk: bool, fault_spec=None):
+def _replay(builder, opts, n: int, bulk: bool):
     """Run the exchange pattern one way; return (arrivals, ledger, fabric)."""
     from ..net.addresses import MacAddress
 
@@ -352,10 +314,6 @@ def _replay(builder, opts, n: int, bulk: bool, fault_spec=None):
     stations = [_TrainProbe(sim, p) for p in range(n)]
     addrs = [MacAddress(i) for i in range(n)]
     fabric = builder(sim, list(zip(addrs, stations)), **opts)
-    if fault_spec is not None:
-        fabric.uplink(0).install_fault(
-            _wire_fault(fault_spec, fabric.uplink(0).name)
-        )
     for base_t, src, intra, entries in _exchange_trains(n):
         wire = stations[src].wire
 
@@ -367,8 +325,8 @@ def _replay(builder, opts, n: int, bulk: bool, fault_spec=None):
                     train.append(addrs[dst], size, t)
                 wire.send_train(train)
             else:
-                # Mirror the fallback's scheduling exactly: immediate
-                # sends inline (train order), future ones per frame.
+                # Frame-level sends at the train's send times: immediate
+                # ones inline (train order), future ones per frame.
                 now = sim.now
                 for (dst, size), t in zip(entries, times):
                     frame = Frame(addrs[src], addrs[dst], payload_bytes=size, headers=8)
@@ -383,12 +341,6 @@ def _replay(builder, opts, n: int, bulk: bool, fault_spec=None):
     return arrivals, fabric.conservation_counters(), fabric
 
 
-def _wire_fault(spec, name: str):
-    from ..faults import WireFault
-
-    return WireFault(spec, name)
-
-
 def _ab_main(argv=None) -> int:
     import argparse
 
@@ -401,40 +353,23 @@ def _ab_main(argv=None) -> int:
     args = ap.parse_args(argv)
     if not args.ab:
         ap.error("nothing to do (pass --ab)")
-    from ..faults import FaultSpec
     from .topology import build_aggregate_star, build_fattree, build_torus
 
     n = args.n
-    fault = FaultSpec(seed=7, loss_rate=0.25, corrupt_rate=0.1)
     cases = [
-        ("aggregate", build_aggregate_star, {}, None),
-        ("fattree", build_fattree, {}, None),
-        ("fattree-oversub2", build_fattree, {"oversub": 2}, None),
-        ("torus", build_torus, {}, None),
-        ("aggregate-faulted", build_aggregate_star, {}, fault),
+        ("aggregate", build_aggregate_star, {}),
+        ("fattree", build_fattree, {}),
+        ("fattree-oversub2", build_fattree, {"oversub": 2}),
+        ("torus", build_torus, {}),
     ]
     failed = False
-    for label, builder, opts, fault_spec in cases:
-        ref, ref_ledger, ref_fabric = _replay(
-            builder, opts, n, bulk=False, fault_spec=fault_spec
-        )
-        got, ledger, fabric = _replay(
-            builder, opts, n, bulk=True, fault_spec=fault_spec
-        )
+    for label, builder, opts in cases:
+        ref, ref_ledger, ref_fabric = _replay(builder, opts, n, bulk=False)
+        got, ledger, fabric = _replay(builder, opts, n, bulk=True)
         ok = got == ref and ledger == ref_ledger
         events = (ref_fabric.sim.event_count, fabric.sim.event_count)
-        if fault_spec is None:
-            # The fast path must actually have run (and cut events).
-            mode_ok = fabric.trains_fast > 0 and events[1] < events[0]
-        else:
-            # Per-component disable: the faulted uplink's trains fall
-            # back (its injector's decision log must be bit-identical),
-            # every other sender still takes the fast path.
-            total = len(_exchange_trains(n))
-            mode_ok = (
-                0 < fabric.trains_fast < total
-                and fabric.uplink(0).fault.log == ref_fabric.uplink(0).fault.log
-            )
+        # The fast path must actually have run (and cut events).
+        mode_ok = fabric.trains_fast > 0 and events[1] < events[0]
         status = "PASS" if ok and mode_ok else "FAIL"
         failed = failed or status == "FAIL"
         dropped = ref_ledger["frames_dropped"]

@@ -138,14 +138,14 @@ class Train:
     Every frame of a train shares its source, protocol tag (``op``),
     per-frame ``headers`` and ``kind``, so those are set once.  Trains
     are credit-free: a card sends one only when its flow window cannot
-    overrun, so every :meth:`frame` carries ``meta["nocredit"]``.
-    Frame ``i`` is the ``i``-th entry of the parallel per-frame columns:
-    ``dst``, ``payload_bytes``, ``wire_size``, ``frame_count``,
-    ``payload``, ``last``, ``total`` (its message's byte count) and
-    ``times`` (its logical send time, non-decreasing).
+    overrun, and no train frame reaches the card's credit-returning
+    receive loop.  Frame ``i`` is the ``i``-th entry of the parallel
+    per-frame columns: ``dst``, ``payload_bytes``, ``wire_size``,
+    ``frame_count``, ``payload``, ``last``, ``total`` (its message's
+    byte count) and ``times`` (its logical send time, non-decreasing).
     The fabric, its delivery batcher and the receiving card read the
     columns directly; :meth:`frame` builds the equivalent :class:`Frame`
-    for the consumers that need one.
+    for a receiving card's backlog of a gather not yet posted.
 
     :meth:`append` validates like :class:`Frame`; a hot producer may
     append to the columns itself, keeping them equally long and
@@ -230,7 +230,6 @@ class Train:
             "op": self.op,
             "last": self.last[i],
             "total": self.total[i],
-            "nocredit": True,
         }
         return Frame(
             src=self.src,

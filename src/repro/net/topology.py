@@ -560,7 +560,15 @@ class _AggregateUplink:
         return admit_train(self.fabric, self, train)
 
     def install_fault(self, fault) -> None:
-        """Attach a :class:`~repro.faults.WireFault` injector."""
+        """Attach a :class:`~repro.faults.WireFault` injector.
+
+        Faults are installed before the run: once the simulator has
+        dispatched an event (``sim.event_count > 0``) this raises, so no
+        injector appears under a train in flight."""
+        if self.fabric.sim.event_count > 0:
+            raise NetworkError(
+                f"uplink {self.name!r}: faults are installed before the run"
+            )
         if self.fault is not None:
             raise NetworkError(f"uplink {self.name!r} already has a fault injector")
         self.fault = fault
@@ -726,14 +734,10 @@ class HierarchicalFabric:
         self._uplink_drop_bytes = 0.0
         self._component_transitions = 0
         # -- bulk-admission fast path (repro.net.flowclock) -------------
-        #: when non-None, ``_route_deliver`` appends ``(port, frame,
-        #: deliver_at)`` here instead of scheduling delivery
-        self._collect: Optional[list] = None
         #: the train-delivery batcher, created with the first bulk train
         self._batcher = None
-        #: True once a component-fault schedule is staged; bulk
-        #: admission then falls back to frame-level so seeded fault
-        #: schedules stay bit-identical
+        #: True once a component-fault schedule is staged; cards then
+        #: send frame by frame and the fabric refuses trains
         self._faults_armed = False
         #: trains admitted via the bulk fast path
         self.trains_fast = 0
@@ -781,7 +785,16 @@ class HierarchicalFabric:
         reacts — the fat-tree rehashes over surviving spines, the torus
         detours via its next-hop table; at window end the component
         repairs and routes converge back to the zero-failure paths.
+
+        Faults are installed before the run: once the simulator has
+        dispatched an event (``sim.event_count > 0``) this raises
+        :class:`NetworkError`, so no window can be staged while a train
+        is in flight.
         """
+        if self.sim.event_count > 0:
+            raise NetworkError(
+                f"{self.name}: component faults are installed before the run"
+            )
         spec = plan.spec
         self._detection_delay = spec.detection_delay
         staged: list[tuple] = []
@@ -928,9 +941,9 @@ class HierarchicalFabric:
     ) -> float:
         """Fault-free admission at logical time ``now``.
 
-        The tail of :meth:`_send` with the clock reading parameterized.
-        :meth:`_admit_slice` is its fused per-train twin; broadcast
-        frames inside a train still come through here.
+        The tail of :meth:`_send` with the clock reading parameterized;
+        :meth:`_admit_slice` is its fused per-train twin for unicast
+        frames.
         """
         start = now if now > uplink._busy_until else uplink._busy_until
         uplink._busy_until = start + tx_time
@@ -961,25 +974,24 @@ class HierarchicalFabric:
         end: int,
         sink: list,
     ) -> None:
-        """Admit frames ``start:end`` of ``train`` at their send times,
-        collecting each delivery in ``sink`` as ``(port, index, at)``.
+        """Admit the unicast frames ``start:end`` of ``train`` at their
+        send times, collecting each delivery in ``sink`` as ``(port,
+        index, at)``.
 
         The flow-clock fast path's fused form of per-frame :meth:`_admit`
-        with delivery collected: unicast runs go through the one loop of
-        :meth:`_admit_unicast`, straight off the train's columns; a
-        broadcast frame is built (:meth:`Train.frame`) and takes
-        :meth:`_admit`'s fan-out, each copy collected under its index.
+        with delivery collected, straight off the train's columns.
         Every float operation is the frame-level one, in the same order,
         so clocks, ledgers and arrivals are bit-equal.  Each ``at`` is
         ``t + (deliver_at - t)``: frame-level delivery fires at the
         scheduler's reconstruction of the absolute time from the delay,
         one rounding away from ``deliver_at`` itself.
 
-        Unicast runs take the compiled slice loop when the extension is
-        built, else :meth:`_admit_unicast`.  The compiled loop hands a
-        frame it does not cover (a route-memo miss, a missing forwarding
-        entry or station) back untouched; :meth:`_admit_unicast` then
-        admits that one frame, or raises its error.
+        The loop is the compiled slice loop when the extension is built,
+        else :meth:`_admit_unicast`.  The compiled loop hands a frame it
+        does not cover (a route-memo miss, a missing forwarding entry or
+        station) back untouched; :meth:`_admit_unicast` then admits that
+        one frame, or raises its error.  A broadcast frame has no
+        forwarding entry, so it raises too.
 
         Only valid while :meth:`fastpath_ok` holds: no component window
         was ever staged, so no clock is failed, no switch is dead and no
@@ -988,23 +1000,8 @@ class HierarchicalFabric:
         admit = self._admit_unicast if self._kernel is None else self._kernel.admit
         while start < end:
             start = admit(uplink, train, start, end, sink)
-            if start == end:
-                return
-            if train.dst[start].value != -1:
+            if start < end:
                 start = self._admit_unicast(uplink, train, start, start + 1, sink)
-                continue
-            frame = train.frame(start)
-            t = train.times[start]
-            mark = len(sink)
-            self._collect = sink
-            try:
-                self._admit(uplink, frame, t, frame.wire_size / self.bandwidth)
-            finally:
-                self._collect = None
-            for j in range(mark, len(sink)):
-                port, _copy, at = sink[j]
-                sink[j] = (port, start, t + (at - t))
-            start += 1
 
     def _admit_unicast(
         self,
@@ -1014,8 +1011,8 @@ class HierarchicalFabric:
         end: int,
         sink: list,
     ) -> int:
-        """The slice loop proper: admit unicast frames from ``start`` on;
-        return the index of the first broadcast frame, or ``end``.
+        """The slice loop proper: admit the unicast frames ``start:end``;
+        return ``end``.
 
         The uplink clock and the routing counters live in locals, each
         frame's serialization time is the frame path's own ``wire_size /
@@ -1047,8 +1044,6 @@ class HierarchicalFabric:
         try:
             for i in range(start, end):
                 dst = dsts[i].value
-                if dst == -1:
-                    return i
                 t = times[i]
                 wire_size = wire_sizes[i]
                 tx_time = wire_size / bandwidth
@@ -1095,8 +1090,8 @@ class HierarchicalFabric:
         return self._kernel is not None
 
     def fastpath_ok(self) -> bool:
-        """True when bulk admission preserves identity fabric-wide
-        (component windows — switch or uplink — force frame-level)."""
+        """True when the fabric takes trains: no component window —
+        switch or uplink — is staged (cards then send frame by frame)."""
         return not self._faults_armed
 
     def _route_miss(self, key: int, src_port: int, dst_port: int) -> tuple[int, ...]:
@@ -1152,10 +1147,6 @@ class HierarchicalFabric:
         device = self._devices[dst_port]
         if device is None:
             raise NetworkError(f"fabric port {dst_port} has no station attached")
-        collect = self._collect
-        if collect is not None:
-            collect.append((dst_port, frame, deliver_at))
-            return deliver_at
         sim = self.sim
         sim.call_after(deliver_at - sim.now, device.receive_frame, frame)
         return deliver_at

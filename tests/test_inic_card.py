@@ -469,8 +469,8 @@ def test_train_frames_match_per_chunk_frames(monkeypatch):
     """``Train.frame(i)`` is, field for field, the ``Frame`` the fast
     path built per chunk before its trains went columnar — first,
     middle and last chunks of each block on the wire train, and the
-    self-addressed chunks on the local train — so fallbacks and the
-    ``_pending_rx`` backlog see the same frames.  A gather posted after
+    self-addressed chunks on the local train — so the ``_pending_rx``
+    backlog sees the same frames.  A gather posted after
     its frames arrived replays that backlog to the same result."""
     from repro.net import Frame, Train, wire_bytes
     from repro.net.topology import build_fattree
@@ -515,7 +515,7 @@ def test_train_frames_match_per_chunk_frames(monkeypatch):
                     frame_count=-(-size // proto.packet_size),
                     kind="inic",
                     payload=block.data if last else None,
-                    meta={"op": tag, "last": last, "total": nbytes, "nocredit": True},
+                    meta={"op": tag, "last": last, "total": nbytes},
                 )
             )
     local_expected = [
@@ -530,7 +530,6 @@ def test_train_frames_match_per_chunk_frames(monkeypatch):
                 "op": tag,
                 "last": k == len(sizes) - 1,
                 "total": nbytes,
-                "nocredit": True,
             },
         )
         for k, size in enumerate(sizes)

@@ -16,8 +16,6 @@ from repro.models import (
     inic_sort_time,
     inic_transpose_time,
     partition_bytes,
-    prototype_fft_time,
-    prototype_sort_time,
     receive_buckets,
     serial_fft_time,
     serial_sort_time,
@@ -141,16 +139,6 @@ def test_tcp_alltoall_time_structure():
 def test_fe_slower_than_gige():
     for p in (2, 4, 8):
         assert fe_fft_time(256, p, H) > gige_fft_time(256, p, H)
-
-
-def test_prototype_between_gige_and_ideal_at_scale():
-    """Fig. 8 ordering at P=16: ideal INIC < prototype < GigE."""
-    p = 16
-    assert inic_fft_time(512, p, H) < prototype_fft_time(512, p, H)
-    assert prototype_fft_time(512, p, H) < gige_fft_time(512, p, H)
-    assert inic_sort_time(P.sort_total_keys, p, H) < prototype_sort_time(
-        P.sort_total_keys, p, H
-    )
 
 
 # --- speedup helpers ------------------------------------------------------------------------

@@ -15,14 +15,12 @@ Pins the contracts ``repro.net.topology`` makes:
   bulk train admission.
 """
 
-from bisect import bisect_right
-
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import NetworkError
-from repro.faults import FaultSpec, FaultPlan, WireFault
+from repro.faults import ComponentFaultSpec, FaultSpec, FaultPlan, WireFault
 from repro.net import (
     BROADCAST,
     ETHERNET_MTU,
@@ -567,195 +565,48 @@ def test_bulk_exchange_matches_frame_level(builder, opts):
     assert (ref_ledger["frames_dropped"] > 0) == (not fabric.topology.lossless)
 
 
-def test_bulk_train_faulted_uplink_falls_back_bit_identically():
-    """A per-uplink injector forces that uplink's trains frame-level;
-    its seeded decision log — and everyone's arrivals — stay
-    bit-identical, while other senders still bulk-admit."""
-    from repro.net.flowclock import _exchange_trains, _replay
-
-    spec = FaultSpec(seed=7, loss_rate=0.25, corrupt_rate=0.1)
-    ref, ref_ledger, ref_fab = _replay(
-        build_aggregate_star, {}, 16, bulk=False, fault_spec=spec
-    )
-    got, ledger, fab = _replay(
-        build_aggregate_star, {}, 16, bulk=True, fault_spec=spec
-    )
-    assert got == ref
-    assert ledger == ref_ledger
-    assert fab.uplink(0).fault.log == ref_fab.uplink(0).fault.log
-    assert 0 < fab.trains_fast < len(_exchange_trains(16))
+def _install_fault(fabric, fault):
+    """An injector on uplink 0 (``"uplink"``), or a staged component
+    window on uplink 1 (``"component"``)."""
+    if fault == "uplink":
+        spec = FaultSpec(seed=7, loss_rate=0.25, corrupt_rate=0.1)
+        fabric.uplink(0).install_fault(WireFault(spec, fabric.uplink(0).name))
+    else:
+        window = ComponentFaultSpec("up1", windows=((0.0, 1e-3),), kind="uplink")
+        fabric.install_component_faults(FaultPlan(FaultSpec(components=(window,))))
 
 
-def _card_train(addrs, src, dsts, times, size=1000, tag=0x51):
-    """A card scatter's column train: kind and op as
-    ``INICCard._run_scatter_fast`` sets them, one chunk per block."""
-    train = Train(addrs[src], headers=8, kind="inic", op=tag)
-    for dst, t in zip(dsts, times):
-        train.append(addrs[dst], size, t, last=True, total=size)
-    return train
+@pytest.mark.parametrize("fault", ["uplink", "component"])
+def test_send_train_refuses_a_faulted_fabric(fault):
+    """A train is admitted only where no fault can touch it: on a
+    faulted uplink, or on a fabric with staged component windows,
+    ``send_train`` raises and no clock or counter moves."""
+    sim, stations, addrs, fabric = make_fabric(build_aggregate_star, n=4)
+    _install_fault(fabric, fault)
+    train = Train(addrs[0], headers=8)
+    for i in range(6):
+        train.append(addrs[1 + i % 3], 1000, i * 1e-6)
+    before = _diff_state(fabric, [])
+    with pytest.raises(NetworkError, match="cannot take a train"):
+        fabric.uplink(0).send_train(train)
+    sim.run()
+    assert sim.event_count == 0 and fabric.trains_fast == 0
+    assert _diff_state(fabric, []) == before
+    assert all(st.got == [] for st in stations)
 
 
-def test_component_arming_mid_train_degrades_remainder_exactly():
-    """A component-fault window arming between admission slices sends
-    the train's remainder frame-level; arrivals still match an
-    all-frame-level replay exactly and nothing is lost."""
-    from repro.net.flowclock import ADMIT_SLICE
-
-    spans = []
-    for bulk in (False, True):
-        sim, stations, addrs, fabric = make_fabric(build_aggregate_star, n=4)
-        times = [i * ADMIT_SLICE / 2 for i in range(8)]
-        train = _card_train(addrs, 0, [1] * 8, times)
-        if bulk:
-            fabric.uplink(0).send_train(train)
-        else:
-            for i, t in enumerate(times):
-                sim.call_after(t, fabric._send, fabric.uplink(0), train.frame(i))
-        sim.call_after(
-            1.25 * ADMIT_SLICE, setattr, fabric, "_faults_armed", True
-        )
-        sim.run()
-        counters = fabric.conservation_counters()
-        assert counters["frames_in"] == 8
-        assert counters["frames_delivered"] == 8
-        spans.append([t for _, t in stations[1].got])
-    assert spans[0] == spans[1]
-
-
-#: the mid-train window probe: a card column train from station 0 on a
-#: 16-station fat-tree (4 leaves x 4 ports, 4 spines; dst % 4 == 1 rides
-#: spine1), at dyadic send times — the fallback's relative delays
-#: reconstruct them exactly, as the frame-level replay's absolute ones do
-_MID_TRAIN_DSTS = [5, 6, 9, 10, 13, 14, 7, 11] * 4
-_MID_TRAIN_TIMES = [i * 2.0 ** -13 for i in range(len(_MID_TRAIN_DSTS))]
-#: the hand-placed window, as (staging time in quarter admission slices,
-#: window start, window length and detection delay in us, spine)
-_HAND_WINDOW = (5, 0, 1200, 300, 1)
-
-
-def _mid_train_window_runs(stage_quarters, start_us, length_us, delay_us, spine):
-    """Send the probe train frame-level, then bulk, with a spine window
-    staged ``stage_quarters / 4`` admission slices in; returns each
-    run's (arrivals, conservation ledger, component fault log)."""
-    from repro.faults import ComponentFaultSpec
-    from repro.net.flowclock import ADMIT_SLICE, _TrainProbe
-
-    n = 16
-    plan = FaultPlan(
-        FaultSpec(
-            components=(
-                ComponentFaultSpec(
-                    f"spine{spine}", windows=((start_us / 1e6, length_us / 1e6),)
-                ),
-            ),
-            detection_delay=delay_us / 1e6,
-        )
-    )
-    runs = []
-    for bulk in (False, True):
-        sim = Simulator()
-        stations = [_TrainProbe(sim, port) for port in range(n)]
-        addrs = [MacAddress(i) for i in range(n)]
-        fabric = build_fattree(sim, list(zip(addrs, stations)))
-        train = _card_train(addrs, 0, _MID_TRAIN_DSTS, _MID_TRAIN_TIMES)
-        if bulk:
-            fabric.uplink(0).send_train(train)
-        else:
-            for i, t in enumerate(_MID_TRAIN_TIMES):
-                sim.call_after(t, fabric._send, fabric.uplink(0), train.frame(i))
-        sim.call_after(
-            stage_quarters / 4 * ADMIT_SLICE, fabric.install_component_faults, plan
-        )
-        sim.run()
-        arrivals = sorted(got for st in stations for got in st.got)
-        runs.append(
-            (
-                arrivals,
-                fabric.conservation_counters(),
-                fabric.component_counters(),
-            )
-        )
-        if bulk:
-            assert fabric.trains_fast == 1
-    return runs
-
-
-def _staged_between_segments(stage_quarters):
-    """True if no frame the bulk path admitted before the staging instant
-    is due after it: the instant falls between one admission segment's
-    last frame and the next segment's first (``_admit_segment`` admits
-    every frame due within :data:`ADMIT_SLICE` of the segment's start)."""
-    from repro.net.flowclock import ADMIT_SLICE
-
-    stage = stage_quarters / 4 * ADMIT_SLICE
-    times = _MID_TRAIN_TIMES
-    start = 0
-    while start < len(times):
-        end = bisect_right(times, times[start] + ADMIT_SLICE, start)
-        if times[end - 1] <= stage and (end == len(times) or stage < times[end]):
-            return True
-        start = end
-    return False
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    stage_quarters=st.integers(0, 96),
-    start_us=st.integers(0, 4000),
-    length_us=st.integers(1, 2000),
-    delay_us=st.integers(0, 1000),
-    spine=st.integers(0, 3),
-)
-@example(*_HAND_WINDOW)
-def test_component_window_mid_train_on_fattree_matches_frame_level(
-    stage_quarters, start_us, length_us, delay_us, spine
-):
-    """A card column train on the fat-tree meets a spine window staged
-    between its admission segments: the remainder is built into frames
-    and goes frame-level, arming the window on its first frame.  Frames
-    hashed to the dead spine are blackholed during the detection delay,
-    then rerouted, then take their default path again after repair —
-    and for every staging time, window, detection delay and spine,
-    arrivals, the conservation ledger and the component fault log equal
-    an all-frame-level replay of the same train.
-
-    Staged *inside* a segment, bulk admission is not exact (see
-    ``test_component_window_mid_segment_matches_frame_level``).  The
-    hand-placed window is staged inside one too, but the one frame
-    admitted past its staging instant avoids spine1, so it stays exact."""
-    args = (stage_quarters, start_us, length_us, delay_us, spine)
-    hand = args == _HAND_WINDOW
-    assume(hand or _staged_between_segments(stage_quarters))
-    frame_level, bulk = _mid_train_window_runs(*args)
-    assert bulk == frame_level
-    for _, ledger, _ in (frame_level, bulk):
-        assert ledger["frames_in"] == (
-            ledger["frames_delivered"] + ledger["frames_dropped"]
-        )
-    if hand:
-        # the hand-placed window exercises blackhole, reroute and repair
-        log = bulk[2]
-        assert log["failover_drops"] > 0 and log["reroutes"] > 0
-        assert log["transitions"] == 2
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="a segment admits frames due up to ADMIT_SLICE ahead, so a "
-    "window staged inside it arms at the next segment, not on the next "
-    "frame (ROADMAP item 4, late arming)",
-)
-@pytest.mark.parametrize(
-    "window",
-    [
-        (0, 0, 1, 0, 1),  # staged with the train's first frame: a reroute lost
-        (5, 166, 422, 697, 2),  # one failover drop lost
-        (75, 3878, 1827, 648, 1),  # staged in the last segment: never armed
-    ],
-)
-def test_component_window_mid_segment_matches_frame_level(window):
-    frame_level, bulk = _mid_train_window_runs(*window)
-    assert bulk == frame_level
+@pytest.mark.parametrize("fault", ["uplink", "component"])
+def test_faults_are_installed_before_the_run(fault):
+    """Once the simulator has dispatched an event, neither an uplink
+    injector nor a component schedule can be installed, so no window
+    arms while a train is in flight."""
+    sim, stations, addrs, fabric = make_fabric(build_aggregate_star, n=4)
+    stations[0].send(Frame(addrs[0], addrs[1], payload_bytes=100))
+    sim.run()
+    assert sim.event_count > 0
+    with pytest.raises(NetworkError, match="installed before the run"):
+        _install_fault(fabric, fault)
+    assert fabric.uplink(0).fault is None and fabric.fastpath_ok()
 
 
 def test_zero_length_train_is_a_no_op():
@@ -848,7 +699,7 @@ def _diff_scenarios(draw):
                  headers=8).wire_size
     buffer_bytes = draw(st.integers(1, 6)) * wire + draw(st.sampled_from((-1, 0, 1)))
     frame = st.tuples(
-        st.one_of(st.integers(0, n - 1), st.just(None)),  # None: broadcast
+        st.integers(0, n - 1),
         st.one_of(st.just(common), st.integers(0, 3000)),
         st.integers(1, 3),
     )
@@ -869,15 +720,17 @@ def _diff_scenarios(draw):
 @given(_diff_scenarios())
 def test_slice_admission_matches_frame_level(scenario):
     """``_admit_slice`` is the fused form of per-frame ``_admit`` with
-    delivery collected: on every topology, for random column trains
-    (broadcast frames inside them, buffers at the tail-drop boundary),
-    arrivals, every clock's ``PortStats``, the uplink clocks and
-    counters, the routing counters and the conservation ledger are
-    bit-equal to admitting each frame ``Train.frame`` builds."""
+    delivery collected: on every topology, for random unicast column
+    trains (buffers at the tail-drop boundary), arrivals, every clock's
+    ``PortStats``, the uplink clocks and counters, the routing counters
+    and the conservation ledger are bit-equal to admitting each frame
+    ``Train.frame`` builds at time zero and delivering it through the
+    simulator."""
     kind, n, buffer_bytes, trains = scenario
     fused = _diff_fabric(kind, n, buffer_bytes)
     framewise = _diff_fabric(kind, n, buffer_bytes)
-    fused_arrivals, framewise_arrivals = [], []
+    fused_arrivals = []
+    sent = {}  # frame uid -> (train, index, send time)
     for k, (src, start, gap, entries) in enumerate(trains):
         times = [start * 2.0 ** -16 + i * gap * 2.0 ** -20 for i in range(len(entries))]
         train = _diff_train(src, entries, times)
@@ -887,13 +740,16 @@ def test_slice_admission_matches_frame_level(scenario):
         uplink = framewise.uplink(src)
         for i, t in enumerate(times):
             frame = train.frame(i)
-            sink = []
-            framewise._collect = sink
+            sent[frame.uid] = (k, i, t)
             framewise._admit(uplink, frame, t, frame.wire_size / framewise.bandwidth)
-            framewise._collect = None
-            framewise_arrivals += [(k, port, i, t + (at - t)) for port, _, at in sink]
-    assert _diff_state(fused, fused_arrivals) == _diff_state(
-        framewise, framewise_arrivals
+    framewise.sim.run()
+    framewise_arrivals = []
+    for port, station in enumerate(framewise._devices):
+        for frame, at in station.got:
+            k, i, t = sent[frame.uid]
+            framewise_arrivals.append((k, port, i, t + (at - t)))
+    assert _diff_state(fused, sorted(fused_arrivals)) == _diff_state(
+        framewise, sorted(framewise_arrivals)
     )
 
 
@@ -929,8 +785,7 @@ def test_compiled_slice_loop_is_bit_identical_to_the_reference(scenario, gigabit
     ``0.0``): every clock, every per-clock ledger column, the uplink
     clocks and counters, the routing counters and each sink entry.  The
     trains cover send-time ties (gap 0), same-leaf and remote
-    destinations, embedded broadcasts, a route memo that starts cold,
-    and buffers on the tail-drop boundary.  Dyadic timing hits that
+    destinations, a route memo that starts cold, and buffers on the tail-drop boundary.  Dyadic timing hits that
     boundary exactly; gigabit timing rounds every operation, so a
     reordered one shows in the low bits."""
     kind, n, buffer_bytes, trains = scenario
@@ -955,42 +810,44 @@ def test_compiled_slice_loop_is_bit_identical_to_the_reference(scenario, gigabit
 @needs_kernel
 def test_compiled_slice_loop_hands_back_what_it_does_not_cover():
     """The kernel returns, untouched, the first frame that is a route-memo
-    miss or a broadcast; with the memo warm it admits a unicast run
-    whole."""
+    miss; with the memo warm it admits a unicast run whole."""
     fabric = _diff_fabric("fattree", 8, 1 << 20)
     kernel = fabric._kernel
     uplink = fabric.uplink(0)
-    entries = [(5, 100, 1), (6, 100, 1), (None, 100, 1), (5, 100, 1)]
+    entries = [(5, 100, 1), (6, 100, 1), (5, 100, 1), (6, 100, 1)]
     train = _diff_train(0, entries, [0.0, 0.0, 1e-3, 2e-3])
     sink = []
     assert kernel.admit(uplink, train, 0, 4, sink) == 0  # cold memo
     assert sink == [] and uplink._busy_until == 0.0 and fabric._frames_in == 0
-    fabric._admit_slice(uplink, train, 0, 4, sink)  # warms routes to 5 and 6
-    state = _diff_state(fabric, [])
+    fabric._admit_slice(uplink, train, 0, 2, sink)  # warms routes to 5 and 6
     sink = []
-    assert kernel.admit(uplink, train, 2, 4, sink) == 2  # broadcast
-    assert sink == [] and _diff_state(fabric, []) == state
-    assert kernel.admit(uplink, train, 0, 2, sink) == 2
-    assert [(port, i) for port, i, _ in sink] == [(5, 0), (6, 1)]
+    assert kernel.admit(uplink, train, 2, 4, sink) == 4
+    assert [(port, i) for port, i, _ in sink] == [(5, 2), (6, 3)]
 
 
 @needs_kernel
-@pytest.mark.parametrize("defect", ["no forwarding entry", "no station attached"])
+@pytest.mark.parametrize(
+    "defect", ["no forwarding entry", "no station attached", "broadcast"]
+)
 def test_compiled_slice_loop_raises_the_reference_errors(defect):
     """A frame the kernel hands back for a missing forwarding entry or a
     missing station goes through the reference loop: same error, same
-    state left behind."""
+    state left behind.  A broadcast frame has no forwarding entry, so a
+    train cannot carry one."""
     states = []
     for fabric in (_diff_fabric("star", 4, 1 << 20),
                    _reference_fabric("star", 4, 1 << 20)):
-        train = _diff_train(0, [(1, 100, 1), (2, 100, 1), (3, 100, 1)],
-                            [0.0, 1e-6, 2e-6])
-        if defect == "no forwarding entry":
+        entries = [(1, 100, 1), (2, 100, 1), (3, 100, 1)]
+        if defect == "broadcast":
+            entries[1] = (None, 100, 1)
+        elif defect == "no forwarding entry":
             del fabric._table[2]
         else:
             fabric._devices[2] = None
+        train = _diff_train(0, entries, [0.0, 1e-6, 2e-6])
         sink = []
-        with pytest.raises(NetworkError, match=defect):
+        error = "no forwarding entry" if defect == "broadcast" else defect
+        with pytest.raises(NetworkError, match=error):
             fabric._admit_slice(fabric.uplink(0), train, 0, 3, sink)
         states.append(repr(_diff_state(fabric, sink)))
     assert states[0] == states[1]

@@ -69,7 +69,6 @@ __all__ = [
     "fault_check_failures",
     "chaos_points",
     "scale_points",
-    "scheduler_kind",
     "scheduler_backend",
     "build_report",
     "compare",
@@ -1177,29 +1176,17 @@ def chaos_summary(doc: dict) -> dict:
     return out
 
 
-def scheduler_kind() -> str:
-    """The scheduler kind new Simulators default to (env-overridable)."""
-    from ..sim.engine import _DEFAULT_SCHEDULER
-
-    return os.environ.get("REPRO_SIM_SCHEDULER") or _DEFAULT_SCHEDULER
-
-
 def scheduler_backend() -> dict[str, Any]:
-    """The backend ``scheduler_kind()`` actually resolves to, probed live.
+    """The event-queue backend a new Simulator runs on, probed live.
 
     Distinguishes the compiled native extension from the reference heap
     it falls back to — the perf report must record which one produced
     the walls.
     """
-    from ..sim.sched import make_scheduler
+    from ..sim.engine import Simulator
 
-    kind = scheduler_kind()
-    stats = make_scheduler(kind).stats()
-    return {
-        "kind": kind,
-        "backend": stats["kind"],
-        "compiled": bool(stats.get("compiled", False)),
-    }
+    stats = Simulator().sched_stats()
+    return {"backend": stats["kind"], "compiled": bool(stats["compiled"])}
 
 
 def build_report(
@@ -1215,7 +1202,7 @@ def build_report(
             "wall_seconds": round(r.wall_seconds, 4),
             "cached": r.cached,
             # which event-queue backend produced this scenario's wall —
-            # the native kind without the extension reports "heap"
+            # "heap" when the extension is not built
             "scheduler": backend["backend"],
             "compiled": backend["compiled"],
             # fabric topology comes from the spec (not the cached value),
@@ -1252,7 +1239,7 @@ def build_report(
     stats = engine.last_run
     return {
         "scale": scale_name,
-        "scheduler": scheduler_kind(),
+        "scheduler": backend["backend"],
         "scheduler_backend": backend,
         "jobs": engine.jobs,
         "repeats": engine.repeats,

@@ -1,12 +1,4 @@
-"""Ethernet substrate: frames, wires, switch, NICs, topology.
-
-The :mod:`.topology` exports resolve lazily (PEP 562): that module is
-also a CLI (``python -m repro.net.topology --ab``), and an eager import
-here would put it in ``sys.modules`` before ``runpy`` executes it as
-``__main__``, so its body would run twice.
-"""
-
-from importlib import import_module
+"""Ethernet substrate: frames, wires, switch, NICs, topology."""
 
 from .addresses import BROADCAST, MacAddress
 from .batching import adaptive_quantum, choose_quantum
@@ -28,27 +20,16 @@ from .packet import (
     wire_bytes,
 )
 from .switch import PortStats, Switch
-
-#: lazily imported exports of :mod:`.topology`
-_LAZY_TOPOLOGY = frozenset({
-    "FatTreeTopology",
-    "HierarchicalFabric",
-    "StarTopology",
-    "TorusTopology",
-    "build_aggregate_star",
-    "build_fattree",
-    "build_torus",
-    "torus_dims",
-})
-
-
-def __getattr__(name: str):
-    if name not in _LAZY_TOPOLOGY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(".topology", __name__), name)
-    globals()[name] = value
-    return value
-
+from .topology import (
+    FatTreeTopology,
+    HierarchicalFabric,
+    StarTopology,
+    TorusTopology,
+    build_aggregate_star,
+    build_fattree,
+    build_torus,
+    torus_dims,
+)
 
 __all__ = [
     "BROADCAST",

@@ -41,8 +41,8 @@ links and InfiniBand-style Clos fabrics), so congestion there is
 queueing delay, never silent loss; only the final egress port keeps the
 star's Ethernet tail-drop semantics.
 That is deliberate: at low load every topology reproduces the wire
-star's arrival times byte-for-byte (the A/B equivalence anchor,
-``python -m repro.net.topology --ab``), and under load the extra
+star's arrival times byte-for-byte (the ``stars`` entry of the pair
+registry, ``tests/test_pairs.py``), and under load the extra
 contention points shape the curves.
 """
 
@@ -59,7 +59,6 @@ from .fabric import (
     FrameDevice,
     GIGABIT_ETHERNET,
     NetworkTechnology,
-    build_star,
     validate_stations,
 )
 from .packet import Frame, Train
@@ -562,10 +561,10 @@ class _AggregateUplink:
     def install_fault(self, fault) -> None:
         """Attach a :class:`~repro.faults.WireFault` injector.
 
-        Faults are installed before the run: once the simulator has
-        dispatched an event (``sim.event_count > 0``) this raises, so no
-        injector appears under a train in flight."""
-        if self.fabric.sim.event_count > 0:
+        Faults are installed before the run: once ``sim.run()`` has been
+        entered (``sim.started``) this raises, so no injector appears
+        under a train in flight."""
+        if self.fabric.sim.started:
             raise NetworkError(
                 f"uplink {self.name!r}: faults are installed before the run"
             )
@@ -786,12 +785,11 @@ class HierarchicalFabric:
         detours via its next-hop table; at window end the component
         repairs and routes converge back to the zero-failure paths.
 
-        Faults are installed before the run: once the simulator has
-        dispatched an event (``sim.event_count > 0``) this raises
-        :class:`NetworkError`, so no window can be staged while a train
-        is in flight.
+        Faults are installed before the run: once ``sim.run()`` has been
+        entered (``sim.started``) this raises :class:`NetworkError`, so
+        no window can be staged while a train is in flight.
         """
-        if self.sim.event_count > 0:
+        if self.sim.started:
             raise NetworkError(
                 f"{self.name}: component faults are installed before the run"
             )
@@ -1393,108 +1391,3 @@ def build_torus(
     """Wire ``stations`` to a 3D torus (dimension-ordered routing)."""
     topo = TorusTopology(len(stations), dims=dims)
     return _build_hierarchical(sim, stations, topo, tech, name, faults)
-
-
-# ---------------------------------------------------------------------------
-# A/B equivalence harness (`python -m repro.net.topology --ab`)
-# ---------------------------------------------------------------------------
-class _ProbeStation:
-    """Minimal frame device that records (frame uid, arrival time)."""
-
-    def __init__(self, sim: Simulator):
-        self.sim = sim
-        self.wire = None
-        self.got: list[tuple[int, float]] = []
-
-    def attach_wire(self, wire) -> None:
-        self.wire = wire
-
-    def receive_frame(self, frame: Frame) -> None:
-        self.got.append((frame.uid, self.sim.now))
-
-
-def _ab_arrivals(builder, n: int, frames: int, gap: float, **opts):
-    """Drive a deterministic low-load pattern; return sorted arrivals.
-
-    Senders are scheduled ``gap`` apart (far above a frame's
-    serialization time), so no two transfers ever share an uplink, a
-    link clock, or an egress port: every fabric must produce the
-    *identical* float arrival times if its base path timing matches the
-    wire star.  Returns ``(sorted [(dst, arrival), ...], fabric)``.
-    """
-    sim = Simulator()
-    stations = [_ProbeStation(sim) for _ in range(n)]
-    addrs = [MacAddress(i) for i in range(n)]
-    fabric = builder(sim, list(zip(addrs, stations)), **opts)
-    for i in range(frames):
-        src = (i * 7) % n
-        dst = (i * 13 + 5) % n
-        if src == dst:
-            dst = (dst + 1) % n
-        size = 64 + (i * 191) % 1400
-        at = i * gap
-
-        def fire(src=src, dst=dst, size=size):
-            stations[src].wire.send(
-                Frame(addrs[src], addrs[dst], payload_bytes=size, headers=8)
-            )
-
-        sim.call_after(at, fire)
-    sim.run()
-    arrivals = []
-    for dst, st in enumerate(stations):
-        for _uid, t in st.got:
-            arrivals.append((dst, t))
-    arrivals.sort()
-    return arrivals, fabric
-
-
-#: ``(label, builder, options)`` rows checked against the wire star
-AB_CASES = (
-    ("aggregate", build_aggregate_star, {}),
-    ("fattree", build_fattree, {}),
-    ("fattree-oversub2", build_fattree, {"oversub": 2}),
-    ("torus", build_torus, {}),
-)
-
-
-def _ab_main(argv=None) -> int:
-    import argparse
-
-    ap = argparse.ArgumentParser(
-        prog="python -m repro.net.topology",
-        description="A/B: float-clock fabrics vs the full wire star",
-    )
-    ap.add_argument("--ab", action="store_true", help="run the equivalence check")
-    ap.add_argument("--n", type=int, default=64, help="stations (default 64)")
-    ap.add_argument(
-        "--frames", type=int, default=512, help="probe transfers (default 512)"
-    )
-    args = ap.parse_args(argv)
-    if not args.ab:
-        ap.error("nothing to do (pass --ab)")
-    n, frames = args.n, args.frames
-    gap = 1e-3  # >> any serialization time at 1 Gb/s: guaranteed low load
-    reference, _ = _ab_arrivals(build_star, n, frames, gap)
-    failed = False
-    for label, builder, opts in AB_CASES:
-        arrivals, fabric = _ab_arrivals(builder, n, frames, gap, **opts)
-        hops = fabric.hop_stats()
-        ok = arrivals == reference
-        # the star is one hop by construction; the hierarchies must
-        # actually exercise multi-hop paths
-        shape = (hops["max_hops"] == 1) == (builder is build_aggregate_star)
-        status = "PASS" if ok and shape else "FAIL"
-        failed = failed or status == "FAIL"
-        print(
-            f"[ab] {label:18s} {status}  n={n} frames={frames} "
-            f"avg_hops={hops['avg_hops']:.2f} max_hops={hops['max_hops']}"
-            + ("" if ok else "  (arrival times diverge from the wire star)")
-            + ("" if shape else "  (unexpected hop count)")
-        )
-    print(f"[ab] low-load equivalence: {'FAIL' if failed else 'PASS'}")
-    return 1 if failed else 0
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI entry
-    raise SystemExit(_ab_main())

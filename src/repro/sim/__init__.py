@@ -23,7 +23,7 @@ from .bus import BusStats, FCFSBus, FairShareBus
 from .process import Environment, drive
 from .rand import RandomStreams
 from .resources import Store
-from .sched import HeapScheduler, SCHEDULER_KINDS, make_scheduler
+from .sched import HeapScheduler, make_scheduler
 from .trace import Span, TraceRecorder, merge_intervals
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "NORMAL",
     "Process",
     "RandomStreams",
-    "SCHEDULER_KINDS",
     "SimulationRunaway",
     "Simulator",
     "Span",

@@ -3,7 +3,7 @@
  * NativeScheduler is a C binary heap honouring the same unique
  * ``(time, priority, seq)`` total order as ``HeapScheduler`` in
  * ``repro.sim.sched``, so its pop stream is identical to the reference
- * heap's (the A/B harness ``python -m repro.sim --ab`` pins this).
+ * heap's (the ``scheduler`` entries of ``tests/test_pairs.py`` pin this).
  *
  * Entries keep the engine-visible shape — a 4-element Python list
  * ``[when, prio, seq, item]`` — because the run loop mutates

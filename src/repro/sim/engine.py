@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import gc
 import itertools
-import os
 import random
 import sys
 from typing import Any, Callable, Generator, Iterable, Optional
@@ -93,16 +92,10 @@ _PENDING = object()  # sentinel: event value not yet set
 #: bound on the kernel free lists (Timeout / _Callback recycling)
 _POOL_MAX = 1024
 
-#: default scheduler kind; overridable per-instance or via environment.
-#: "native" is the compiled C heap when the optional extension is built,
-#: and the pure-python reference heap otherwise — identical pop order
-#: either way (sched_stats()["compiled"] reports which ran).
-_DEFAULT_SCHEDULER = "native"
-
-#: module-level event-trace sink (A/B ordering harness).  When set, every
-#: Simulator constructed afterwards appends ``(when, prio, seq, type)``
-#: per dispatched event.  ``python -m repro.sim --ab`` uses this to diff
-#: the reference heap scheduler against the compiled native one.
+#: module-level event-trace sink.  When set, every Simulator constructed
+#: afterwards appends ``(when, prio, seq, type)`` per dispatched event.
+#: The pair registry (``tests/test_pairs.py``) uses this to diff the
+#: reference heap scheduler against the compiled native one.
 _TRACE_SINK: Optional[list] = None
 
 
@@ -429,35 +422,17 @@ class AllOf(_Condition):
 class Simulator:
     """The event loop: a clock plus a scheduler of pending events.
 
-    ``scheduler`` picks the priority-queue implementation (see
-    :mod:`repro.sim.sched`): ``"native"`` (default) is the compiled C
-    heap (the reference heap when the extension isn't built), ``"heap"``
-    the reference binary heap.  Both honour the same unique
-    ``(time, priority, seq)`` total order, so the choice never changes
-    a schedule — only how fast it executes.
-    The environment variable ``REPRO_SIM_SCHEDULER`` overrides the
-    default for A/B runs; an explicit ``scheduler=`` argument beats the
-    environment.
+    The scheduler is the compiled C heap when the optional extension is
+    built and the reference binary heap otherwise (see
+    :mod:`repro.sim.sched`).  Both honour the same unique
+    ``(time, priority, seq)`` total order, so the backend never changes
+    a schedule — only how fast it executes; ``sched_stats()["compiled"]``
+    reports which one runs.
     """
 
-    def __init__(self, scheduler: Optional[str] = None):
+    def __init__(self):
         self._now: float = 0.0
-        # The argument wins over the environment; the environment wins
-        # over the default.  Bad names fail *here*, naming their source
-        # and every valid kind, not deep inside construction.
-        if scheduler:
-            kind, source = scheduler, "Simulator(scheduler=...)"
-        else:
-            kind = os.environ.get("REPRO_SIM_SCHEDULER") or ""
-            if kind:
-                source = "the REPRO_SIM_SCHEDULER environment variable"
-            else:
-                kind, source = _DEFAULT_SCHEDULER, "the built-in default"
-        try:
-            self._sched = make_scheduler(kind)
-        except ValueError as exc:
-            raise ValueError(f"{exc}; the kind came from {source}") from None
-        self._sched_kind = kind
+        self._sched = make_scheduler()
         # Bound-method alias: the push path runs once per scheduled
         # event, so the extra attribute hop through ``_sched`` matters.
         self._push = self._sched.push
@@ -470,7 +445,11 @@ class Simulator:
         self._callback_pool: list[_Callback] = []
         #: number of events processed so far (diagnostics / loop guards)
         self.event_count: int = 0
-        #: event-trace sink for the A/B ordering harness (usually None)
+        #: True once ``run()`` has been entered: set-up that must precede
+        #: the run (fault installation) checks this, not ``event_count``,
+        #: which grows only when a ``run()`` call returns
+        self.started: bool = False
+        #: event-trace sink (see ``set_trace_sink``; usually None)
         self._trace = _TRACE_SINK
 
     # -- clock ------------------------------------------------------------------
@@ -478,11 +457,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulation time in seconds."""
         return self._now
-
-    @property
-    def scheduler_kind(self) -> str:
-        """The scheduler implementation this simulator runs on."""
-        return self._sched_kind
 
     def sched_stats(self) -> dict:
         """Scheduler-internal counters (kind, compiled, live entries, cancels)."""
@@ -673,6 +647,7 @@ class Simulator:
             optional hard cap on processed events (guards against
             accidental infinite event loops in tests).
         """
+        self.started = True
         stop_value: list[Any] = []
         if isinstance(until, Event):
             target = until
@@ -788,5 +763,5 @@ class Simulator:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Simulator t={self._now:g}s queued={len(self._sched)} "
-            f"sched={self._sched_kind}>"
+            f"sched={self._sched.kind}>"
         )

@@ -100,21 +100,15 @@ class Environment:
     """Process-authoring facade over a :class:`Simulator`.
 
     Wraps an existing simulator (``Environment(sim)``) or owns a fresh
-    one (``Environment()``; ``scheduler=`` picks the queue kind).  All
+    one (``Environment()``).  All
     factories delegate to the engine's pooled fast paths — the facade
     adds no per-event cost, it only shortens the spelling.
     """
 
     __slots__ = ("sim",)
 
-    def __init__(
-        self, sim: Optional[Simulator] = None, *, scheduler: Optional[str] = None
-    ):
-        if sim is not None and scheduler is not None:
-            raise ProcessError(
-                "pass either an existing Simulator or scheduler=, not both"
-            )
-        self.sim = sim if sim is not None else Simulator(scheduler=scheduler)
+    def __init__(self, sim: Optional[Simulator] = None):
+        self.sim = sim if sim is not None else Simulator()
 
     # -- clock -------------------------------------------------------------
     @property

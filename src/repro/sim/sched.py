@@ -4,8 +4,8 @@ The simulator orders events by the unique key ``(time, priority, seq)``
 — ``seq`` is a monotone counter, so the order is a *total* order and any
 correct priority queue yields the exact same pop sequence.  That is the
 contract both schedulers here honour, which is what keeps
-``results/fig*.csv`` byte-identical regardless of the scheduler chosen
-(pinned by the A/B harness in ``python -m repro.sim --ab``).
+``results/fig*.csv`` byte-identical whichever one runs (pinned by the
+``scheduler`` entries of the pair registry, ``tests/test_pairs.py``).
 
 The contract is four methods — ``push``/``cancel``/``pop``/``peek_time``
 — over 4-element mutable list entries::
@@ -19,23 +19,22 @@ is already a tombstone (cancelled twice, or detached by the run loop at
 dispatch) is a no-op.  List comparison never reaches index 3 because
 ``seq`` is unique.
 
-Two kinds:
+Two implementations:
 
-* ``"native"`` (the default) — ``repro.sim._csched.NativeScheduler``, a
-  C binary heap that caches each entry's ``(when, prio, seq)`` key in a
-  C struct so every comparison is three scalar compares with no
-  interpreter involvement.  The extension is optional — built via
-  ``python setup.py build_ext --inplace``, which also builds the
-  fabric's compiled slice loop (``repro.net._cadmit``, see
-  :mod:`repro.net.flowclock`), the sort's bucket scatter
-  (``repro.apps.sort._cbucket``) and the card-train loops
-  (``repro.inic._ctrain``) — and when it is absent the
-  ``"native"`` kind serves a plain :class:`HeapScheduler`, which reports
-  ``compiled: False`` in its stats.
-* ``"heap"`` — :class:`HeapScheduler`, the reference ``heapq``
-  implementation the A/B harness diffs every run against.
+* ``repro.sim._csched.NativeScheduler`` — a C binary heap that caches
+  each entry's ``(when, prio, seq)`` key in a C struct so every
+  comparison is three scalar compares with no interpreter involvement.
+  The extension is optional — built via ``python setup.py build_ext
+  --inplace``, which also builds the fabric's compiled slice loop
+  (``repro.net._cadmit``, see :mod:`repro.net.flowclock`), the sort's
+  bucket scatter (``repro.apps.sort._cbucket``) and the card-train loops
+  (``repro.inic._ctrain``).  Every :class:`~repro.sim.engine.Simulator`
+  runs on it when it imports.
+* :class:`HeapScheduler` — the reference ``heapq`` implementation: the
+  no-compiler fallback, and the side the pair registry holds the native
+  heap equal to.  It reports ``compiled: False`` in its stats.
 
-Either way the pop stream is identical, so the choice never changes a
+Either way the pop stream is identical, so the backend never changes a
 schedule.
 """
 
@@ -48,12 +47,7 @@ try:  # optional compiled backend (python setup.py build_ext --inplace)
 except ImportError:  # no compiler / wheel built without the extension
     _csched = None
 
-__all__ = [
-    "HeapScheduler",
-    "make_scheduler",
-    "native_available",
-    "SCHEDULER_KINDS",
-]
+__all__ = ["HeapScheduler", "make_scheduler", "native_available"]
 
 
 class HeapScheduler:
@@ -110,26 +104,14 @@ class HeapScheduler:
         }
 
 
-SCHEDULER_KINDS = ("native", "heap")
-
-
 def native_available() -> bool:
     """True when the ``repro.sim._csched`` extension is importable."""
     return _csched is not None
 
 
-def make_scheduler(kind: str):
-    """Build a scheduler by kind name.
-
-    ``"native"`` (the default) is the compiled C heap, falling back to
-    :class:`HeapScheduler` when the extension is unavailable; ``"heap"``
-    is always the reference binary heap.  Unknown kinds raise
-    :class:`ValueError` naming every valid choice.
-    """
-    if kind == "native" and native_available():
+def make_scheduler():
+    """The compiled C heap, or :class:`HeapScheduler` when the extension
+    is unavailable."""
+    if native_available():
         return _csched.NativeScheduler()
-    if kind in SCHEDULER_KINDS:
-        return HeapScheduler()
-    raise ValueError(
-        f"unknown scheduler kind {kind!r} (choose from {', '.join(SCHEDULER_KINDS)})"
-    )
+    return HeapScheduler()

@@ -84,7 +84,7 @@ def test_builder_validates_stations():
 def test_bulk_train_admission_matches_frame_level():
     """The exchange pattern replayed bulk vs frame-level: every arrival
     float and the conservation ledger must be identical."""
-    from repro.net.flowclock import _replay
+    from .test_pairs import _replay
 
     ref, ref_ledger, _ = _replay(build_aggregate_star, {}, 16, bulk=False)
     got, ledger, fabric = _replay(build_aggregate_star, {}, 16, bulk=True)
@@ -97,7 +97,7 @@ def test_bulk_train_tail_drop_boundary_matches():
     """The harness's incast burst overflows one egress buffer inside a
     train; which frames survive (and the drop ledger) must not depend
     on the admission path."""
-    from repro.net.flowclock import _replay
+    from .test_pairs import _replay
 
     ref, ref_ledger, _ = _replay(build_aggregate_star, {}, 16, bulk=False)
     got, ledger, _ = _replay(build_aggregate_star, {}, 16, bulk=True)

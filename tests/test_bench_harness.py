@@ -125,34 +125,13 @@ def _python(*args: str) -> subprocess.CompletedProcess:
     )
 
 
-@pytest.mark.parametrize(
-    "module", ["repro.bench.sweep", "repro.bench.figures", "repro.net.topology"]
-)
+@pytest.mark.parametrize("module", ["repro.bench.sweep", "repro.bench.figures"])
 def test_bench_cli_module_is_imported_once_under_dash_m(module):
     """A package must not import its CLI modules, or ``-m`` runs their
     bodies twice (runpy warns "found in sys.modules")."""
     out = _python("-m", module, "--help")
     assert out.returncode == 0, out.stderr
     assert "usage:" in out.stdout
-
-
-def test_net_package_topology_exports_resolve_lazily():
-    out = _python(
-        "-c",
-        "import sys, repro.net as n\n"
-        "assert 'repro.net.topology' not in sys.modules\n"
-        "from repro.net import build_fattree, HierarchicalFabric, torus_dims\n"
-        "from repro.net.topology import build_fattree as b\n"
-        "assert build_fattree is b\n"
-        "assert set(n.__all__) <= set(dir(n)) | n._LAZY_TOPOLOGY\n"
-        "try:\n"
-        "    n.no_such_name\n"
-        "except AttributeError:\n"
-        "    pass\n"
-        "else:\n"
-        "    raise SystemExit('missing attribute did not raise')\n",
-    )
-    assert out.returncode == 0, out.stderr
 
 
 def test_bench_package_exports_resolve_lazily():

@@ -1,8 +1,8 @@
 """Tests for the coroutine process layer (:mod:`repro.sim.process`).
 
 Pins the tentpole guarantees: ``await`` and ``yield`` bodies drive the
-same engine machinery and produce **identical event traces** under every
-scheduler kind, model scenarios included (host TCP through
+same engine machinery and produce **identical event traces** on either
+scheduler backend, model scenarios included (host TCP through
 ``ParallelApp``, the INIC card driver through :func:`drive`);
 cancelling an event at its own fire time tombstones it before dispatch;
 and :func:`~repro.sim.process.drive` inlines generator helpers without
@@ -21,8 +21,9 @@ from repro.inic.card import IDEAL_INIC
 from repro.net.addresses import MacAddress
 from repro.sim import Environment, drive
 from repro.sim import engine
-from repro.sim.engine import Simulator
-from repro.sim.sched import SCHEDULER_KINDS, native_available
+from repro.sim.sched import native_available
+
+from .test_sim_sched import KINDS, _use
 
 
 # -- cancel at fire time -----------------------------------------------------------
@@ -103,12 +104,6 @@ def test_drive_rejects_non_generators():
 
 
 # -- environment facade ------------------------------------------------------------
-def test_environment_rejects_sim_and_scheduler_together():
-    sim = Simulator()
-    with pytest.raises(ProcessError):
-        Environment(sim, scheduler="heap")
-
-
 def test_environment_process_argument_contract():
     env = Environment()
 
@@ -185,13 +180,15 @@ def _scenario(env, style):
     return cons.value
 
 
-@pytest.mark.parametrize("kind", SCHEDULER_KINDS)
-def test_await_vs_yield_trace_identity(kind):
+@pytest.mark.parametrize("kind", KINDS)
+def test_await_vs_yield_trace_identity(kind, monkeypatch):
+    _use(kind, monkeypatch)
+
     def run(style):
         sink = []
         engine.set_trace_sink(sink)
         try:
-            env = Environment(scheduler=kind)
+            env = Environment()
             value = _scenario(env, style)
             return sink, value, env.now
         finally:
@@ -207,18 +204,19 @@ def test_await_vs_yield_trace_identity(kind):
 
 def test_trace_identity_holds_across_scheduler_kinds():
     traces = {}
-    for kind in SCHEDULER_KINDS:
+    for kind in KINDS:
         sink = []
         engine.set_trace_sink(sink)
         try:
-            env = Environment(scheduler=kind)
-            assert _scenario(env, "await") == 10
+            with pytest.MonkeyPatch.context() as m:
+                _use(kind, m)
+                assert _scenario(Environment(), "await") == 10
         finally:
             engine.set_trace_sink(None)
         traces[kind] = sink
-    anchor = traces[SCHEDULER_KINDS[0]]
+    anchor = traces[KINDS[0]]
     for kind, trace in traces.items():
-        assert trace == anchor, f"{kind} diverged from {SCHEDULER_KINDS[0]}"
+        assert trace == anchor, f"{kind} diverged from {KINDS[0]}"
 
 
 # -- model scenarios: a generator original and its async port ----------------------
@@ -291,7 +289,7 @@ def _async_inic_stream(nbytes, sims):
     return sim.now - t0
 
 
-@pytest.mark.parametrize("kind", SCHEDULER_KINDS)
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize(
     "original, port, nbytes",
     [
@@ -305,10 +303,10 @@ def test_async_port_of_a_model_scenario_is_trace_identical(
     kind, original, port, nbytes, monkeypatch
 ):
     """A netbench scenario and its ``async`` port give the same
-    ``(when, prio, seq, type)`` stream and the same time, on the
-    scheduler kind the cluster builder picks up from the environment
-    (the native kind on the compiled extension when it is built)."""
-    monkeypatch.setenv("REPRO_SIM_SCHEDULER", kind)
+    ``(when, prio, seq, type)`` stream and the same time, on either
+    scheduler backend (native: the compiled extension when it is
+    built)."""
+    _use(kind, monkeypatch)
     traces, times, sims = [], [], []
     for run in (
         lambda: original(nbytes, _REPS).total_time,
@@ -325,6 +323,4 @@ def test_async_port_of_a_model_scenario_is_trace_identical(
     assert len(traces[0]) == len(traces[1]) > 0
     assert traces[0] == traces[1]
     (sim,) = sims
-    assert sim.scheduler_kind == kind
-    if kind == "native":
-        assert sim.sched_stats()["compiled"] == native_available()
+    assert sim.sched_stats()["compiled"] == (kind == "native" and native_available())

@@ -185,67 +185,6 @@ def test_phase1_is_the_stable_binning(case):
     assert np.array_equal(keys, before)
 
 
-@st.composite
-def _window_cases(draw):
-    """Keys, a bit window (``start_bit``, ``n_buckets``) and a layout."""
-    bits = draw(st.integers(min_value=1, max_value=10))
-    start = draw(st.integers(min_value=0, max_value=32 - bits))
-    shift = 32 - start - bits
-    ids = draw(st.lists(st.integers(0, 2**bits - 1), min_size=1, max_size=8))
-    # Keys at and beside the window's bucket edges, and keys with only
-    # the bit above the window or only the bits below it set.
-    near = [(b << shift) + d for b in ids for d in (-1, 0, 1)]
-    near += [1 << (shift + bits), (1 << shift) - 1]
-    specials = _EDGE_KEYS + [x % 2**32 for x in near]
-    specials += [~x % 2**32 for x in specials]
-    keys = draw(
-        arrays(
-            dtype=np.uint32,
-            shape=st.integers(min_value=0, max_value=400),
-            elements=st.one_of(
-                st.sampled_from(specials),
-                st.integers(min_value=0, max_value=2**32 - 1),
-            ),
-        )
-    )
-    layout = draw(st.sampled_from(["contiguous", "shard", "strided", "reversed"]))
-    return keys, start, 2**bits, layout
-
-
-def _lay_out(keys, layout):
-    """``keys`` as a contiguous array, a read-only view inside a larger
-    buffer (as ``split_keys`` hands out), or a strided view."""
-    if layout == "contiguous":
-        return keys
-    if layout == "shard":
-        host = np.concatenate([keys[:3], keys, keys[:5]])
-        view = host[3 : 3 + keys.size]
-        view.flags.writeable = False
-        return view
-    if layout == "strided":
-        return np.repeat(keys, 3)[::3]
-    return np.repeat(keys[::-1], 3)[::-3]  # negative stride, same keys
-
-
-@pytest.mark.skipif(not bucketsort.compiled, reason="compiled scatter not built")
-@settings(max_examples=200, deadline=None)
-@given(_window_cases())
-def test_compiled_split_by_bits_is_byte_identical_to_the_numpy_body(case):
-    keys, start, n_buckets, layout = case
-    a = _lay_out(keys, layout)
-    before = a.tobytes()
-    shift = 32 - start - (n_buckets.bit_length() - 1)
-    got = split_by_bits(a, start, n_buckets)
-    want = bucketsort._split_by_bits_numpy(a, shift, n_buckets)
-    assert len(got) == len(want) == n_buckets
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype == np.uint32
-        assert g.shape == w.shape
-        assert g.tobytes() == w.tobytes()
-        assert not np.shares_memory(g, a)
-    assert a.tobytes() == before
-
-
 @pytest.mark.skipif(not bucketsort.compiled, reason="compiled scatter not built")
 def test_compiled_scatter_rejects_what_it_cannot_bin():
     scatter = bucketsort._cbucket.scatter

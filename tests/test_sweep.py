@@ -21,8 +21,8 @@ from repro.bench.sweep import (
     kind_salt,
     perf_points,
     scale_points,
-    scheduler_kind,
 )
+from repro.sim import Simulator
 
 #: a DES scale small enough that a whole fig8b sweep runs in well under
 #: a second per point
@@ -361,13 +361,18 @@ def test_build_report_counts_cache(tmp_path):
 
 
 # --- scale-out suite -----------------------------------------------------------------
-def test_report_records_scheduler_and_throughput(perf_doc, monkeypatch):
-    assert perf_doc["scheduler"] == scheduler_kind()
+def test_report_records_scheduler_and_throughput(perf_doc):
+    stats = Simulator().sched_stats()
+    assert perf_doc["scheduler"] == stats["kind"]
+    assert perf_doc["scheduler_backend"] == {
+        "backend": stats["kind"], "compiled": stats["compiled"]
+    }
     for entry in perf_doc["scenarios"].values():
+        assert (entry["scheduler"], entry["compiled"]) == (
+            stats["kind"], stats["compiled"]
+        )
         if entry["wall_seconds"] > 0:
             assert entry["events_per_sec"] > 0
-    monkeypatch.setenv("REPRO_SIM_SCHEDULER", "heap")
-    assert scheduler_kind() == "heap"
 
 
 def test_scale_points_enumerate_large_suite():

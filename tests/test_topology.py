@@ -4,8 +4,8 @@ Pins the contracts ``repro.net.topology`` makes:
 
 * **Low-load star equivalence** — an uncontended frame arrives at the
   identical simulated time on the full wire star, the aggregate star,
-  the fat-tree, and the torus (the A/B anchor the CI runs via
-  ``python -m repro.net.topology --ab``).
+  the fat-tree, and the torus (the ``stars`` entry of the pair registry,
+  ``test_pairs.py``, runs the same probe larger).
 * **Contention** — uplink and output-port serialization, byte-accounted
   tail drop at the egress port, shared inter-switch links.
 * **Routing geometry** — deterministic spine selection, dimension-
@@ -32,12 +32,10 @@ from repro.net import (
 )
 from repro.net import topology as topology_module
 from repro.net.topology import (
-    AB_CASES,
     FatTreeTopology,
     HierarchicalFabric,
     StarTopology,
     TorusTopology,
-    _ab_arrivals,
     build_aggregate_star,
     build_fattree,
     build_torus,
@@ -79,10 +77,13 @@ def make_fabric(builder, n=8, **opts):
 
 
 def test_low_load_arrivals_match_single_star():
-    """The harness the CI runs: scattered low-load traffic arrives at
-    byte-identical times on the wire star and every float-clock fabric."""
+    """The ``stars`` pair's probe, smaller: scattered low-load traffic
+    arrives at byte-identical times on the wire star and every
+    float-clock fabric."""
+    from .test_pairs import FABRICS, _ab_arrivals
+
     ref, _ = _ab_arrivals(build_star, n=24, frames=120, gap=1e-3)
-    for label, builder, opts in AB_CASES:
+    for label, builder, opts in FABRICS:
         got, fabric = _ab_arrivals(builder, n=24, frames=120, gap=1e-3, **opts)
         assert got == ref, f"{label} diverged from the wire star"
         # the star is one hop; the hierarchies are actually multi-hop
@@ -555,7 +556,7 @@ def test_bulk_exchange_matches_frame_level(builder, opts):
     incast burst overflows an egress buffer inside a train, so which
     frames survive must not depend on the admission path; the lossless
     torus drops nothing."""
-    from repro.net.flowclock import _replay
+    from .test_pairs import _replay
 
     ref, ref_ledger, _ = _replay(builder, opts, 16, bulk=False)
     got, ledger, fabric = _replay(builder, opts, 16, bulk=True)
@@ -597,10 +598,21 @@ def test_send_train_refuses_a_faulted_fabric(fault):
 
 @pytest.mark.parametrize("fault", ["uplink", "component"])
 def test_faults_are_installed_before_the_run(fault):
-    """Once the simulator has dispatched an event, neither an uplink
-    injector nor a component schedule can be installed, so no window
-    arms while a train is in flight."""
+    """Once the run has started, neither an uplink injector nor a
+    component schedule can be installed, so no window arms while a train
+    is in flight: not from a callback inside the first ``run()`` call,
+    before any event count is booked, nor after it returns."""
     sim, stations, addrs, fabric = make_fabric(build_aggregate_star, n=4)
+    errors = []
+
+    def install():
+        with pytest.raises(NetworkError, match="installed before the run") as exc:
+            _install_fault(fabric, fault)
+        errors.append(exc.value)
+
+    sim.call_after(1e-3, install)
+    sim.run()
+    assert len(errors) == 1
     stations[0].send(Frame(addrs[0], addrs[1], payload_bytes=100))
     sim.run()
     assert sim.event_count > 0
@@ -760,51 +772,11 @@ needs_kernel = pytest.mark.skipif(
 )
 
 
-#: gigabit timing: nothing is dyadic, so every float operation rounds
-#: and any reordering of one shows in the low bits
-_GIGABIT_TIMING = {
-    "bandwidth": GIGABIT_ETHERNET.bandwidth,
-    "propagation_delay": GIGABIT_ETHERNET.propagation_delay,
-    "forwarding_latency": GIGABIT_ETHERNET.switch_latency,
-}
-
-
 def _reference_fabric(kind, n, buffer_bytes, timing=None):
     """A ``_diff_fabric`` whose slice loop is the Python reference."""
     fabric = _diff_fabric(kind, n, buffer_bytes, timing)
     fabric._kernel = None
     return fabric
-
-
-@needs_kernel
-@settings(max_examples=150, deadline=None)
-@given(_diff_scenarios(), st.booleans())
-def test_compiled_slice_loop_is_bit_identical_to_the_reference(scenario, gigabit):
-    """The C kernel and ``_admit_unicast`` admit the same random trains
-    to the same state, bit for bit (``repr`` tells ``-0.0`` from
-    ``0.0``): every clock, every per-clock ledger column, the uplink
-    clocks and counters, the routing counters and each sink entry.  The
-    trains cover send-time ties (gap 0), same-leaf and remote
-    destinations, a route memo that starts cold, and buffers on the tail-drop boundary.  Dyadic timing hits that
-    boundary exactly; gigabit timing rounds every operation, so a
-    reordered one shows in the low bits."""
-    kind, n, buffer_bytes, trains = scenario
-    timing, unit, step = (
-        (_GIGABIT_TIMING, 1.7e-5, 1.3e-6) if gigabit
-        else (_DIFF_TIMING, 2.0 ** -16, 2.0 ** -20)
-    )
-    compiled = _diff_fabric(kind, n, buffer_bytes, timing)
-    reference = _reference_fabric(kind, n, buffer_bytes, timing)
-    assert compiled.compiled and not reference.compiled
-    got, want = [], []
-    for k, (src, start, gap, entries) in enumerate(trains):
-        times = [start * unit + i * gap * step for i in range(len(entries))]
-        for fabric, out in ((compiled, got), (reference, want)):
-            train = _diff_train(src, entries, times)
-            sink = []
-            fabric._admit_slice(fabric.uplink(src), train, 0, len(train), sink)
-            out += [(k, port, i, at) for port, i, at in sink]
-    assert repr(_diff_state(compiled, got)) == repr(_diff_state(reference, want))
 
 
 @needs_kernel

@@ -9,8 +9,11 @@ to build the *optional* compiled kernels::
 
 That builds four extensions next to their Python twins:
 
-* ``repro/sim/_csched*.so`` — the DES kernel's event heap
-  (:mod:`repro.sim.sched`; ``HeapScheduler`` is the reference);
+* ``repro/sim/_csched*.so`` — the DES kernel's event heap, run loop
+  and pooled scheduling calls (:mod:`repro.sim.sched`;
+  ``HeapScheduler`` and the ``Simulator`` methods ``_dispatch``,
+  ``call_after``, ``call_at``, ``call_urgent`` and ``sleep`` are the
+  reference);
 * ``repro/net/_cadmit*.so`` — the fabric's flow-clock slice loop
   (:mod:`repro.net.flowclock`; ``HierarchicalFabric._admit_unicast``
   is the reference).  It is compiled with ``-ffp-contract=off`` so no

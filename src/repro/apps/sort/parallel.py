@@ -139,10 +139,15 @@ def baseline_sort(
         span = ctx.trace.open("sort-comm", rank=ctx.rank)
         received = yield from alltoall(ctx, blocks)
         span.close()
-        local = np.concatenate(
-            [np.asarray(r, dtype=np.uint32).ravel() for r in received if r is not None]
-            or [np.empty(0, dtype=np.uint32)]
-        )
+        if p == 1:
+            # The one bucket is this rank's fresh phase-1 copy: sort it
+            # in place rather than concatenate it into a second buffer.
+            (local,) = received
+        else:
+            local = np.concatenate(
+                [np.asarray(r, dtype=np.uint32).ravel() for r in received if r is not None]
+                or [np.empty(0, dtype=np.uint32)]
+            )
 
         # Phases 2 + count sort.
         result = yield from host_final_sort(ctx, local, p, params)

@@ -1,11 +1,11 @@
-"""Kernel diagnostics CLI: scheduler microbenchmark.
+"""Kernel diagnostics CLI: scheduler and dispatch microbenchmarks.
 
 ::
 
-    python -m repro.sim --bench          # raw scheduler micro-timings
+    python -m repro.sim --bench          # scheduler and dispatch micro-timings
     python -m repro.sim --bench --json   # same, machine-readable
 
-``--bench`` times the bare schedulers (no engine, no models) — the
+``--bench`` first times the bare schedulers (no engine, no models) — the
 reference :class:`~repro.sim.sched.HeapScheduler` and the native backend
 every Simulator runs on — over three operation mixes so a scheduler
 change can be judged in isolation:
@@ -19,6 +19,18 @@ change can be judged in isolation:
 
 The two pop identical streams; the ``scheduler`` entries of the pair
 registry (``tests/test_pairs.py``) hold them equal.
+
+It then times ``Simulator.run`` itself: µs per dispatched event on the
+loop a Simulator runs (the compiled one when ``_csched`` is built) and
+on the reference Python loop, over three engine-level mixes of N events:
+
+* ``callbacks`` — 64 ``call_after`` chains, each callback re-arming its
+  own chain (the wire, switch and bus shape);
+* ``sleep``     — 64 processes looping on ``yield sim.sleep(dt)``;
+* ``timeouts``  — timeout churn: each ``drive`` callback makes two
+  ``timeout`` events with a callback each and cancels one.
+
+The ``dispatch`` entry of the pair registry holds the two loops equal.
 """
 
 from __future__ import annotations
@@ -26,8 +38,11 @@ from __future__ import annotations
 import json
 import sys
 import time
+from contextlib import contextmanager, nullcontext
 from random import Random
 
+from . import sched as sched_module
+from .engine import Simulator
 from .sched import HeapScheduler, make_scheduler
 
 _MIXES = ("hold", "churn", "sawtooth")
@@ -77,6 +92,94 @@ _MIX_FNS = {"hold": _mix_hold, "churn": _mix_churn, "sawtooth": _mix_sawtooth}
 _KINDS = {"native": make_scheduler, "heap": HeapScheduler}
 
 
+#: engine-level dispatch mixes (see the module docs)
+_DISPATCH_MIXES = ("callbacks", "sleep", "timeouts")
+_LANES = 64
+
+
+def _dispatch_callbacks(sim: Simulator, n: int, rng: Random) -> None:
+    left = [n]
+
+    def hop(dt: float) -> None:
+        if left[0] > 0:
+            left[0] -= 1
+            sim.call_after(dt, hop, dt)
+
+    for _ in range(_LANES):
+        hop(rng.random() * 1e-6)
+
+
+def _dispatch_sleep(sim: Simulator, n: int, rng: Random) -> None:
+    def sleeper(dt: float, k: int):
+        for _ in range(k):
+            yield sim.sleep(dt)
+
+    for _ in range(_LANES):
+        sim.process(sleeper(rng.random() * 1e-6, n // _LANES))
+
+
+def _dispatch_timeouts(sim: Simulator, n: int, rng: Random) -> None:
+    left = [n // 2]
+
+    def seen(ev) -> None:
+        pass
+
+    def drive(dt: float) -> None:
+        if left[0] > 0:
+            left[0] -= 1
+            kept, dropped = sim.timeout(dt), sim.timeout(2 * dt)
+            kept.add_callback(seen)
+            dropped.add_callback(seen)
+            sim.cancel(dropped)
+            sim.call_after(dt, drive, dt)
+
+    for _ in range(_LANES):
+        drive(rng.random() * 1e-6)
+
+
+_DISPATCH_FNS = {
+    "callbacks": _dispatch_callbacks,
+    "sleep": _dispatch_sleep,
+    "timeouts": _dispatch_timeouts,
+}
+
+
+@contextmanager
+def _reference_loop():
+    """Simulators built inside run the reference heap and Python loop."""
+    saved = sched_module._csched
+    sched_module._csched = None
+    try:
+        yield
+    finally:
+        sched_module._csched = saved
+
+
+def dispatch_report(n: int, seed: int) -> dict:
+    """µs per dispatched event through ``Simulator.run``, per mix, on the
+    loop a Simulator runs and on the reference Python loop."""
+    loops = {}
+    for loop in ("compiled", "reference"):
+        entry = {"compiled": False, "events": {}, "us_per_event": {}}
+        for mix in _DISPATCH_MIXES:
+            with _reference_loop() if loop == "reference" else nullcontext():
+                sim = Simulator()
+            entry["compiled"] = bool(sim.sched_stats()["compiled"])
+            _DISPATCH_FNS[mix](sim, n, Random(seed))
+            t0 = time.perf_counter()
+            sim.run()
+            dt = time.perf_counter() - t0
+            entry["events"][mix] = sim.event_count
+            entry["us_per_event"][mix] = dt / sim.event_count * 1e6
+        loops[loop] = entry
+    if loops["compiled"]["events"] != loops["reference"]["events"]:
+        raise RuntimeError(
+            f"dispatch: the loops ran {loops['compiled']['events']} and "
+            f"{loops['reference']['events']} events"
+        )
+    return {"mixes": list(_DISPATCH_MIXES), "loops": loops}
+
+
 def bench_report(n: int, seed: int) -> dict:
     """Time every (kind, mix) cell; returns a JSON-ready report.
 
@@ -104,6 +207,7 @@ def bench_report(n: int, seed: int) -> dict:
                 )
             entry["ops_per_sec"][mix] = ops / dt
         report["schedulers"][kind] = entry
+    report["dispatch"] = dispatch_report(n, seed)
     return report
 
 
@@ -138,6 +242,23 @@ def run_bench(n: int, seed: int, as_json: bool = False) -> int:
         "(Mo/s = million scheduler operations per second, higher is better; "
         "Nx = throughput vs heap)"
     )
+    dispatch = report["dispatch"]
+    loops = dispatch["loops"]
+    ref = loops["reference"]["us_per_event"]
+    print(f"\ndispatch through Simulator.run: n={n} seed={seed}")
+    header = f"{'loop':>10} | " + " | ".join(f"{m:>19}" for m in _DISPATCH_MIXES)
+    print(header)
+    print("-" * len(header))
+    for loop, entry in loops.items():
+        us = entry["us_per_event"]
+        cells = [f"{us[m]:>8.3f}us ({us[m] / ref[m]:>5.2f}x)" for m in _DISPATCH_MIXES]
+        print(f"{loop:>10} | " + " | ".join(cells))
+        if loop == "compiled" and not entry["compiled"]:
+            print(f"{'':>10}   (reference-loop fallback; extension not built)")
+    print(
+        "(us = microseconds per dispatched event, lower is better; "
+        "Nx = time vs the reference loop)"
+    )
     return 0
 
 
@@ -149,11 +270,12 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--bench", action="store_true", required=True,
-        help="microbenchmark the raw schedulers",
+        help="microbenchmark the raw schedulers and the run loop",
     )
     parser.add_argument(
         "--n", type=int, default=100_000,
-        help="events per mix (default 100000)",
+        help="operations per scheduler mix, events per dispatch mix "
+        "(default 100000)",
     )
     parser.add_argument("--seed", type=int, default=0x5EED)
     parser.add_argument(

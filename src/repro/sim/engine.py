@@ -46,9 +46,13 @@ events, most of which are one of two shapes:
   represented by a free-list-pooled :class:`Timeout` that the run loop
   recycles once its callbacks have fired.
 
-``run()`` does the per-event work inline, and ``Timeout`` builds its
-display name lazily — the f-string only exists if someone actually
-prints the event.
+The run loop (``Simulator._dispatch``) does the per-event work inline,
+and ``Timeout`` builds its display name lazily — the f-string only
+exists if someone actually prints the event.  When the compiled
+scheduler is built, it runs that loop and the four pooled scheduling
+calls (``call_after``, ``call_at``, ``call_urgent``, ``sleep``) in C,
+step for step (``repro/sim/_csched.c``); the Python bodies here are the
+reference and the no-compiler path.
 
 Determinism
 -----------
@@ -68,7 +72,7 @@ import sys
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from ..errors import ProcessError, SimTimeError
-from .sched import make_scheduler
+from .sched import _csched, make_scheduler
 
 __all__ = [
     "Simulator",
@@ -427,7 +431,8 @@ class Simulator:
     :mod:`repro.sim.sched`).  Both honour the same unique
     ``(time, priority, seq)`` total order, so the backend never changes
     a schedule — only how fast it executes; ``sched_stats()["compiled"]``
-    reports which one runs.
+    reports which one runs.  The compiled heap also runs the event loop
+    and the pooled scheduling calls (see ``__init__``).
     """
 
     def __init__(self):
@@ -451,6 +456,19 @@ class Simulator:
         self.started: bool = False
         #: event-trace sink (see ``set_trace_sink``; usually None)
         self._trace = _TRACE_SINK
+        if self._sched.compiled:
+            # The compiled scheduler also runs the loop (``_dispatch``)
+            # and the four pooled scheduling calls below, step for step
+            # (``repro/sim/_csched.c``).  Its bound methods shadow the
+            # Python ones, which stay as the reference and serve
+            # ``HeapScheduler``.  It keeps ``_seq`` and both free lists
+            # as bound here.
+            sched = self._sched
+            sched.bind(self)
+            self.call_after = sched.call_after
+            self.call_at = sched.call_at
+            self.call_urgent = sched.call_urgent
+            self.sleep = sched.sleep
 
     # -- clock ------------------------------------------------------------------
     @property
@@ -656,10 +674,10 @@ class Simulator:
                 stop_value.append(ev)
 
             target.add_callback(_stop)
-            horizon = float("inf")
+            horizon = None
         elif until is None:
             target = None
-            horizon = float("inf")
+            horizon = None
         else:
             target = None
             horizon = float(until)
@@ -667,7 +685,50 @@ class Simulator:
                 raise SimTimeError(
                     f"cannot run until {horizon!r}: clock already at {self._now!r}"
                 )
+            if horizon == float("inf"):
+                horizon = None  # no bound: run until the queue drains
 
+        limit = sys.maxsize if max_events is None else max_events
+        sched = self._sched
+        dispatch = sched.dispatch if sched.compiled else self._dispatch
+        # The loop creates no reference cycles (``test_gc_pause.py``'s
+        # census pins that), so the cyclic collector would only traverse
+        # the run's live state — TCP connections, card rings — again and
+        # again; pause it and leave its state as the caller had it.
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            runaway = dispatch(stop_value, horizon, limit)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+        if runaway:
+            raise SimulationRunaway(
+                f"exceeded max_events={max_events} (clock at {self._now:g}s)"
+            )
+
+        if target is not None:
+            if not stop_value:
+                raise RuntimeError(
+                    f"simulation ran out of events before {target!r} triggered"
+                )
+            ev = stop_value[0]
+            if ev._ok:
+                return ev._value
+            raise ev._value
+        return None
+
+    def _dispatch(self, stop: list, horizon: Optional[float], limit: int) -> bool:
+        """The run loop: dispatch events until ``stop`` is non-empty, the
+        queue drains, the next event lies beyond ``horizon`` (then the
+        clock moves to it), or ``limit`` events have run (then it
+        returns True).  Adds the events it processed to ``event_count``
+        on every exit.
+
+        This is the reference loop; a compiled scheduler runs its
+        ``dispatch`` instead, which does the same steps in the same
+        order (``repro/sim/_csched.c``).
+        """
         # Everything hot is bound to locals and both payload kinds are
         # dispatched inline — one type check each for the two dominant
         # shapes (``_Callback``, pooled ``Timeout``).  The per-event
@@ -681,17 +742,10 @@ class Simulator:
         timeout_t = Timeout
         pending = _PENDING
         pool_max = _POOL_MAX
-        finite = horizon != float("inf")
-        limit = sys.maxsize if max_events is None else max_events
+        finite = horizon is not None
         processed = 0
-        # The loop creates no reference cycles (``test_gc_pause.py``'s
-        # census pins that), so the cyclic collector would only traverse
-        # the run's live state — TCP connections, card rings — again and
-        # again; pause it and leave its state as the caller had it.
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
         try:
-            while not stop_value:
+            while not stop:
                 if finite:
                     t = sched.peek_time()
                     if t is None or t > horizon:
@@ -718,7 +772,8 @@ class Simulator:
                     fn(*args)
                 else:
                     # Event dispatch (the single other shape the
-                    # scheduler ever holds).
+                    # scheduler ever holds).  The for loop reads the
+                    # list's live length: a callback may append.
                     callbacks = item.callbacks
                     item.callbacks = None
                     for fn in callbacks:
@@ -732,24 +787,10 @@ class Simulator:
                         # error instead of silently dropping it.
                         raise item._value
                 if processed >= limit:
-                    raise SimulationRunaway(
-                        f"exceeded max_events={max_events} (clock at {self._now:g}s)"
-                    )
+                    return True
         finally:
             self.event_count += processed
-            if gc_was_enabled:
-                gc.enable()
-
-        if target is not None:
-            if not stop_value:
-                raise RuntimeError(
-                    f"simulation ran out of events before {target!r} triggered"
-                )
-            ev = stop_value[0]
-            if ev._ok:
-                return ev._value
-            raise ev._value
-        return None
+        return False
 
     # -- observability -----------------------------------------------------------
     def register_telemetry(self, registry, prefix: str = "sim") -> None:
@@ -765,3 +806,8 @@ class Simulator:
             f"<Simulator t={self._now:g}s queued={len(self._sched)} "
             f"sched={self._sched.kind}>"
         )
+
+
+if _csched is not None:
+    # The compiled loop reads and writes these classes' slots directly.
+    _csched.bind_kernel(Event, Timeout, _Callback, _PENDING, _POOL_MAX, SimTimeError)

@@ -7,8 +7,9 @@ contract both schedulers here honour, which is what keeps
 ``results/fig*.csv`` byte-identical whichever one runs (pinned by the
 ``scheduler`` entries of the pair registry, ``tests/test_pairs.py``).
 
-The contract is four methods — ``push``/``cancel``/``pop``/``peek_time``
-— over 4-element mutable list entries::
+The scheduling contract is four methods —
+``push``/``cancel``/``pop``/``peek_time`` — over 4-element mutable list
+entries::
 
     [when, prio, seq, item]
 
@@ -24,6 +25,11 @@ Two implementations:
 * ``repro.sim._csched.NativeScheduler`` — a C binary heap that caches
   each entry's ``(when, prio, seq)`` key in a C struct so every
   comparison is three scalar compares with no interpreter involvement.
+  A :class:`~repro.sim.engine.Simulator` also binds it (``bind``) to run
+  its event loop (``dispatch``, the compiled ``Simulator._dispatch``) and
+  its pooled scheduling calls (``call_after``, ``call_at``,
+  ``call_urgent``, ``sleep``) in C, step for step as the Python methods
+  do; the ``dispatch`` entry of the pair registry holds them equal.
   The extension is optional — built via ``python setup.py build_ext
   --inplace``, which also builds the fabric's compiled slice loop
   (``repro.net._cadmit``, see :mod:`repro.net.flowclock`), the sort's
@@ -32,7 +38,8 @@ Two implementations:
   runs on it when it imports.
 * :class:`HeapScheduler` — the reference ``heapq`` implementation: the
   no-compiler fallback, and the side the pair registry holds the native
-  heap equal to.  It reports ``compiled: False`` in its stats.
+  heap equal to.  It reports ``compiled: False`` in its stats, and a
+  Simulator on it runs the Python loop and methods.
 
 Either way the pop stream is identical, so the backend never changes a
 schedule.

@@ -137,6 +137,7 @@ def test_inic_sort_correct_prototype_two_phase():
     [
         ("baseline", 1),
         ("baseline", 4),
+        ("baseline-sampling", 1),
         ("baseline-sampling", 4),
         ("inic-ideal", 4),
         ("inic-prototype", 4),
@@ -159,6 +160,29 @@ def test_sort_leaves_input_untouched_and_unshared(variant, p):
     assert keys.tobytes() == before.tobytes()
     assert not any(np.shares_memory(part, keys) for part in parts)
     assert np.array_equal(np.concatenate(parts), np.sort(before))
+
+
+def test_baseline_sort_at_one_rank_sorts_its_phase1_copy_in_place(monkeypatch):
+    """At p=1 phase 1 copies the keys once, and that copy is sorted in
+    place into the output: no second buffer, the caller's keys intact."""
+    from repro.apps.sort import parallel
+
+    copies = []
+    split = parallel.phase1_destination_buckets
+
+    def phase1(keys, p):
+        buckets = split(keys, p)
+        copies.extend(buckets)
+        return buckets
+
+    monkeypatch.setattr(parallel, "phase1_destination_buckets", phase1)
+    keys = random_keys(2**13, seed=5)
+    before = keys.copy()
+    (part,), _ = parallel.baseline_sort(Cluster.build(ClusterSpec(n_nodes=1)), keys)
+    assert keys.tobytes() == before.tobytes()
+    assert part.dtype == np.uint32 and part.tobytes() == np.sort(before).tobytes()
+    (copy,) = copies
+    assert np.shares_memory(part, copy) and not np.shares_memory(part, keys)
 
 
 def test_sort_rejects_non_power_of_two_ranks():

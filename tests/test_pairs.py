@@ -139,6 +139,196 @@ def _same_stream(case, ref, fast):
     )
 
 
+# --- dispatch: the compiled run loop and pooled calls ------------------------------------
+#: coarse delays, so same-time ties (and delay-0 entries) abound
+_DT = (0.0, 0.0, 0.5, 1.0, 2.5)
+
+_dt = st.sampled_from(_DT)
+_none = st.just(())
+
+#: one op of a dispatch script; ops in ``then`` run when their parent fires
+_dispatch_op = st.recursive(
+    st.one_of(
+        st.tuples(st.just("after"), _dt, _none),
+        st.tuples(st.just("at"), _dt, _none),
+        st.tuples(st.just("urgent"), _none),
+        st.tuples(st.just("timeout"), _dt, st.booleans()),
+        st.tuples(st.just("any_of"), st.lists(_dt, max_size=3)),
+        st.tuples(st.just("fail"), _dt, st.booleans()),
+        st.tuples(st.just("raise"), _dt),
+        st.tuples(st.just("cancel"), st.integers(0, 15)),
+        st.tuples(st.just("bad"), st.sampled_from(("after", "at", "sleep"))),
+    ),
+    lambda ops: st.one_of(
+        st.tuples(st.just("after"), _dt, st.lists(ops, max_size=3)),
+        st.tuples(st.just("at"), _dt, st.lists(ops, max_size=3)),
+        st.tuples(st.just("urgent"), st.lists(ops, max_size=3)),
+        st.tuples(
+            st.just("process"), st.lists(_dt, max_size=3),
+            st.lists(ops, max_size=3), st.booleans(),
+        ),
+    ),
+    max_leaves=24,
+)
+
+#: ``run(until=...)``: None, a float horizon this far ahead, a target
+#: timeout, a target that fails, or a target that never fires
+_until = st.one_of(
+    st.none(),
+    st.tuples(st.just("float"), _dt),
+    st.tuples(st.just("timeout"), _dt),
+    st.tuples(st.just("fails"), _dt),
+    st.tuples(st.just("never")),
+)
+
+#: ``(tiebreak seed, [(ops, until, max_events), ...])``
+_dispatch_scripts = st.tuples(
+    st.sampled_from((None, 1, 7)),
+    st.lists(
+        st.tuples(
+            st.lists(_dispatch_op, max_size=6), _until,
+            st.one_of(st.none(), st.integers(1, 30)),
+        ),
+        min_size=1, max_size=3,
+    ),
+)
+
+
+class _Dispatch:
+    """Play a dispatch script on one Simulator, logging what fires."""
+
+    def __init__(self, sim: Simulator):
+        self.sim = sim
+        self.log: list = []
+        self.handles: list = []  # ("cb" | "ev", handle), fired ones kept
+        self.n = 0
+
+    def do(self, ops) -> None:
+        for op in ops:
+            self.op(op)
+
+    def op(self, op) -> None:
+        sim, log = self.sim, self.log
+        self.n += 1
+        n, kind = self.n, op[0]
+        if kind == "after":
+            self.handles.append(("cb", sim.call_after(op[1], self.fire, n, op[2])))
+        elif kind == "at":
+            self.handles.append(("cb", sim.call_at(sim.now + op[1], self.fire, n, op[2])))
+        elif kind == "urgent":
+            self.handles.append(("cb", sim.call_urgent(self.fire, n, op[1])))
+        elif kind == "process":
+            sim.process(self.body(n, *op[1:]))
+        elif kind == "timeout":
+            t = sim.timeout(op[1], n)
+            self.handles.append(("ev", t))
+            t.add_callback(self.seen)
+            if op[2]:  # a callback that appends to the list being fired
+                callbacks = t.callbacks
+                t.add_callback(lambda ev: callbacks.append(self.seen))
+        elif kind == "any_of":
+            events = [sim.timeout(d, (n, i)) for i, d in enumerate(op[1])]
+            sim.any_of(events).add_callback(self.seen)
+        elif kind == "fail":
+            ev = sim.event()
+            sim.call_after(op[1], ev.fail, KeyError(f"failed {n}"))
+            if op[2]:
+                ev.add_callback(self.seen)
+            self.handles.append(("ev", ev))
+        elif kind == "raise":
+            sim.call_after(op[1], self.boom, n)
+        elif kind == "cancel":
+            if self.handles:
+                what, h = self.handles[op[1] % len(self.handles)]
+                done = sim.cancel(h) if what == "ev" else sim.cancel_callback(h)
+                log.append((n, "cancel", done))
+        else:  # "bad": each schedules in the past
+            try:
+                if op[1] == "after":
+                    sim.call_after(-1.0, self.fire, n, ())
+                elif op[1] == "at":
+                    sim.call_at(sim.now - 1.0, self.fire, n, ())
+                else:
+                    sim.sleep(-0.5)
+            except Exception as exc:
+                log.append((n, "bad", type(exc).__name__, str(exc)))
+
+    def fire(self, n, then) -> None:
+        self.log.append((n, "fire", self.sim.now))
+        self.do(then)
+
+    def seen(self, ev) -> None:
+        self.log.append(("seen", self.sim.now, _outcome(ev)))
+
+    def boom(self, n) -> None:
+        raise ValueError(f"boom {n}")
+
+    def body(self, n, delays, then, crash):
+        for d in delays:
+            value = yield self.sim.sleep(d)
+            self.log.append((n, "woke", self.sim.now, value))
+        self.do(then)
+        if crash:
+            raise RuntimeError(f"process {n} crashed")
+        return n
+
+
+def _outcome(ev):
+    value = ev._value
+    if not ev._ok:
+        return ("failed", type(value).__name__, str(value))
+    if isinstance(value, dict):  # AnyOf: the values of the fired events
+        return sorted(value.values())
+    return value
+
+
+def _play_dispatch(script):
+    """A script's log, per-run outcomes and end state, the stream traced."""
+    seed, runs = script
+    engine._set_tiebreak_seed(seed)
+    try:
+        sim = Simulator()
+    finally:
+        engine._set_tiebreak_seed(None)
+    play = _Dispatch(sim)
+    outcomes = []
+    for ops, until, max_events in runs:
+        play.do(ops)
+        if until is not None:
+            kind = until[0]
+            if kind == "float":
+                until = sim.now + until[1]
+            elif kind == "timeout":
+                until = sim.timeout(until[1], "target")
+            else:
+                target = sim.event()
+                if kind == "fails":
+                    sim.call_after(until[1], target.fail, OSError("target failed"))
+                until = target
+        try:
+            outcome = ("returned", sim.run(until=until, max_events=max_events))
+        except Exception as exc:
+            outcome = ("raised", type(exc).__name__, str(exc))
+        stats = sim.sched_stats()
+        outcomes.append((
+            outcome, sim.now, sim.event_count, stats["live"], stats["cancels"],
+            len(sim._callback_pool), len(sim._timeout_pool),
+        ))
+    return play.log, outcomes
+
+
+def _compiled_dispatch(script):
+    assert Simulator().sched_stats()["compiled"], "Simulator is not on _csched"
+    return _play_dispatch(script)
+
+
+def _same_dispatch(case, ref, fast):
+    """Equal logs, outcomes and ``(when, prio, seq, type)`` streams."""
+    (want, want_trace), (got, trace) = ref, fast
+    assert got == want, f"{case!r}: results diverge"
+    assert trace == want_trace, f"{case!r}: dispatch streams diverge"
+
+
 # --- fabrics ----------------------------------------------------------------------------
 #: ``(label, builder, options)`` of the float-clock fabrics
 FABRICS = (
@@ -705,6 +895,12 @@ PAIRS = (
         "scheduler-perf-suite", ["ci"],
         _on_heap(_traced(_perf_suite)), _traced(_perf_suite), _same_stream,
         needs="repro.sim._csched",
+    ),
+    # dispatch: the compiled run loop and pooled calls vs the Python ones
+    Pair(
+        "dispatch", _dispatch_scripts,
+        _on_heap(_traced(_play_dispatch)), _traced(_compiled_dispatch),
+        _same_dispatch, needs="repro.sim._csched", examples=300,
     ),
     # admission: bulk trains vs frame-level sends
     Pair(
